@@ -12,43 +12,21 @@ claims the design rests on:
 
 from __future__ import annotations
 
-from repro.common.clock import Scheduler, days
-from repro.common.rng import SeededRng
-from repro.distro.archive import UbuntuArchive
-from repro.distro.mirror import LocalMirror
-from repro.distro.workload import (
-    ReleaseStreamConfig,
-    SyntheticReleaseStream,
-    build_base_system,
-)
-from repro.dynpolicy.generator import DynamicPolicyGenerator
-from repro.keylime.fleet import Fleet
-from repro.keylime.policy import IBM_STYLE_EXCLUDES
-from repro.tpm.device import TpmManufacturer
+from repro.common.clock import days
+from repro.distro.workload import ReleaseStreamConfig
+from repro.keylime.fleet import build_fleet, release_stream
 
 
 def _build_fleet(size: int):
-    rng = SeededRng(f"fleet-bench-{size}")
-    scheduler = Scheduler()
-    archive = UbuntuArchive()
-    base = build_base_system(rng.fork("base"), n_filler_packages=20, mean_exec_files=5)
-    archive.seed(base)
-    stream = SyntheticReleaseStream(
-        archive, base, rng.fork("stream"),
-        ReleaseStreamConfig(
-            mean_packages_per_day=5.0, sd_packages_per_day=3.0,
-            mean_exec_files_per_package=5.0, kernel_release_every_days=0,
-        ),
+    seed = f"fleet-bench-{size}"
+    fleet = build_fleet(
+        seed, size, fillers=20, mean_exec_files=5, manufacturer="Bench"
     )
-    mirror = LocalMirror(archive)
-    mirror.sync(0.0)
-    generator = DynamicPolicyGenerator(mirror, rng=rng.fork("gen"))
-    policy, _ = generator.generate_full(
-        list(IBM_STYLE_EXCLUDES), {"5.15.0-91-generic"}
-    )
-    manufacturer = TpmManufacturer("Bench", rng.fork("tpm"))
-    fleet = Fleet(size, mirror, manufacturer, scheduler, rng.fork("fleet"), policy)
-    return fleet, stream, scheduler
+    stream = release_stream(fleet, seed, ReleaseStreamConfig(
+        mean_packages_per_day=5.0, sd_packages_per_day=3.0,
+        mean_exec_files_per_package=5.0, kernel_release_every_days=0,
+    ))
+    return fleet, stream, fleet.scheduler
 
 
 def test_fleet_poll_scaling(benchmark, emit):

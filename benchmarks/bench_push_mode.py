@@ -21,8 +21,9 @@ import os
 import tempfile
 from time import perf_counter
 
-from common import bench_mode, build_bench_fleet, pick
-from repro.keylime.fleet import Fleet
+from common import bench_mode, pick
+from repro.common.events import EventLog
+from repro.keylime.fleet import Fleet, build_fleet
 from repro.keylime.statestore import restore_from_file, write_snapshot
 from repro.obs.perf import BenchMetric, register_bench
 
@@ -37,9 +38,9 @@ def _params(mode: str) -> tuple[int, int]:
 
 def _build(mode: str, seed: str, push_mode: bool) -> Fleet:
     size = _params(mode)[0]
-    return build_bench_fleet(
-        size, seed, n_filler_packages=10, mean_exec_files=5.0,
-        push_mode=push_mode, with_events=True,
+    return build_fleet(
+        seed, size, fillers=10, mean_exec_files=5.0, manufacturer="Bench",
+        events=EventLog(), push_mode=push_mode,
     )
 
 

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 from time import perf_counter
 
-from common import bench_mode, build_bench_fleet, pick, restored_telemetry
+from common import bench_mode, pick, restored_telemetry
+from repro.keylime.fleet import build_fleet
 from repro.obs.perf import BenchMetric, register_bench
 from repro.obs.rules import Observatory
 
@@ -53,7 +54,10 @@ def _mode_rig(mode: str, seed: str, rig: str):
 
     size = _params(mode)[0]
     telemetry = obs_runtime.get()
-    fleet = build_bench_fleet(size, f"{seed}-{size}-{rig}")
+    fleet = build_fleet(
+        f"{seed}-{size}-{rig}", size, fillers=20, mean_exec_files=5.0,
+        manufacturer="Bench",
+    )
     observatory = Observatory(
         registry=telemetry.registry,
         # Scrape-only mode runs an empty rule set so the difference

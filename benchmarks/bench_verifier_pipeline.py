@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from time import perf_counter
 
-from common import bench_mode, build_bench_fleet, pick
-from repro.keylime.fleet import Fleet
+from common import bench_mode, pick
+from repro.keylime.fleet import Fleet, build_fleet
 from repro.obs import runtime as obs_runtime
 from repro.obs.perf import BenchMetric, register_bench
 
@@ -95,7 +95,10 @@ def _scenario(
 ) -> tuple[dict[str, float], Fleet]:
     """One (size, cache) scenario's throughput stats + its fleet."""
     _, workload, rounds = _params(mode)
-    fleet = build_bench_fleet(size, f"{seed}-{size}")
+    fleet = build_fleet(
+        f"{seed}-{size}", size, fillers=20, mean_exec_files=5.0,
+        manufacturer="Bench",
+    )
     per_node = _run_workload(fleet, workload) + 1  # + boot aggregate
     if not cached:
         fleet.verifier.verdict_cache = None

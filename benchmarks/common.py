@@ -2,10 +2,10 @@
 
 Before the perf observatory, each ``bench_*.py`` re-implemented two
 things inconsistently: the ``REPRO_BENCH_SMOKE`` environment check (two
-scripts had none at all) and a copy-pasted seeded-fleet builder (three
-near-identical ``_build_fleet`` bodies differing only in seed, filler
-count and push flag).  This module is the single source for both, plus
-the mode plumbing the harness registration API relies on:
+scripts had none at all) and a copy-pasted seeded-fleet builder (now
+:func:`repro.keylime.fleet.build_fleet`, called directly).  This module
+is the single source for the environment check, plus the mode plumbing
+the harness registration API relies on:
 
 * :func:`smoke_enabled` / :func:`bench_mode` -- the one environment
   check.  Under pytest a bench reads these at import time exactly as
@@ -13,17 +13,15 @@ the mode plumbing the harness registration API relies on:
   and the environment is never consulted.
 * :func:`pick` -- mode-parameterized constants, replacing the
   ``X if SMOKE else Y`` module globals so one core serves both modes.
-* :func:`build_bench_fleet` -- the unified seeded fleet builder.
 * :func:`restored_telemetry` -- run a bench core under a fresh
   telemetry bundle and restore whatever was active before, so cores
   that juggle activation (null-baseline loops, per-rig registries) are
   safe under both pytest's autouse fixture and the harness runner.
 
-Determinism contract: everything here is a pure function of its
-arguments -- the fleet builder draws only from ``SeededRng(seed)`` and
-the simulated clock, never the wall clock or global RNG -- so a bench
-workload is reproducible from the ``(mode, seed)`` pair stamped into
-its :class:`repro.obs.perf.BenchRecord`.
+Determinism contract: a bench workload draws only from
+``SeededRng(seed)`` and the simulated clock, never the wall clock or
+global RNG, so it is reproducible from the ``(mode, seed)`` pair
+stamped into its :class:`repro.obs.perf.BenchRecord`.
 """
 
 from __future__ import annotations
@@ -32,20 +30,8 @@ import os
 from contextlib import contextmanager
 from typing import Iterator
 
-from repro.common.clock import Scheduler
-from repro.common.events import EventLog
-from repro.common.rng import SeededRng
-from repro.distro.archive import UbuntuArchive
-from repro.distro.mirror import LocalMirror
-from repro.distro.workload import build_base_system
-from repro.dynpolicy.generator import DynamicPolicyGenerator
-from repro.keylime.fleet import Fleet
-from repro.keylime.policy import IBM_STYLE_EXCLUDES
 from repro.obs import runtime as obs_runtime
 from repro.obs.runtime import Telemetry
-from repro.tpm.device import TpmManufacturer
-
-KERNEL = "5.15.0-91-generic"
 
 
 def smoke_enabled() -> bool:
@@ -61,46 +47,6 @@ def bench_mode() -> str:
 def pick(mode: str, smoke, full):
     """The mode-appropriate one of two parameter values."""
     return smoke if mode == "smoke" else full
-
-
-def build_bench_fleet(
-    size: int,
-    seed: str,
-    n_filler_packages: int = 20,
-    mean_exec_files: float = 5.0,
-    kernel_version: str = KERNEL,
-    push_mode: bool = False,
-    with_events: bool = False,
-) -> Fleet:
-    """A seeded bench-scale fleet (archive -> mirror -> policy -> fleet).
-
-    The one builder behind the pipeline, TSDB and push benches; the
-    scheduler is reachable as ``fleet.scheduler`` and the event log (if
-    requested) as ``fleet.events``.
-    """
-    rng = SeededRng(seed)
-    scheduler = Scheduler()
-    events = EventLog() if with_events else None
-    archive = UbuntuArchive()
-    base = build_base_system(
-        rng.fork("base"), n_filler_packages=n_filler_packages,
-        mean_exec_files=mean_exec_files, kernel_version=kernel_version,
-    )
-    archive.seed(base)
-    mirror = LocalMirror(archive, events=events)
-    mirror.sync(0.0)
-    generator = DynamicPolicyGenerator(
-        mirror, events=events, rng=rng.fork("gen")
-    )
-    policy, _ = generator.generate_full(
-        list(IBM_STYLE_EXCLUDES), {kernel_version}
-    )
-    manufacturer = TpmManufacturer("Bench", rng.fork("tpm"))
-    return Fleet(
-        size, mirror, manufacturer, scheduler, rng.fork("fleet"), policy,
-        events=events, kernel_version=kernel_version,
-        push_mode=push_mode,
-    )
 
 
 @contextmanager

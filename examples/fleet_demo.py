@@ -17,49 +17,25 @@ providers attesting *fleets* -- end to end:
 Run:  python examples/fleet_demo.py
 """
 
-from repro.common.clock import Scheduler, days
-from repro.common.rng import SeededRng
-from repro.distro.archive import UbuntuArchive
-from repro.distro.mirror import LocalMirror
-from repro.distro.workload import (
-    ReleaseStreamConfig,
-    SyntheticReleaseStream,
-    build_base_system,
-)
-from repro.dynpolicy import DynamicPolicyGenerator
-from repro.keylime.fleet import Fleet
-from repro.keylime.policy import IBM_STYLE_EXCLUDES
-from repro.tpm import TpmManufacturer
+from repro.common.clock import days
+from repro.distro.workload import ReleaseStreamConfig
+from repro.keylime.fleet import build_fleet, release_stream
 
 FLEET_SIZE = 8
+SEED = "fleet-demo"
 
 
 def main() -> None:
-    rng = SeededRng("fleet-demo")
-    scheduler = Scheduler()
-    archive = UbuntuArchive()
-    base = build_base_system(rng.fork("base"), n_filler_packages=40, mean_exec_files=8)
-    archive.seed(base)
-    stream = SyntheticReleaseStream(
-        archive, base, rng.fork("stream"),
-        ReleaseStreamConfig(
-            mean_packages_per_day=6.0, sd_packages_per_day=5.0,
-            mean_exec_files_per_package=8.0, kernel_release_every_days=0,
-        ),
+    fleet = build_fleet(
+        SEED, FLEET_SIZE, fillers=40, mean_exec_files=8, manufacturer="Infineon"
     )
-    mirror = LocalMirror(archive)
-    mirror.sync(0.0)
-    generator = DynamicPolicyGenerator(mirror, rng=rng.fork("gen"))
-    policy, _ = generator.generate_full(
-        list(IBM_STYLE_EXCLUDES), {"5.15.0-91-generic"}
-    )
-
-    manufacturer = TpmManufacturer("Infineon", rng.fork("tpm"))
-    fleet = Fleet(
-        FLEET_SIZE, mirror, manufacturer, scheduler, rng.fork("fleet"), policy
-    )
+    stream = release_stream(fleet, SEED, ReleaseStreamConfig(
+        mean_packages_per_day=6.0, sd_packages_per_day=5.0,
+        mean_exec_files_per_package=8.0, kernel_release_every_days=0,
+    ))
+    scheduler = fleet.scheduler
     print(f"provisioned {len(fleet)} nodes; shared policy: "
-          f"{policy.line_count()} entries")
+          f"{fleet.policy.line_count()} entries")
 
     results = fleet.poll_all()
     print(f"initial attestation: {sum(r.ok for r in results.values())}"

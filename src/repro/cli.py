@@ -1437,39 +1437,13 @@ def _build_state_fleet(
     Provisioning is a pure function of ``(seed, n_nodes, fillers)`` and
     there is no release stream, so ``state load`` can rebuild machines
     bit-identical to the ones ``state save`` attested -- the snapshot
-    only needs to carry the verifier's side of the world.
+    only needs to carry the verifier's side of the world.  It is the
+    sharding experiments' rig, :func:`repro.experiments.shardfleet
+    .build_shard_rig`.
     """
-    from repro.common.clock import Scheduler
-    from repro.common.events import EventLog
-    from repro.common.rng import SeededRng
-    from repro.distro.archive import UbuntuArchive
-    from repro.distro.mirror import LocalMirror
-    from repro.distro.workload import build_base_system
-    from repro.dynpolicy.generator import DynamicPolicyGenerator
-    from repro.keylime.fleet import Fleet
-    from repro.keylime.policy import IBM_STYLE_EXCLUDES
-    from repro.tpm.device import TpmManufacturer
+    from repro.experiments.shardfleet import build_shard_rig
 
-    kernel = "5.15.0-91-generic"
-    rng = SeededRng(seed)
-    scheduler = Scheduler()
-    events = EventLog()
-    archive = UbuntuArchive()
-    base = build_base_system(
-        rng.fork("base"), n_filler_packages=fillers,
-        mean_exec_files=6.0, kernel_version=kernel,
-    )
-    archive.seed(base)
-    mirror = LocalMirror(archive, events=events)
-    mirror.sync(0.0)
-    generator = DynamicPolicyGenerator(mirror, events=events, rng=rng.fork("gen"))
-    policy, _ = generator.generate_full(list(IBM_STYLE_EXCLUDES), {kernel})
-    manufacturer = TpmManufacturer("Infineon", rng.fork("tpm"))
-    return Fleet(
-        n_nodes, mirror, manufacturer, scheduler, rng.fork("fleet"), policy,
-        events=events, kernel_version=kernel, wire_transport=True,
-        push_mode=push_mode,
-    )
+    return build_shard_rig(seed, n_nodes, fillers, push_mode)
 
 
 def _drive_state_rounds(fleet, rounds: int, interval: float) -> None:
@@ -1647,11 +1621,11 @@ def _cmd_shard_demo(args: argparse.Namespace) -> int:
     for round_index, shard_ids in sorted(result.failovers.items()):
         print(f"  round {round_index}: failover "
               f"{', '.join(shard_ids)} -> "
-              f"{', '.join(result.vfleet.shards[s].host for s in shard_ids)}")
+              f"{', '.join(result.fleet.shards[s].host for s in shard_ids)}")
     gaps = result.gap_alerts()
     print(f"  coverage-gap alerts: {len(gaps)} "
           f"({'FAILOVER LEFT A BLIND SPOT' if gaps else 'no blind spots'})")
-    states = result.vfleet.status()
+    states = result.fleet.status()
     attesting = sum(1 for state in states.values() if state == "attesting")
     print(f"  nodes attesting: {attesting}/{len(states)}")
     return 1 if gaps else 0

@@ -24,22 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.common.clock import Scheduler, days, hours
+from repro.common.clock import days, hours
 from repro.common.events import EventLog
 from repro.common.rng import SeededRng
-from repro.distro.archive import UbuntuArchive
-from repro.distro.mirror import LocalMirror
-from repro.distro.workload import (
-    ReleaseStreamConfig,
-    SyntheticReleaseStream,
-    build_base_system,
-)
-from repro.dynpolicy.generator import DynamicPolicyGenerator
+from repro.distro.workload import ReleaseStreamConfig
 from repro.keylime.faults import FaultPlan, chaos_profile
-from repro.keylime.fleet import Fleet, FleetUpdateReport
-from repro.keylime.policy import IBM_STYLE_EXCLUDES
+from repro.keylime.fleet import Fleet, FleetUpdateReport, build_fleet, release_stream
 from repro.keylime.retrypolicy import RetryPolicy
-from repro.tpm.device import TpmManufacturer
 
 DEFAULT_KERNEL = "5.15.0-91-generic"
 
@@ -167,34 +158,6 @@ def run_fleet_scenario(
     sessions -- verdict-for-verdict equivalent to pull mode on the same
     seed.
     """
-    rng = SeededRng(seed)
-    scheduler = Scheduler()
-    events = EventLog()
-
-    archive = UbuntuArchive()
-    base = build_base_system(
-        rng.fork("base"),
-        n_filler_packages=n_filler_packages,
-        mean_exec_files=6.0,
-        kernel_version=DEFAULT_KERNEL,
-    )
-    archive.seed(base)
-    stream = SyntheticReleaseStream(
-        archive, base, rng.fork("stream"),
-        ReleaseStreamConfig(
-            mean_packages_per_day=4.0,
-            sd_packages_per_day=2.0,
-            mean_exec_files_per_package=6.0,
-            kernel_release_every_days=0,
-        ),
-    )
-
-    mirror = LocalMirror(archive, events=events)
-    mirror.sync(0.0)
-    generator = DynamicPolicyGenerator(mirror, events=events, rng=rng.fork("gen"))
-    policy, _ = generator.generate_full(list(IBM_STYLE_EXCLUDES), {DEFAULT_KERNEL})
-
-    manufacturer = TpmManufacturer("Infineon", rng.fork("tpm"))
     fault_plan = None
     retry_policy = None
     quarantine_after = 3
@@ -205,14 +168,20 @@ def run_fleet_scenario(
         fault_plan = chaos.build_plan(node_ids)
         retry_policy = chaos.build_retry_policy()
         quarantine_after = chaos.quarantine_after
-    fleet = Fleet(
-        n_nodes, mirror, manufacturer, scheduler, rng.fork("fleet"), policy,
-        events=events, kernel_version=DEFAULT_KERNEL,
-        wire_transport=wire_transport,
+    fleet = build_fleet(
+        seed, n_nodes, fillers=n_filler_packages, mean_exec_files=6.0,
+        manufacturer="Infineon", events=EventLog(),
+        kernel_version=DEFAULT_KERNEL, wire_transport=wire_transport,
         fault_plan=fault_plan, retry_policy=retry_policy,
-        quarantine_after=quarantine_after,
-        push_mode=push_mode,
+        quarantine_after=quarantine_after, push_mode=push_mode,
     )
+    scheduler, events = fleet.scheduler, fleet.events
+    stream = release_stream(fleet, seed, ReleaseStreamConfig(
+        mean_packages_per_day=4.0,
+        sd_packages_per_day=2.0,
+        mean_exec_files_per_package=6.0,
+        kernel_release_every_days=0,
+    ))
     result = FleetScenarioResult(
         fleet=fleet, n_days=n_days, p2=p2, chaos=chaos, fault_plan=fault_plan
     )

@@ -30,18 +30,9 @@ from typing import Any, Callable
 
 from repro.common.clock import Scheduler, days, hours
 from repro.common.events import EventLog
-from repro.common.rng import SeededRng
-from repro.distro.archive import UbuntuArchive
-from repro.distro.mirror import LocalMirror
-from repro.distro.workload import (
-    ReleaseStreamConfig,
-    SyntheticReleaseStream,
-    build_base_system,
-)
-from repro.dynpolicy.generator import DynamicPolicyGenerator
+from repro.distro.workload import ReleaseStreamConfig, SyntheticReleaseStream
 from repro.experiments.fleet_run import DEFAULT_KERNEL, ChaosInjection
-from repro.keylime.fleet import Fleet
-from repro.keylime.policy import IBM_STYLE_EXCLUDES
+from repro.keylime.fleet import Fleet, build_fleet, release_stream
 from repro.obs import runtime as obs_runtime
 from repro.obs.federation import (
     FederationHub,
@@ -50,7 +41,6 @@ from repro.obs.federation import (
 )
 from repro.obs.health import HealthWatch
 from repro.obs.rules import Observatory
-from repro.tpm.device import TpmManufacturer
 
 
 @dataclass
@@ -99,34 +89,7 @@ def _build_shard(
 ) -> ObservatoryShard:
     """Provision one shard under its own (already active) telemetry."""
     name = f"shard-{index}"
-    rng = SeededRng(f"{seed}-{name}")
-    scheduler = Scheduler()
-    events = EventLog()
     telemetry = obs_runtime.get()
-    telemetry.bind_clock(scheduler.clock)
-
-    archive = UbuntuArchive()
-    base = build_base_system(
-        rng.fork("base"),
-        n_filler_packages=n_filler_packages,
-        mean_exec_files=4.0,
-        kernel_version=DEFAULT_KERNEL,
-    )
-    archive.seed(base)
-    stream = SyntheticReleaseStream(
-        archive, base, rng.fork("stream"),
-        ReleaseStreamConfig(
-            mean_packages_per_day=2.0,
-            sd_packages_per_day=1.0,
-            mean_exec_files_per_package=4.0,
-            kernel_release_every_days=0,
-        ),
-    )
-    mirror = LocalMirror(archive, events=events)
-    mirror.sync(0.0)
-    generator = DynamicPolicyGenerator(mirror, events=events, rng=rng.fork("gen"))
-    policy, _ = generator.generate_full(list(IBM_STYLE_EXCLUDES), {DEFAULT_KERNEL})
-
     fault_plan = None
     retry_policy = None
     quarantine_after = 3
@@ -135,13 +98,20 @@ def _build_shard(
         fault_plan = chaos.build_plan(node_ids)
         retry_policy = chaos.build_retry_policy()
         quarantine_after = chaos.quarantine_after
-    fleet = Fleet(
-        nodes, mirror, TpmManufacturer("Infineon", rng.fork("tpm")),
-        scheduler, rng.fork("fleet"), policy,
-        events=events, kernel_version=DEFAULT_KERNEL,
-        fault_plan=fault_plan, retry_policy=retry_policy,
-        quarantine_after=quarantine_after,
+    rig_seed = f"{seed}-{name}"
+    fleet = build_fleet(
+        rig_seed, nodes, fillers=n_filler_packages, mean_exec_files=4.0,
+        manufacturer="Infineon", events=EventLog(),
+        kernel_version=DEFAULT_KERNEL, fault_plan=fault_plan,
+        retry_policy=retry_policy, quarantine_after=quarantine_after,
     )
+    scheduler, events = fleet.scheduler, fleet.events
+    stream = release_stream(fleet, rig_seed, ReleaseStreamConfig(
+        mean_packages_per_day=2.0,
+        sd_packages_per_day=1.0,
+        mean_exec_files_per_package=4.0,
+        kernel_release_every_days=0,
+    ))
 
     observatory = Observatory(
         registry=telemetry.registry, poll_interval=poll_interval

@@ -27,15 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.common.clock import Scheduler
-from repro.common.rng import SeededRng
-from repro.distro.archive import UbuntuArchive
-from repro.distro.mirror import LocalMirror
-from repro.distro.workload import build_base_system
-from repro.dynpolicy.generator import DynamicPolicyGenerator
-from repro.keylime.fleet import Fleet
-from repro.keylime.policy import IBM_STYLE_EXCLUDES
+from repro.keylime.fleet import Fleet, build_fleet
 from repro.obs.capacity import CapacityModel, TickRecord, fit_capacity
-from repro.tpm.device import TpmManufacturer
 
 DEFAULT_SIZES = (4, 8, 16, 28)
 
@@ -83,25 +76,11 @@ def build_probe_fleet(
     tick_budget: float | None = None,
 ) -> tuple[Fleet, Scheduler]:
     """One bench-scale fleet for tick-cost probing."""
-    rng = SeededRng(f"{seed}-{size}")
-    scheduler = Scheduler()
-    archive = UbuntuArchive()
-    base = build_base_system(
-        rng.fork("base"), n_filler_packages=n_filler_packages, mean_exec_files=5
+    fleet = build_fleet(
+        f"{seed}-{size}", size, fillers=n_filler_packages, mean_exec_files=5,
+        manufacturer="Probe", tick_budget=tick_budget,
     )
-    archive.seed(base)
-    mirror = LocalMirror(archive)
-    mirror.sync(0.0)
-    generator = DynamicPolicyGenerator(mirror, rng=rng.fork("gen"))
-    policy, _ = generator.generate_full(
-        list(IBM_STYLE_EXCLUDES), {"5.15.0-91-generic"}
-    )
-    manufacturer = TpmManufacturer("Probe", rng.fork("tpm"))
-    fleet = Fleet(
-        size, mirror, manufacturer, scheduler, rng.fork("fleet"), policy,
-        tick_budget=tick_budget,
-    )
-    return fleet, scheduler
+    return fleet, fleet.scheduler
 
 
 def probe_tick_cost(

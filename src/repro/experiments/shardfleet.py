@@ -3,8 +3,9 @@
 This scenario is the ROADMAP's sharded fleet made real: one provisioned
 :class:`~repro.keylime.fleet.Fleet` split across N verifier members by
 the registrar's consistent-hash ring
-(:class:`~repro.keylime.sharding.ConsistentHashRing`), driven round by
-round through :class:`~repro.keylime.fleet.VerifierFleet`.  Unlike
+(:class:`~repro.keylime.sharding.ConsistentHashRing`, see
+:meth:`~repro.keylime.fleet.Fleet.shard`), driven round by round
+through the fleet's own ``poll_all``.  Unlike
 :mod:`repro.experiments.observatory` -- which simulated shards as N
 *independent* fleets -- every member here attests a key range of the
 *same* fleet, so failover and rebalancing are observable as state
@@ -34,13 +35,8 @@ from typing import Any, Callable
 
 from repro.common.events import EventLog
 from repro.common.rng import SeededRng
-from repro.distro.archive import UbuntuArchive
-from repro.distro.mirror import LocalMirror
-from repro.distro.workload import build_base_system
-from repro.dynpolicy.generator import DynamicPolicyGenerator
 from repro.keylime.faults import VerifierOutage
-from repro.keylime.fleet import Fleet, VerifierFleet
-from repro.keylime.policy import IBM_STYLE_EXCLUDES
+from repro.keylime.fleet import Fleet, build_fleet
 from repro.obs import runtime as obs_runtime
 from repro.obs.federation import (
     FederationHub,
@@ -48,7 +44,6 @@ from repro.obs.federation import (
     snapshot_to_json,
 )
 from repro.obs.health import HealthWatch
-from repro.tpm.device import TpmManufacturer
 
 #: Kernel pinned by the deterministic state-fleet rig (no release
 #: stream, so provisioning is a pure function of the seed).
@@ -63,34 +58,16 @@ def build_shard_rig(
 ) -> Fleet:
     """A deterministic fleet rig for sharding experiments and tests.
 
-    Same contract as the CLI's ``state save``/``state load`` rig:
-    provisioning is a pure function of ``(seed, n_nodes, fillers)``
-    with no release stream, so two builds from one seed are
-    bit-identical -- the property every failover-equivalence assertion
-    in the test suite leans on.
+    Also the CLI's ``state save``/``state load`` rig: provisioning is a
+    pure function of ``(seed, n_nodes, fillers)`` with no release
+    stream, so two builds from one seed are bit-identical -- the
+    property every failover-equivalence assertion in the test suite
+    leans on.
     """
-    from repro.common.clock import Scheduler
-
-    rng = SeededRng(seed)
-    scheduler = Scheduler()
-    events = EventLog()
-    archive = UbuntuArchive()
-    base = build_base_system(
-        rng.fork("base"), n_filler_packages=fillers,
-        mean_exec_files=6.0, kernel_version=SHARD_RIG_KERNEL,
-    )
-    archive.seed(base)
-    mirror = LocalMirror(archive, events=events)
-    mirror.sync(0.0)
-    generator = DynamicPolicyGenerator(mirror, events=events, rng=rng.fork("gen"))
-    policy, _ = generator.generate_full(
-        list(IBM_STYLE_EXCLUDES), {SHARD_RIG_KERNEL}
-    )
-    manufacturer = TpmManufacturer("Infineon", rng.fork("tpm"))
-    return Fleet(
-        n_nodes, mirror, manufacturer, scheduler, rng.fork("fleet"), policy,
-        events=events, kernel_version=SHARD_RIG_KERNEL, wire_transport=True,
-        push_mode=push_mode,
+    return build_fleet(
+        seed, n_nodes, fillers=fillers, mean_exec_files=6.0,
+        manufacturer="Infineon", events=EventLog(),
+        kernel_version=SHARD_RIG_KERNEL, push_mode=push_mode,
     )
 
 
@@ -102,18 +79,22 @@ def build_shard_fleet(
     push_mode: bool = False,
     outages: tuple[VerifierOutage, ...] | list[VerifierOutage] = (),
     checkpoint_every: int = 1,
-) -> tuple[Fleet, VerifierFleet]:
-    """One deterministic rig, sharded: ``(fleet, verifier_fleet)``."""
+) -> tuple[Fleet, Fleet]:
+    """One deterministic rig, sharded on the ``shards`` fork of *seed*.
+
+    Returns the fleet twice, ``(fleet, fleet)``: callers written
+    against a separate multi-verifier wrapper unpack two names.
+    """
     fleet = build_shard_rig(seed, n_nodes, fillers, push_mode)
-    vfleet = VerifierFleet(
-        fleet, n_verifiers, SeededRng(seed).fork("shards"),
+    fleet.shard(
+        n_verifiers, SeededRng(seed).fork("shards"),
         outages=outages, checkpoint_every=checkpoint_every,
     )
-    return fleet, vfleet
+    return fleet, fleet
 
 
 def member_snapshots(
-    vfleet: VerifierFleet, registry, at: float
+    fleet: Fleet, registry, at: float
 ) -> list[dict[str, Any]]:
     """Slice one process registry into per-member federation snapshots.
 
@@ -126,11 +107,11 @@ def member_snapshots(
     hub, not vanish from it.
     """
     hosts = {
-        shard_id: host.host for shard_id, host in vfleet.shards.items()
+        shard_id: host.host for shard_id, host in fleet.shards.items()
     }
     full = registry_snapshot(registry, FLEET_SOURCE, at)
     slices: dict[str, list[dict[str, Any]]] = {FLEET_SOURCE: []}
-    for member in sorted(vfleet.live_members()):
+    for member in sorted(fleet.live_members()):
         slices[member] = []
     for entry in full["metrics"]:
         shard = entry["labels"].get("shard")
@@ -155,13 +136,17 @@ class ShardFleetResult:
     """Outcome of one sharded-fleet run."""
 
     fleet: Fleet
-    vfleet: VerifierFleet
     hub: FederationHub
     watch: HealthWatch
     rounds: int
     poll_interval: float
     #: shard ids that failed over, per round index.
     failovers: dict[int, list[str]] = field(default_factory=dict)
+
+    @property
+    def vfleet(self) -> Fleet:
+        """The sharded fleet under its former multi-verifier name."""
+        return self.fleet
 
     @property
     def end_time(self) -> float:
@@ -197,14 +182,14 @@ def run_shard_fleet(
     the JSON wire into the hub and evaluates its recording rules, so
     ``fleet:shard_balance`` and the shard panel stay current.
     """
-    fleet, vfleet = build_shard_fleet(
+    fleet, _ = build_shard_fleet(
         seed, n_nodes, n_verifiers, fillers, push_mode,
         outages=outages, checkpoint_every=checkpoint_every,
     )
     telemetry = obs_runtime.activate(clock=fleet.scheduler.clock)
     # Rollups recorded during construction went to the previous bundle;
     # refresh them into this run's registry.
-    vfleet._record_rollups()
+    fleet._record_rollups()
     hub = FederationHub(poll_interval=poll_interval)
     watch = HealthWatch(tick_interval=poll_interval)
     watch.attach(
@@ -220,21 +205,21 @@ def run_shard_fleet(
         )
 
     result = ShardFleetResult(
-        fleet=fleet, vfleet=vfleet, hub=hub, watch=watch,
+        fleet=fleet, hub=hub, watch=watch,
         rounds=rounds, poll_interval=poll_interval,
     )
     kill = dict(kill or {})
     for round_index in range(rounds):
         member = kill.get(round_index)
         if member is not None:
-            vfleet.kill(member)
+            fleet.kill(member)
         fleet.scheduler.clock.advance_by(poll_interval)
         now = fleet.scheduler.clock.now
-        adopted = vfleet.probe()
+        adopted = fleet.probe()
         if adopted:
             result.failovers[round_index] = adopted
-        vfleet.poll_all()
-        for snapshot in member_snapshots(vfleet, telemetry.registry, now):
+        fleet.poll_all()
+        for snapshot in member_snapshots(fleet, telemetry.registry, now):
             hub.ingest_json(snapshot_to_json(snapshot))
         hub.evaluate(now)
         watch.tick(now)

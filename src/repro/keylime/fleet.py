@@ -1,4 +1,4 @@
-"""Fleet management: one verifier, many attested nodes.
+"""Fleet management: many attested nodes under one or more verifiers.
 
 The paper's motivation is cloud providers attesting *large fleets*; the
 tenant tool exists to "manage groups of attested nodes".  This module
@@ -17,7 +17,12 @@ provides that layer on top of the single-node stack:
   attestation rounds into one tick and shares a single
   :class:`repro.keylime.policy.VerdictCache` across every node --
   same-distro nodes measure nearly identical files, so policy
-  evaluation costs O(unique digests), not O(nodes x entries).
+  evaluation costs O(unique digests), not O(nodes x entries);
+* multi-verifier sharding: :meth:`Fleet.shard` splits the fleet's one
+  verifier across N ring-assigned members with failover and
+  rebalancing -- a single verifier is the one-member case;
+* :func:`build_fleet`, the seeded archive -> mirror -> policy -> fleet
+  rig every experiment, bench and example provisions.
 """
 
 from __future__ import annotations
@@ -30,11 +35,17 @@ from repro.common.errors import StateError
 from repro.common.events import EventLog
 from repro.common.rng import SeededRng
 from repro.distro.apt import AptInstaller
+from repro.distro.archive import UbuntuArchive
 from repro.distro.mirror import LocalMirror
+from repro.distro.workload import (
+    ReleaseStreamConfig,
+    SyntheticReleaseStream,
+    build_base_system,
+)
 from repro.dynpolicy.generator import DynamicPolicyGenerator, PolicyUpdateReport
 from repro.keylime.agent import KeylimeAgent
 from repro.keylime.audit import AuditLog
-from repro.keylime.policy import RuntimePolicy, VerdictCache
+from repro.keylime.policy import IBM_STYLE_EXCLUDES, RuntimePolicy, VerdictCache
 from repro.keylime.registrar import KeylimeRegistrar
 from repro.keylime.revocation import QuarantineListener, RevocationNotifier
 from repro.keylime.faults import FaultPlan, VerifierOutage
@@ -57,6 +68,12 @@ from repro.kernelsim.kernel import Machine
 from repro.obs import runtime as obs
 from repro.obs.capacity import TickBudgetAccountant
 from repro.tpm.device import TpmManufacturer
+
+#: The kernel every fleet node boots unless the caller picks another.
+DEFAULT_KERNEL = "5.15.0-91-generic"
+
+#: The member a fleet starts with: its one verifier, until it is sharded.
+SOLE_MEMBER = "verifier-0"
 
 
 @dataclass
@@ -142,75 +159,38 @@ class VerificationScheduler:
     def poll_batch(self) -> dict[str, AttestationResult]:
         """One attestation round for every still-attesting agent.
 
-        In push mode this delegates to :meth:`push_batch`: the same
-        agents, in the same order, drive their own negotiate/submit
-        exchanges instead of being polled.
+        In push mode the same agents, in the same order, drive their
+        own negotiate -> submit -> verdict exchanges instead of being
+        polled (a ``fleet.push_batch`` span), and the verifier then
+        reaps any session left to expire.  Agents whose exchange never
+        produced a result (abandoned delivery, protocol rejection) are
+        absent from the returned mapping -- the reaper accounts for
+        their silence.
         """
-        if self.push_mode:
-            return self.push_batch()
         telemetry = obs.get()
+        push = self.push_mode
+        run_round = self.verifier.push_round if push else self.verifier.poll
         results: dict[str, AttestationResult] = {}
         skipped = 0
         wall_start = perf_counter()
         with telemetry.tracer.span(
-            "fleet.poll_batch", agents=len(self._agents)
+            "fleet.push_batch" if push else "fleet.poll_batch",
+            agents=len(self._agents),
         ) as span:
             for agent_id in self._agents:
                 # SUSPECT nodes stay in the batch (the anti-P2
                 # invariant); only FAILED/STOPPED/QUARANTINED drop out.
-                if self.verifier.state_of(agent_id) in POLLABLE_STATES:
-                    results[agent_id] = self.verifier.poll(agent_id)
-                else:
+                if self.verifier.state_of(agent_id) not in POLLABLE_STATES:
                     skipped += 1
-            span.set_attribute("polled", len(results))
+                    continue
+                result = run_round(agent_id)
+                if result is not None:
+                    results[agent_id] = result
+            reaped = self.verifier.reap_push_sessions() if push else None
+            span.set_attribute("pushed" if push else "polled", len(results))
             span.set_attribute("skipped", skipped)
-            cache = self.verifier.verdict_cache
-            if cache is not None:
-                span.set_attribute("cache_hit_ratio", round(cache.hit_ratio, 4))
-        if skipped:
-            telemetry.registry.counter(
-                "fleet_poll_skipped_total",
-                "Registered agents skipped as non-pollable during batch ticks",
-            ).inc(skipped)
-        self.accounting.observe_tick(
-            self.verifier.scheduler.clock.now,
-            wall_seconds=perf_counter() - wall_start,
-            registered=len(self._agents),
-            polled=len(results),
-            skipped=skipped,
-            registry=telemetry.registry,
-        )
-        return results
-
-    def push_batch(self) -> dict[str, AttestationResult]:
-        """One agent-driven push exchange per still-attesting agent.
-
-        The manual-driving analogue of :meth:`poll_batch` for push
-        mode: every pollable agent runs its negotiate -> submit ->
-        verdict exchange (in registration order, against the shared
-        verdict cache), then the verifier reaps any session left to
-        expire.  Agents whose exchange never produced a result
-        (abandoned delivery, protocol rejection) are absent from the
-        returned mapping -- the reaper accounts for their silence.
-        """
-        telemetry = obs.get()
-        results: dict[str, AttestationResult] = {}
-        skipped = 0
-        wall_start = perf_counter()
-        with telemetry.tracer.span(
-            "fleet.push_batch", agents=len(self._agents)
-        ) as span:
-            for agent_id in self._agents:
-                if self.verifier.state_of(agent_id) in POLLABLE_STATES:
-                    result = self.verifier.push_round(agent_id)
-                    if result is not None:
-                        results[agent_id] = result
-                else:
-                    skipped += 1
-            reaped = self.verifier.reap_push_sessions()
-            span.set_attribute("pushed", len(results))
-            span.set_attribute("skipped", skipped)
-            span.set_attribute("reaped", len(reaped))
+            if reaped is not None:
+                span.set_attribute("reaped", len(reaped))
             cache = self.verifier.verdict_cache
             if cache is not None:
                 span.set_attribute("cache_hit_ratio", round(cache.hit_ratio, 4))
@@ -312,8 +292,80 @@ class VerificationScheduler:
                 cancel()
 
 
+@dataclass
+class ShardHost:
+    """One shard: a self-contained verifier attesting a key range.
+
+    The shard is the unit of both assignment and failover.  It owns a
+    private :class:`KeylimeVerifier` (own RNG streams, own hash-chained
+    audit log, own batch scheduler) so that *where it runs* is
+    irrelevant to *what it computes*: when the hosting member dies, the
+    whole shard is rebuilt on the adopter from ``checkpoint`` and its
+    nonce sequence, verdict history and audit chain continue
+    bit-identically.  ``host`` names the member currently running the
+    shard; it starts equal to ``shard_id`` and diverges on adoption.
+    ``agents`` maps agent id -> the verifier-side agent, in batch order.
+    """
+
+    shard_id: str
+    host: str
+    verifier: KeylimeVerifier
+    batch: VerificationScheduler
+    audit: AuditLog
+    agents: dict[str, KeylimeAgent] = field(default_factory=dict)
+    checkpoint: dict | None = None
+    adoptions: int = 0
+
+    def __len__(self) -> int:
+        return len(self.agents)
+
+
+def _settings_of(verifier: KeylimeVerifier) -> dict:
+    """The configuration every verifier of one fleet shares."""
+    return {
+        "continue_on_failure": verifier.continue_on_failure,
+        "retry_policy": verifier.retry_policy,
+        "quarantine_after": verifier.quarantine_after,
+        "push_session_ttl": verifier.push_session_ttl,
+    }
+
+
 class Fleet:
-    """A group of identically provisioned, attested machines."""
+    """A group of identically provisioned, attested machines.
+
+    The fleet attests through ``shards``: one :class:`ShardHost` per
+    verifier member.  It starts with the single member ``verifier-0``
+    (reachable as :attr:`verifier`, :attr:`poll_scheduler` and
+    :attr:`audit`); :meth:`shard` splits it, before the first round,
+    across N members of a seeded
+    :class:`~repro.keylime.sharding.ConsistentHashRing` attached to the
+    registrar.  Every member runs a :class:`VerificationScheduler` over
+    its key range against a private :class:`KeylimeVerifier`, while the
+    :class:`~repro.keylime.policy.VerdictCache` stays the fleet's single
+    instance: identical files evaluated on any shard answer all of them,
+    so a migrated agent never cold-starts policy evaluation.
+
+    Two kinds of membership change apply to a sharded fleet:
+
+    * :meth:`join` / :meth:`leave` -- explicit rebalancing.  The ring
+      moves the minimal key range (see :mod:`repro.keylime.sharding`)
+      and each moved agent's attestation record travels via the
+      statestore's per-agent export/import; open push sessions are
+      deliberately abandoned (closed at the source), so pre-migration
+      evidence replays to *neither* shard.
+    * :meth:`kill` (and scheduled :class:`~repro.keylime.faults
+      .VerifierOutage` windows) -- failure.  The heartbeat probe at the
+      top of every :meth:`poll_all` tick detects the unreachable host
+      *before* any round runs, and the shard fails over whole: a fresh
+      verifier on the ring-chosen adopter restores the shard's last
+      round-boundary checkpoint, so the tick's round runs on the
+      adopter and no agent misses a single poll -- the anti-P2
+      guarantee extended to verifier churn.
+
+    An unsharded fleet attaches no ring, adopts nothing and takes no
+    checkpoints (no other member could restore one), so it computes
+    exactly what one plain verifier does.
+    """
 
     def __init__(
         self,
@@ -324,7 +376,7 @@ class Fleet:
         rng: SeededRng,
         policy: RuntimePolicy,
         events: EventLog | None = None,
-        kernel_version: str = "5.15.0-91-generic",
+        kernel_version: str = DEFAULT_KERNEL,
         continue_on_failure: bool = False,
         wire_transport: bool = True,
         fault_plan: FaultPlan | None = None,
@@ -379,7 +431,6 @@ class Fleet:
         self.notifier = RevocationNotifier(events=self.events)
         self.quarantine = QuarantineListener()
         self.notifier.subscribe(self.quarantine)
-        self.audit = AuditLog()
         self.registrar = KeylimeRegistrar(
             [manufacturer.root_certificate], events=self.events
         )
@@ -391,21 +442,26 @@ class Fleet:
         if fault_plan is not None:
             fault_plan.bind_clock(scheduler.clock)
         self.push_mode = push_mode
-        verifier_kwargs = {}
+        # Sharding state; an unsharded fleet keeps the defaults.
+        self.ring: ConsistentHashRing | None = None
+        self.outages: list[VerifierOutage] = []
+        self.checkpoint_every = 0
+        self._shard_rng: SeededRng | None = None
+        self._round = 0
+        self._stop_heartbeat = None
+
+        settings = {
+            "continue_on_failure": continue_on_failure,
+            "retry_policy": retry_policy,
+            "quarantine_after": quarantine_after,
+        }
         if push_session_ttl is not None:
-            verifier_kwargs["push_session_ttl"] = push_session_ttl
-        self.verifier = KeylimeVerifier(
-            self.registrar, scheduler, rng.fork("verifier"), events=self.events,
-            continue_on_failure=continue_on_failure,
-            notifier=self.notifier, audit=self.audit,
-            verdict_cache=self.verdict_cache,
-            retry_policy=retry_policy, quarantine_after=quarantine_after,
-            **verifier_kwargs,
+            settings["push_session_ttl"] = push_session_ttl
+        sole = self._new_host(
+            SOLE_MEMBER, rng.fork("verifier"), settings, tick_budget=tick_budget,
         )
-        self.poll_scheduler = VerificationScheduler(
-            self.verifier, events=self.events, tick_budget=tick_budget,
-            push_mode=push_mode,
-        )
+        self.members: dict[str, bool] = {SOLE_MEMBER: True}
+        self.shards: dict[str, ShardHost] = {SOLE_MEMBER: sole}
 
         self.nodes: list[FleetNode] = []
         baseline = mirror.index()
@@ -426,8 +482,7 @@ class Fleet:
                 verifier_side = JsonTransportAgent(agent)
             else:
                 verifier_side = agent
-            self.verifier.add_agent(verifier_side, policy)
-            self.poll_scheduler.register(agent.agent_id)
+            self._enroll(sole, verifier_side, policy)
             self.nodes.append(FleetNode(name=name, machine=machine, apt=apt, agent=agent))
 
     def __len__(self) -> int:
@@ -440,20 +495,141 @@ class Fleet:
                 return node
         raise KeyError(f"fleet has no node {name!r}")
 
+    # -- construction helpers ----------------------------------------------
+
+    def _new_host(
+        self,
+        shard_id: str,
+        rng: SeededRng,
+        settings: dict,
+        tick_budget: float | None = None,
+    ) -> ShardHost:
+        audit = AuditLog()
+        verifier = KeylimeVerifier(
+            self.registrar, self.scheduler, rng, events=self.events,
+            notifier=self.notifier, audit=audit,
+            verdict_cache=self.verdict_cache, **settings,
+        )
+        batch = VerificationScheduler(
+            verifier, events=self.events, tick_budget=tick_budget,
+            push_mode=self.push_mode,
+        )
+        return ShardHost(
+            shard_id=shard_id, host=shard_id, verifier=verifier,
+            batch=batch, audit=audit,
+        )
+
+    @staticmethod
+    def _enroll(host: ShardHost, agent, policy, measured_boot=None) -> None:
+        host.verifier.add_agent(agent, policy, measured_boot=measured_boot)
+        host.batch.register(agent.agent_id)
+        host.agents[agent.agent_id] = agent
+
+    # -- introspection -----------------------------------------------------
+
+    def _sole_host(self) -> ShardHost:
+        if self.ring is not None:
+            raise StateError(
+                "a sharded fleet has no single verifier; "
+                "ask verifier_for(agent_id) or shards[shard_id]"
+            )
+        return self.shards[SOLE_MEMBER]
+
+    @property
+    def verifier(self) -> KeylimeVerifier:
+        """The fleet's one verifier (unsharded fleets only)."""
+        return self._sole_host().verifier
+
+    @property
+    def poll_scheduler(self) -> VerificationScheduler:
+        """The one verifier's batch scheduler (unsharded fleets only)."""
+        return self._sole_host().batch
+
+    @property
+    def audit(self) -> AuditLog:
+        """The one verifier's hash-chained audit log (unsharded fleets only)."""
+        return self._sole_host().audit
+
+    @property
+    def agent_ids(self) -> list[str]:
+        """Every node's agent id, in provisioning order: the canonical
+        key sequence of every ring computation."""
+        return [node.agent.agent_id for node in self.nodes]
+
+    @property
+    def shard_ids(self) -> tuple[str, ...]:
+        return tuple(sorted(self.shards))
+
+    def live_members(self) -> set[str]:
+        """Members currently reachable (alive and outside any outage)."""
+        now = self.scheduler.clock.now
+        return {
+            member for member, alive in self.members.items()
+            if alive and not self._in_outage(member, now)
+        }
+
+    def _in_outage(self, member: str, now: float) -> bool:
+        return any(
+            outage.member == member and outage.active(now)
+            for outage in self.outages
+        )
+
+    def shard_of(self, agent_id: str) -> str:
+        """The shard attesting *agent_id* (the ring is the authority)."""
+        if self.ring is None:
+            return SOLE_MEMBER
+        return self.registrar.shard_of(agent_id)
+
+    def verifier_for(self, agent_id: str) -> KeylimeVerifier:
+        """The verifier currently answering for *agent_id*."""
+        return self.shards[self.shard_of(agent_id)].verifier
+
+    def shard_sizes(self) -> dict[str, int]:
+        return {shard_id: len(host) for shard_id, host in self.shards.items()}
+
+    def balance(self) -> float:
+        """Mean-over-max shard occupancy (1.0 = perfectly even)."""
+        return shard_balance(self.shard_sizes())
+
+    def status(self) -> dict[str, str]:
+        """node name -> verifier state value, across every shard."""
+        return {
+            node.name: self.verifier_for(node.agent.agent_id)
+            .state_of(node.agent.agent_id).value
+            for node in self.nodes
+        }
+
+    def healthy_count(self) -> int:
+        """Nodes still attesting and not quarantined."""
+        return sum(
+            1 for node in self.nodes
+            if self.verifier_for(node.agent.agent_id).state_of(node.agent.agent_id)
+            is AgentState.ATTESTING
+            and not self.quarantine.is_quarantined(node.agent.agent_id)
+        )
+
     # -- attestation -------------------------------------------------------
 
     def poll_all(self) -> dict[str, AttestationResult]:
-        """One attestation round against every still-attesting node.
+        """One tick: heartbeat probe, failover, then every shard's batch.
 
-        Rounds are routed through the shared
-        :class:`VerificationScheduler` batch, so all nodes of the tick
-        hit one verdict cache back-to-back.
+        Returns agent id -> result for every node polled this tick.
+        The probe runs *first*, so a shard whose host died since the
+        last tick is adopted and polled in this same tick -- the fleet
+        never skips a round over a verifier failure.  Shards poll in
+        sorted order, back-to-back against the shared verdict cache; on
+        a sharded fleet the round boundary ends with a checkpoint of
+        every shard (the state a failover at the *next* boundary would
+        restore).
         """
-        telemetry = obs.get()
-        by_agent = self.poll_scheduler.poll_batch()
-        names = {node.agent.agent_id: node.name for node in self.nodes}
-        results = {names[agent_id]: result for agent_id, result in by_agent.items()}
-        self._record_rollups(telemetry.registry)
+        self.probe()
+        results: dict[str, AttestationResult] = {}
+        for shard_id in self.shard_ids:
+            results.update(self.shards[shard_id].batch.poll_batch())
+        self._round += 1
+        if self.checkpoint_every and self._round % self.checkpoint_every == 0:
+            self.checkpoint()
+        self._record_rollups()
         self.events.emit(
             self.scheduler.clock.now, "keylime.fleet", "fleet.polled",
             polled=len(results),
@@ -462,8 +638,31 @@ class Fleet:
         )
         return results
 
-    def _record_rollups(self, registry) -> None:
-        """Refresh the fleet-wide state gauges."""
+    def _record_rollups(self) -> dict[str, int]:
+        """Refresh the fleet-wide state gauges; returns nodes per state.
+
+        A sharded fleet also refreshes the per-shard gauges the shard
+        panel and the ``fleet:shard_balance`` recording rule read.
+        """
+        registry = obs.get().registry
+        if self.ring is not None:
+            agents_gauge = registry.gauge(
+                "fleet_shard_agents", "Agents assigned per shard", ("shard",),
+            )
+            hosted_gauge = registry.gauge(
+                "fleet_shard_hosted",
+                "Which member hosts each shard (1 = hosting)",
+                ("shard", "host"),
+            )
+            for shard_id, host in self.shards.items():
+                agents_gauge.labels(shard=shard_id).set(len(host))
+                for member in self.members:
+                    hosted_gauge.labels(shard=shard_id, host=member).set(
+                        1.0 if host.host == member else 0.0
+                    )
+            registry.gauge(
+                "fleet_shard_members", "Live verifier members",
+            ).set(len(self.live_members()))
         by_state: dict[str, int] = {}
         for state in self.status().values():
             by_state[state] = by_state.get(state, 0) + 1
@@ -475,11 +674,12 @@ class Fleet:
         registry.gauge(
             "fleet_quarantined_nodes", "Nodes currently quarantined",
         ).set(len(self.quarantine.quarantined))
+        return by_state
 
     def start_polling(
         self, interval: float, tick_budget: float | None = None
     ) -> None:
-        """Continuous attestation for the whole fleet.
+        """Continuous attestation for the whole (unsharded) fleet.
 
         One batch tick polls every attesting node back-to-back (sharing
         the verdict cache within the tick), instead of N independent
@@ -496,17 +696,14 @@ class Fleet:
     def stop_polling(self) -> None:
         """Cancel the fleet's batch polling and heartbeat.  Idempotent."""
         self.poll_scheduler.stop()
-        stop = getattr(self, "_stop_heartbeat", None)
+        stop = self._stop_heartbeat
         if callable(stop):
             self._stop_heartbeat = None
             stop()
 
     def _heartbeat(self) -> None:
         """Roll up fleet state into one event and the state gauges."""
-        by_state: dict[str, int] = {}
-        for state in self.status().values():
-            by_state[state] = by_state.get(state, 0) + 1
-        self._record_rollups(obs.get().registry)
+        by_state = self._record_rollups()
         self.events.emit(
             self.scheduler.clock.now, "keylime.fleet", "fleet.heartbeat",
             healthy=self.healthy_count(),
@@ -558,21 +755,6 @@ class Fleet:
             observatory.poll_interval = interval
         return observatory.schedule(self.scheduler)
 
-    def status(self) -> dict[str, str]:
-        """node name -> verifier state value."""
-        return {
-            node.name: self.verifier.state_of(node.agent.agent_id).value
-            for node in self.nodes
-        }
-
-    def healthy_count(self) -> int:
-        """Nodes still attesting and not quarantined."""
-        return sum(
-            1 for node in self.nodes
-            if self.verifier.state_of(node.agent.agent_id) is AgentState.ATTESTING
-            and not self.quarantine.is_quarantined(node.agent.agent_id)
-        )
-
     # -- fleet-wide updates ----------------------------------------------------
 
     def run_update_cycle(self, reboot_on_new_kernel: bool = True) -> FleetUpdateReport:
@@ -593,7 +775,8 @@ class Fleet:
             policy_report = self.generator.generate_update(self.policy, changed, allowed)
             with telemetry.tracer.span("fleet.policy_push", nodes=len(self.nodes)):
                 for node in self.nodes:
-                    self.verifier.update_policy(node.agent.agent_id, self.policy)
+                    agent_id = node.agent.agent_id
+                    self.verifier_for(agent_id).update_policy(agent_id, self.policy)
 
             files_total = 0
             updated = 0
@@ -616,7 +799,8 @@ class Fleet:
                         self.generator.prepare_for_reboot(
                             self.policy, node.machine.pending_kernel
                         )
-                        self.verifier.update_policy(node.agent.agent_id, self.policy)
+                        agent_id = node.agent.agent_id
+                        self.verifier_for(agent_id).update_policy(agent_id, self.policy)
                         if reboot_on_new_kernel:
                             node.machine.reboot()
                             rebooted.append(node.name)
@@ -635,7 +819,7 @@ class Fleet:
             registry.counter(
                 "fleet_nodes_rebooted_total", "Node reboots during update cycles",
             ).inc(len(rebooted))
-        self._record_rollups(registry)
+        self._record_rollups()
 
         self.events.emit(
             now, "keylime.fleet", "fleet.updated",
@@ -648,241 +832,66 @@ class Fleet:
             rebooted_nodes=tuple(rebooted),
         )
 
+    # -- sharding ----------------------------------------------------------
 
-# ---------------------------------------------------------------------------
-# Multi-verifier sharding
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ShardHost:
-    """One shard: a self-contained verifier attesting a key range.
-
-    The shard is the unit of both assignment and failover.  It owns a
-    private :class:`KeylimeVerifier` (own RNG streams, own hash-chained
-    audit log, own batch scheduler) so that *where it runs* is
-    irrelevant to *what it computes*: when the hosting member dies, the
-    whole shard is rebuilt on the adopter from ``checkpoint`` and its
-    nonce sequence, verdict history and audit chain continue
-    bit-identically.  ``host`` names the member currently running the
-    shard; it starts equal to ``shard_id`` and diverges on adoption.
-    """
-
-    shard_id: str
-    host: str
-    verifier: KeylimeVerifier
-    batch: VerificationScheduler
-    audit: AuditLog
-    agents: dict[str, KeylimeAgent] = field(default_factory=dict)
-    order: list[str] = field(default_factory=list)
-    checkpoint: dict | None = None
-    adoptions: int = 0
-
-    def __len__(self) -> int:
-        return len(self.order)
-
-
-class VerifierFleet:
-    """N verifiers over one provisioned fleet, ring-assigned.
-
-    Wraps an already-provisioned :class:`Fleet` (machines, registrar,
-    policy, wire/fault proxies) and splits its agents across
-    ``n_verifiers`` shards via a seeded
-    :class:`~repro.keylime.sharding.ConsistentHashRing` attached to the
-    registrar.  Each shard runs the existing
-    :class:`VerificationScheduler` over its key range against a private
-    :class:`KeylimeVerifier`; the :class:`~repro.keylime.policy
-    .VerdictCache` is the *fleet's* single instance shared by every
-    shard, so identical files evaluated on any shard answer all of
-    them -- a migrated agent never cold-starts policy evaluation.
-
-    Three membership operations:
-
-    * :meth:`join` / :meth:`leave` -- explicit rebalancing.  The ring
-      moves the minimal key range (see :mod:`repro.keylime.sharding`)
-      and each moved agent's attestation record travels via the
-      statestore's per-agent export/import; open push sessions are
-      deliberately abandoned (closed at the source), so pre-migration
-      evidence replays to *neither* shard.
-    * :meth:`kill` (and scheduled :class:`~repro.keylime.faults
-      .VerifierOutage` windows) -- failure.  The heartbeat probe at the
-      top of every :meth:`poll_all` tick detects the unreachable host
-      *before* any round runs, and the shard fails over whole: a fresh
-      verifier on the ring-chosen adopter restores the shard's last
-      round-boundary checkpoint, so the tick's round runs on the
-      adopter and no agent misses a single poll -- the anti-P2
-      guarantee extended to verifier churn.
-
-    After wrapping, drive attestation through ``VerifierFleet.poll_all``
-    (the inner fleet's single-verifier batch is idle; its verifier keeps
-    enrollment-time slots only).
-    """
-
-    def __init__(
+    def shard(
         self,
-        fleet: Fleet,
         n_verifiers: int,
         rng: SeededRng,
         seed: str | None = None,
-        vnodes: int | None = None,
         outages: list[VerifierOutage] | tuple[VerifierOutage, ...] = (),
         checkpoint_every: int = 1,
     ) -> None:
-        """Shard *fleet* across ``n_verifiers`` members.
+        """Split the fleet across ``n_verifiers`` ring-assigned members.
 
-        *rng* provides each shard verifier's streams via stable named
-        forks (``shard-<id>``); *seed* keys the ring's hash material
-        (defaults to the rng's seed repr, so one experiment seed fixes
-        both placement and nonce sequences).  *outages* is a chaos
-        schedule of :class:`VerifierOutage` windows consulted by the
-        heartbeat probe.  ``checkpoint_every`` controls the failover
-        checkpoint cadence in rounds (1 = every round boundary; 0
-        disables automatic checkpoints for pure-throughput benches).
+        Must run before the first round.  Each member is a fresh
+        verifier on the stable named fork ``shard-<member>`` of *rng*,
+        and every agent moves from the one verifier to its ring owner.
+        *seed* keys the ring's hash material (defaults to the rng's
+        seed repr, so one experiment seed fixes both placement and
+        nonce sequences).  *outages* is a chaos schedule of
+        :class:`VerifierOutage` windows consulted by the heartbeat
+        probe.  ``checkpoint_every`` controls the failover checkpoint
+        cadence in rounds (1 = every round boundary; 0 disables
+        automatic checkpoints for pure-throughput benches).
         """
         if n_verifiers < 1:
             raise ValueError("verifier fleet needs at least one member")
-        self.fleet = fleet
-        self.rng = rng
-        self.push_mode = fleet.push_mode
-        self.checkpoint_every = checkpoint_every
+        sole = self._sole_host()
+        if self._round or self._stop_heartbeat is not None or any(
+            sole.verifier.results_of(agent_id) for agent_id in sole.agents
+        ):
+            raise StateError("a fleet must be sharded before its first round")
+        settings = _settings_of(sole.verifier)
+        self._shard_rng = rng
         self.outages = list(outages)
-        self.ring = ConsistentHashRing(
-            seed if seed is not None else rng.seed_repr,
-            **({"vnodes": vnodes} if vnodes is not None else {}),
-        )
-        self.members: dict[str, bool] = {}
-        self.shards: dict[str, ShardHost] = {}
-        self._round = 0
-        # Fleet-wide agent order (provisioning order): the canonical
-        # key sequence for every ring computation, so plans are
-        # deterministic and migrated batches keep a stable order.
-        self.agent_ids: list[str] = list(fleet.poll_scheduler.agents)
-
+        self.checkpoint_every = checkpoint_every
+        self.ring = ConsistentHashRing(seed if seed is not None else rng.seed_repr)
+        self.members = {}
+        self.shards = {}
         for index in range(n_verifiers):
             member = f"verifier-{index}"
             self.ring.add(member)
             self.members[member] = True
-            self.shards[member] = self._new_host(member)
-        fleet.registrar.attach_shard_ring(self.ring)
-
-        for agent_id in self.agent_ids:
-            shard = self.ring.owner(agent_id)
-            slot = fleet.verifier._slots[agent_id]
-            self._enroll(self.shards[shard], agent_id, slot.agent, slot.policy,
-                         slot.measured_boot)
+            self.shards[member] = self._new_host(
+                member, rng.fork(f"shard-{member}"), settings
+            )
+        self.registrar.attach_shard_ring(self.ring)
+        for agent_id in sole.agents:
+            slot = sole.verifier._slots[agent_id]
+            self._enroll(
+                self.shards[self.ring.owner(agent_id)],
+                slot.agent, slot.policy, slot.measured_boot,
+            )
         # An initial checkpoint per shard: a member may die before the
         # first round, and failover must still have a state to restore.
         self.checkpoint()
         self._record_rollups()
-        fleet.events.emit(
-            fleet.scheduler.clock.now, "keylime.fleet", "fleet.sharded",
-            members=n_verifiers, agents=len(self.agent_ids),
+        self.events.emit(
+            self.scheduler.clock.now, "keylime.fleet", "fleet.sharded",
+            members=n_verifiers, agents=len(self.nodes),
             balance=round(self.balance(), 4),
         )
-
-    # -- construction helpers ----------------------------------------------
-
-    def _new_host(self, shard_id: str, fork_name: str | None = None) -> ShardHost:
-        audit = AuditLog()
-        verifier = KeylimeVerifier(
-            self.fleet.registrar,
-            self.fleet.scheduler,
-            self.rng.fork(fork_name if fork_name is not None else f"shard-{shard_id}"),
-            events=self.fleet.events,
-            continue_on_failure=self.fleet.verifier.continue_on_failure,
-            notifier=self.fleet.notifier,
-            audit=audit,
-            verdict_cache=self.fleet.verdict_cache,
-            retry_policy=self.fleet.verifier.retry_policy,
-            quarantine_after=self.fleet.verifier.quarantine_after,
-            push_session_ttl=self.fleet.verifier.push_session_ttl,
-        )
-        batch = VerificationScheduler(
-            verifier, events=self.fleet.events, push_mode=self.push_mode,
-        )
-        return ShardHost(
-            shard_id=shard_id, host=shard_id, verifier=verifier,
-            batch=batch, audit=audit,
-        )
-
-    def _enroll(self, host, agent_id, agent, policy, measured_boot) -> None:
-        host.verifier.add_agent(agent, policy, measured_boot=measured_boot)
-        host.batch.register(agent_id)
-        host.agents[agent_id] = agent
-        host.order.append(agent_id)
-
-    # -- introspection -----------------------------------------------------
-
-    @property
-    def shard_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self.shards))
-
-    def live_members(self) -> set[str]:
-        """Members currently reachable (alive and outside any outage)."""
-        now = self.fleet.scheduler.clock.now
-        return {
-            member for member, alive in self.members.items()
-            if alive and not self._in_outage(member, now)
-        }
-
-    def _in_outage(self, member: str, now: float) -> bool:
-        return any(
-            outage.member == member and outage.active(now)
-            for outage in self.outages
-        )
-
-    def shard_of(self, agent_id: str) -> str:
-        """The shard attesting *agent_id* (ring authority)."""
-        return self.fleet.registrar.shard_of(agent_id)
-
-    def verifier_for(self, agent_id: str) -> KeylimeVerifier:
-        """The verifier currently answering for *agent_id*."""
-        return self.shards[self.shard_of(agent_id)].verifier
-
-    def shard_sizes(self) -> dict[str, int]:
-        return {shard_id: len(host) for shard_id, host in self.shards.items()}
-
-    def balance(self) -> float:
-        """Mean-over-max shard occupancy (1.0 = perfectly even)."""
-        return shard_balance(self.shard_sizes())
-
-    def status(self) -> dict[str, str]:
-        """node name -> verifier state, across every shard."""
-        states = {}
-        for node in self.fleet.nodes:
-            verifier = self.verifier_for(node.agent.agent_id)
-            states[node.name] = verifier.state_of(node.agent.agent_id).value
-        return states
-
-    # -- attestation -------------------------------------------------------
-
-    def poll_all(self) -> dict[str, AttestationResult]:
-        """One tick: heartbeat probe, failover, then every shard's batch.
-
-        The probe runs *first*, so a shard whose host died since the
-        last tick is adopted and polled in this same tick -- the fleet
-        never skips a round over a verifier failure.  Shards poll in
-        sorted order against the shared verdict cache; the round
-        boundary ends with a checkpoint of every shard (the state a
-        failover at the *next* boundary would restore).
-        """
-        self.probe()
-        results: dict[str, AttestationResult] = {}
-        for shard_id in self.shard_ids:
-            results.update(self.shards[shard_id].batch.poll_batch())
-        self._round += 1
-        if self.checkpoint_every and self._round % self.checkpoint_every == 0:
-            self.checkpoint()
-        self._record_rollups()
-        self.fleet.events.emit(
-            self.fleet.scheduler.clock.now, "keylime.fleet", "fleet.polled",
-            polled=len(results),
-            ok=sum(1 for result in results.values() if result.ok),
-            healthy=sum(
-                1 for result in results.values() if result.ok
-            ),
-        )
-        return results
 
     def probe(self) -> list[str]:
         """Heartbeat pass: adopt every shard whose host is unreachable.
@@ -941,12 +950,13 @@ class VerifierFleet:
             raise StateError(f"shard {shard_id!r} has no checkpoint to restore")
         host.adoptions += 1
         fresh = self._new_host(
-            shard_id, fork_name=f"shard-{shard_id}/adoption-{host.adoptions}",
+            shard_id,
+            self._shard_rng.fork(f"shard-{shard_id}/adoption-{host.adoptions}"),
+            _settings_of(host.verifier),
         )
-        for agent_id in host.order:
+        for agent_id in host.agents:
             slot = host.verifier._slots[agent_id]
-            self._enroll(fresh, agent_id, slot.agent, slot.policy,
-                         slot.measured_boot)
+            self._enroll(fresh, slot.agent, slot.policy, slot.measured_boot)
         restore_verifier(fresh.verifier, host.checkpoint)
         fresh.host = adopter
         fresh.checkpoint = host.checkpoint
@@ -956,11 +966,10 @@ class VerifierFleet:
             "fleet_shard_failovers_total",
             "Whole-shard adoptions after verifier failures",
         ).inc()
-        self.fleet.events.emit(
-            self.fleet.scheduler.clock.now, "keylime.fleet",
-            "fleet.shard.failover",
+        self.events.emit(
+            self.scheduler.clock.now, "keylime.fleet", "fleet.shard.failover",
             shard=shard_id, previous_host=host.host, adopter=adopter,
-            agents=len(fresh.order), reason=reason,
+            agents=len(fresh), reason=reason,
         )
         return adopter
 
@@ -977,17 +986,22 @@ class VerifierFleet:
         :meth:`poll_all` between any two statements of this method
         would still poll each agent exactly once.
         """
+        if self.ring is None:
+            raise StateError("only a sharded fleet takes new verifier members")
         if member in self.members:
             raise StateError(f"verifier member {member!r} already exists")
+        settings = _settings_of(next(iter(self.shards.values())).verifier)
         self.members[member] = True
-        self.shards[member] = self._new_host(member)
+        self.shards[member] = self._new_host(
+            member, self._shard_rng.fork(f"shard-{member}"), settings
+        )
         plan = self.ring.plan_join(self.agent_ids, member)
         for move in plan.moves:
             self._migrate(move.key, move.source, move.target)
         self.checkpoint()
         self._record_rollups()
-        self.fleet.events.emit(
-            self.fleet.scheduler.clock.now, "keylime.fleet", "fleet.shard.joined",
+        self.events.emit(
+            self.scheduler.clock.now, "keylime.fleet", "fleet.shard.joined",
             member=member, moved=len(plan.moves),
             balance=round(self.balance(), 4),
         )
@@ -1016,8 +1030,8 @@ class VerifierFleet:
         del self.members[member]
         self.checkpoint()
         self._record_rollups()
-        self.fleet.events.emit(
-            self.fleet.scheduler.clock.now, "keylime.fleet", "fleet.shard.left",
+        self.events.emit(
+            self.scheduler.clock.now, "keylime.fleet", "fleet.shard.left",
             member=member, moved=len(plan.moves),
             balance=round(self.balance(), 4),
         )
@@ -1035,53 +1049,79 @@ class VerifierFleet:
         target = self.shards[target_id]
         slot = source.verifier._slots[agent_id]
         record = export_agent_state(source.verifier, agent_id)
-        agent, policy, measured_boot = slot.agent, slot.policy, slot.measured_boot
         source.batch.unregister(agent_id)
         source.verifier.remove_agent(agent_id)
-        source.agents.pop(agent_id, None)
-        source.order.remove(agent_id)
-        self._enroll(target, agent_id, agent, policy, measured_boot)
+        del source.agents[agent_id]
+        self._enroll(target, slot.agent, slot.policy, slot.measured_boot)
         import_agent_state(target.verifier, record, include_sessions=False)
         obs.get().registry.counter(
             "fleet_shard_migrations_total",
             "Per-agent state handoffs between shards during rebalancing",
         ).inc()
-        self.fleet.events.emit(
-            self.fleet.scheduler.clock.now, "keylime.fleet",
-            "fleet.shard.migrated",
+        self.events.emit(
+            self.scheduler.clock.now, "keylime.fleet", "fleet.shard.migrated",
             agent=agent_id, source=source_id, target=target_id,
         )
 
-    # -- observability -----------------------------------------------------
 
-    def _record_rollups(self) -> None:
-        """Refresh the per-shard gauges the shard panel and the
-        ``fleet:shard_balance`` recording rule read."""
-        registry = obs.get().registry
-        agents_gauge = registry.gauge(
-            "fleet_shard_agents", "Agents assigned per shard", ("shard",),
-        )
-        hosted_gauge = registry.gauge(
-            "fleet_shard_hosted",
-            "Which member hosts each shard (1 = hosting)",
-            ("shard", "host"),
-        )
-        for shard_id, host in self.shards.items():
-            agents_gauge.labels(shard=shard_id).set(len(host))
-            for member in self.members:
-                hosted_gauge.labels(shard=shard_id, host=member).set(
-                    1.0 if host.host == member else 0.0
-                )
-        registry.gauge(
-            "fleet_shard_members", "Live verifier members",
-        ).set(len(self.live_members()))
-        by_state: dict[str, int] = {}
-        for state in self.status().values():
-            by_state[state] = by_state.get(state, 0) + 1
-        nodes_gauge = registry.gauge(
-            "fleet_nodes", "Fleet nodes by verifier state", ("state",),
-        )
-        for state in AgentState:
-            nodes_gauge.labels(state=state.value).set(
-                by_state.get(state.value, 0)
-            )
+#: The multi-verifier fleet's former name, kept for callers that look
+#: up ``VerifierFleet.poll_all`` and ``VerifierFleet.probe``.
+VerifierFleet = Fleet
+
+
+def build_fleet(
+    seed: str,
+    n_nodes: int,
+    *,
+    fillers: int,
+    mean_exec_files: float,
+    manufacturer: str,
+    **fleet_kwargs,
+) -> Fleet:
+    """A seeded fleet rig: archive -> mirror -> full policy -> :class:`Fleet`.
+
+    Provisioning is a pure function of the arguments: named forks of
+    ``SeededRng(seed)`` feed each stage -- ``base`` (the installed
+    system: *fillers* filler packages of *mean_exec_files* executables
+    each on average), ``gen`` (the initial policy), ``tpm`` and
+    ``fleet``.  *manufacturer* names the TPM vendor, and the name seeds
+    every TPM's ``device/tpm-<name>-NNNN`` key fork, so it is part of
+    the rig's identity.  *fleet_kwargs* go to :class:`Fleet` unchanged;
+    its ``events`` log (if any) also records the mirror sync and the
+    policy generation, and its ``kernel_version`` is the one the base
+    system ships and the policy allows.
+    """
+    rng = SeededRng(seed)
+    scheduler = Scheduler()
+    obs.get().bind_clock(scheduler.clock)
+    events = fleet_kwargs.get("events")
+    kernel = fleet_kwargs.get("kernel_version", DEFAULT_KERNEL)
+    archive = UbuntuArchive()
+    archive.seed(build_base_system(
+        rng.fork("base"), n_filler_packages=fillers,
+        mean_exec_files=mean_exec_files, kernel_version=kernel,
+    ))
+    mirror = LocalMirror(archive, events=events)
+    mirror.sync(0.0)
+    generator = DynamicPolicyGenerator(mirror, events=events, rng=rng.fork("gen"))
+    policy, _ = generator.generate_full(list(IBM_STYLE_EXCLUDES), {kernel})
+    return Fleet(
+        n_nodes, mirror, TpmManufacturer(manufacturer, rng.fork("tpm")),
+        scheduler, rng.fork("fleet"), policy, **fleet_kwargs,
+    )
+
+
+def release_stream(
+    fleet: Fleet, seed: str, config: ReleaseStreamConfig
+) -> SyntheticReleaseStream:
+    """Upstream releases for a fresh :func:`build_fleet` rig.
+
+    The stream forks ``stream`` from the rig's *seed* and starts from
+    the base system the archive published at time zero, so build it
+    before any release lands.
+    """
+    archive = fleet.mirror.archive
+    base = archive.effective_index(tuple(archive.repositories))
+    return SyntheticReleaseStream(
+        archive, list(base.values()), SeededRng(seed).fork("stream"), config
+    )

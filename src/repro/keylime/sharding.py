@@ -26,7 +26,7 @@ assignment layer that splits a fleet across N verifiers:
 The ring assigns agents to **shards** (stable logical verifiers).  Who
 *hosts* a shard is a separate, failure-driven concern: on a verifier
 outage the whole shard moves to an adopter via a statestore snapshot
-(see :class:`repro.keylime.fleet.VerifierFleet`), which keeps the
+(see :meth:`repro.keylime.fleet.Fleet.shard`), which keeps the
 shard's RNG streams, verdict history and audit chain intact -- the ring
 itself never changes on failure, only on explicit join/leave.
 """

@@ -460,7 +460,7 @@ class CapacityModel:
         Shard verifiers run concurrently, so the tick is as slow as its
         biggest shard -- the quantity ``fleet:shard_balance`` discounts.
         Accepts either bare sizes or a ``{shard: size}`` mapping (the
-        shape :meth:`repro.keylime.fleet.VerifierFleet.shard_sizes`
+        shape :meth:`repro.keylime.fleet.Fleet.shard_sizes`
         returns).
         """
         if hasattr(shard_sizes, "values"):
