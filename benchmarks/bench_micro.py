@@ -3,7 +3,8 @@
 Not a paper artifact -- these keep an eye on the cost of the operations
 the long-run experiments execute tens of thousands of times: TPM
 quoting, quote verification, the full verifier poll, IMA measurement,
-and policy evaluation.
+policy evaluation, and the RSA signing and key generation beneath the
+simulated TPM.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import pytest
 
 from repro.common.hexutil import extend_digest, sha256_hex, zero_digest
+from repro.common.rng import SeededRng
+from repro.crypto.rsa import generate_keypair
 from repro.experiments.testbed import build_testbed, TestbedConfig
 from repro.kernelsim.ima import ImaLogEntry, template_hash
 from repro.tpm.quote import verify_quote
@@ -41,6 +44,24 @@ def test_micro_quote_verification(benchmark, rig):
     ak = rig.agent.attestation_key
     quote = tpm.quote(ak.public.fingerprint(), "nonce", [10])
     benchmark(lambda: verify_quote(quote, ak.public, "nonce"))
+
+
+def test_micro_rsa_sign(benchmark, rig):
+    tpm = rig.machine.tpm
+    quote = tpm.quote(rig.agent.attestation_key.public.fingerprint(), "nonce", [10])
+    message = quote.signed_bytes()
+    # A key of the AK's size: the TPM keeps the real AK's private half.
+    ak = generate_keypair(SeededRng("micro").fork("ak"), bits=tpm.ek_public.size_bytes * 8)
+    signature = benchmark(lambda: ak.sign(message))
+    assert ak.public.verify(message, signature)
+
+
+def test_micro_rsa_keygen(benchmark):
+    keypair = benchmark.pedantic(
+        lambda: generate_keypair(SeededRng("micro-keygen"), bits=1024),
+        rounds=5, iterations=1,
+    )
+    assert keypair.public.n.bit_length() == 1024
 
 
 def test_micro_verifier_poll_steady_state(benchmark, rig):

@@ -472,9 +472,8 @@ class TsdbStore:
         """Series named *name* whose labels contain every filter pair."""
         wanted = sorted((k, str(v)) for k, v in label_filters.items())
         out = []
-        for (series_name, _), series in sorted(self._series.items()):
-            if series_name != name:
-                continue
+        for key in sorted(key for key in self._series if key[0] == name):
+            series = self._series[key]
             labels = series.labels_dict
             if all(labels.get(k) == v for k, v in wanted):
                 out.append(series)
