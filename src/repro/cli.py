@@ -208,7 +208,6 @@ def _cmd_obs_watch(args: argparse.Namespace) -> int:
         observatory=observatory,
     )
     with obs_runtime.session() as telemetry:
-        telemetry.observatory = observatory
         chaos = None
         if args.scenario == "fleet":
             from repro.experiments.fleet_run import (
@@ -955,8 +954,9 @@ def build_parser() -> argparse.ArgumentParser:
     watch.add_argument("--jsonl", default=None, help="write the full run export here")
     watch.add_argument(
         "--tsdb", action="store_true",
-        help="drive detectors and SLO burn from the embedded TSDB "
-             "(recording rules) instead of private ad-hoc windows",
+        help="also collect the registry into an embedded TSDB (scrape + "
+             "recording rules) every tick and add it to the --jsonl export "
+             "for `obs top --replay`; detectors always read the registry",
     )
     watch.set_defaults(func=_cmd_obs_watch)
 

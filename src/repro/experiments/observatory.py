@@ -4,8 +4,8 @@ The ROADMAP's sharded multi-verifier fleet does not exist yet, but its
 *observability contract* can be proven today: this scenario provisions
 N completely independent verifier shards -- each with its own
 :class:`~repro.obs.runtime.Telemetry` bundle, scheduler, event log,
-mirror, fleet and TSDB-backed :class:`~repro.obs.health.HealthWatch` --
-and advances them in lockstep slices of simulated time.  On its own
+mirror, fleet and registry-sampling :class:`~repro.obs.health.HealthWatch`
+-- and advances them in lockstep slices of simulated time.  On its own
 cadence, each shard serialises a metrics snapshot through the JSON wire
 pair (:func:`repro.obs.federation.snapshot_to_json` /
 ``snapshot_from_json`` -- a real encode/decode round-trip, exactly what
@@ -40,7 +40,6 @@ from repro.obs.federation import (
     snapshot_to_json,
 )
 from repro.obs.health import HealthWatch
-from repro.obs.rules import Observatory
 
 
 @dataclass
@@ -53,7 +52,6 @@ class ObservatoryShard:
     events: EventLog
     fleet: Fleet
     watch: HealthWatch
-    observatory: Observatory
     stream: SyntheticReleaseStream
     #: this shard snapshots to the hub every N lockstep slices.
     snapshot_every: int
@@ -113,23 +111,16 @@ def _build_shard(
         kernel_release_every_days=0,
     ))
 
-    observatory = Observatory(
-        registry=telemetry.registry, poll_interval=poll_interval
-    )
-    telemetry.observatory = observatory
-    watch = HealthWatch(
-        tick_interval=poll_interval, observatory=observatory
-    )
+    watch = HealthWatch(tick_interval=poll_interval)
     fleet.start_polling(poll_interval)
     fleet.watch_health(watch, poll_interval)
-    fleet.observe(observatory)
 
     # Staggered snapshot cadence: even shards ship every slice, odd
     # shards every other slice, so the hub's per-source staleness
     # column shows real spread instead of N identical ages.
     return ObservatoryShard(
         name=name, telemetry=telemetry, scheduler=scheduler, events=events,
-        fleet=fleet, watch=watch, observatory=observatory, stream=stream,
+        fleet=fleet, watch=watch, stream=stream,
         snapshot_every=(index % 2) + 1,
     )
 

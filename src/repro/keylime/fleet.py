@@ -736,25 +736,6 @@ class Fleet:
             )
         watch.schedule(self.scheduler)
 
-    def observe(self, observatory, interval: float | None = None):
-        """Schedule periodic TSDB collection for this fleet's run.
-
-        Binds the :class:`repro.obs.rules.Observatory` to the active
-        telemetry registry (when enabled and not already bound) and
-        schedules ``observatory.collect`` on the fleet scheduler every
-        *interval* (the observatory's own cadence by default).  Safe to
-        combine with a TSDB-backed :class:`~repro.obs.health
-        .HealthWatch` -- collection is idempotent per timestamp, so
-        whichever runs first at a tick does the scrape.  Returns the
-        stop callable.
-        """
-        telemetry = obs.get()
-        if telemetry.enabled and not observatory.bound:
-            observatory.bind(telemetry.registry)
-        if interval is not None:
-            observatory.poll_interval = interval
-        return observatory.schedule(self.scheduler)
-
     # -- fleet-wide updates ----------------------------------------------------
 
     def run_update_cycle(self, reboot_on_new_kernel: bool = True) -> FleetUpdateReport:

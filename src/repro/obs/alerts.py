@@ -39,6 +39,9 @@ SEVERITIES = ("info", "warning", "critical")
 
 ALERT_SOURCE = "obs.alerts"
 
+#: How far back an :class:`SloTracker` keeps samples (seconds).
+SLO_MAX_WINDOW = 7 * 86400.0
+
 
 @dataclass(frozen=True)
 class Alert:
@@ -76,6 +79,11 @@ class SloTracker:
     the error budget is ``1 - objective``.  Samples older than
     *max_window* are discarded, so memory stays bounded over a long
     simulated run.
+
+    When a *registry* is supplied, each sample also bumps
+    ``slo_events_total{slo,outcome}``, so a scrape or a federation
+    snapshot carries SLO activity to a TSDB-backed dashboard
+    (``repro-cli obs top`` renders its burn panel from that counter).
     """
 
     def __init__(
@@ -83,7 +91,8 @@ class SloTracker:
         name: str,
         objective: float,
         description: str = "",
-        max_window: float = 7 * 86400.0,
+        max_window: float = SLO_MAX_WINDOW,
+        registry=None,
     ) -> None:
         if not 0.0 < objective < 1.0:
             raise ConfigurationError(
@@ -93,7 +102,9 @@ class SloTracker:
         self.objective = objective
         self.description = description
         self.max_window = max_window
+        self.registry = registry
         self._samples: deque[tuple[float, bool]] = deque()
+        self._event_counters: dict[bool, Any] = {}
         self.total = 0
         self.total_bad = 0
 
@@ -104,10 +115,20 @@ class SloTracker:
 
     def record(self, now: float, good: bool) -> None:
         """Record one sample at *now* and expire anything out of window."""
-        self._samples.append((now, bool(good)))
+        good = bool(good)
+        self._samples.append((now, good))
         self.total += 1
         if not good:
             self.total_bad += 1
+        if self.registry is not None:
+            counter = self._event_counters.get(good)
+            if counter is None:
+                counter = self._event_counters[good] = self.registry.counter(
+                    "slo_events_total",
+                    "SLO samples recorded, by objective and outcome",
+                    ("slo", "outcome"),
+                ).labels(slo=self.name, outcome="good" if good else "bad")
+            counter.inc()
         horizon = now - self.max_window
         while self._samples and self._samples[0][0] < horizon:
             self._samples.popleft()
@@ -204,20 +225,19 @@ class SloSet:
     freshness: SloTracker
     poll_success: SloTracker
     detection_latency: SloTracker
-    # Saturation headroom (PR 7): one sample per fleet batch tick, bad
-    # when the tick overran its budget.  Optional so SloSets built
-    # before the capacity layer keep their shape.
-    freshness_headroom: SloTracker | None = None
+    # Saturation headroom: one sample per fleet batch tick, bad when
+    # the tick overran its budget.
+    freshness_headroom: SloTracker
 
     def all(self) -> tuple[SloTracker, ...]:
         """The trackers, in declaration order."""
-        trackers = (self.freshness, self.poll_success, self.detection_latency)
-        if self.freshness_headroom is not None:
-            trackers += (self.freshness_headroom,)
-        return trackers
+        return (
+            self.freshness, self.poll_success, self.detection_latency,
+            self.freshness_headroom,
+        )
 
 
-def standard_slos(max_window: float = 7 * 86400.0, make=SloTracker) -> SloSet:
+def standard_slos(registry=None) -> SloSet:
     """The default SLO definitions.
 
     * **attestation freshness** (99%): at every monitor tick, every
@@ -233,30 +253,28 @@ def standard_slos(max_window: float = 7 * 86400.0, make=SloTracker) -> SloSet:
       verifier is *about* to start missing freshness -- the capacity
       early-warning the saturation study (PR 7) adds.
 
-    *make* is the tracker factory -- :class:`SloTracker` by default;
-    :func:`repro.obs.rules.tsdb_slos` passes a TSDB-backed one so the
-    same definitions drive store-resident trackers.
+    *registry* is handed to every tracker (see :class:`SloTracker`).
     """
     return SloSet(
-        freshness=make(
+        freshness=SloTracker(
             "attestation_freshness", 0.99,
             "watched agents have a fresh successful attestation",
-            max_window=max_window,
+            registry=registry,
         ),
-        poll_success=make(
+        poll_success=SloTracker(
             "poll_success", 0.995,
             "attestation rounds that verify clean (FP budget)",
-            max_window=max_window,
+            registry=registry,
         ),
-        detection_latency=make(
+        detection_latency=SloTracker(
             "detection_latency", 0.95,
             "alerts raised within their detection-latency target",
-            max_window=max_window,
+            registry=registry,
         ),
-        freshness_headroom=make(
+        freshness_headroom=SloTracker(
             "freshness_headroom", 0.95,
             "fleet batch ticks that finished inside their tick budget",
-            max_window=max_window,
+            registry=registry,
         ),
     )
 
@@ -273,7 +291,7 @@ def standard_burn_rules(
     """
     fast_long = max(4 * poll_interval, 3600.0)
     slow_long = max(24 * poll_interval, 6 * 3600.0)
-    rules = [
+    return [
         BurnRateRule(
             "slo.freshness.fast_burn", slos.freshness,
             long_window=fast_long, short_window=fast_long / 4.0,
@@ -299,17 +317,15 @@ def standard_burn_rules(
             long_window=slow_long, short_window=slow_long / 4.0,
             factor=4.0, severity="warning", min_samples=2,
         ),
-    ]
-    if slos.freshness_headroom is not None:
         # One sample per batch tick, so the fast window holds only ~4
         # samples -- a lower factor and min_samples keep the rule
         # responsive without firing on a single noisy tick.
-        rules.append(BurnRateRule(
+        BurnRateRule(
             "slo.freshness_headroom.burn", slos.freshness_headroom,
             long_window=fast_long, short_window=fast_long / 4.0,
             factor=4.0, severity="warning", min_samples=3,
-        ))
-    return rules
+        ),
+    ]
 
 
 class AlertEngine:

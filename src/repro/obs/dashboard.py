@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.obs.alerts import standard_slos
 from repro.obs.tsdb import TsdbStore
 
 #: Unicode block glyphs, lowest to highest.
@@ -24,14 +25,6 @@ SPARK_GLYPHS = "▁▂▃▄▅▆▇█"
 
 #: Freshness heat glyphs: index = whole missed poll intervals, capped.
 HEAT_GLYPHS = ("·", "▁", "▂", "▄", "▅", "▆", "▇", "█")
-
-#: SLO objectives used when rendering burn from scraped
-#: ``slo_events_total`` series (matches ``standard_slos``).
-STANDARD_OBJECTIVES = {
-    "attestation_freshness": 0.99,
-    "poll_success": 0.995,
-    "detection_latency": 0.95,
-}
 
 
 def sparkline(values: list[float], width: int = 32) -> str:
@@ -101,35 +94,31 @@ def _grouped_instants(
 
 
 def slo_burn(
-    store: TsdbStore,
-    now: float,
-    window: float = 86400.0,
-    objectives: dict[str, float] | None = None,
+    store: TsdbStore, now: float, window: float = 86400.0
 ) -> list[dict[str, Any]]:
-    """Burn-rate summary per SLO from store history.
+    """Burn-rate summary per standard SLO from store history.
 
-    Prefers the exact-time ``slo:{name}:total``/``:bad`` series a
-    :class:`~repro.obs.rules.TsdbSloTracker` writes; falls back to the
-    scrape-grid ``slo_events_total{slo,outcome}`` counters, which is
-    what a federation hub sees from remote registries.
+    Reads the ``slo_events_total{slo,outcome}`` counters each
+    :class:`~repro.obs.alerts.SloTracker` bumps in its registry, as a
+    scrape or a federation hub stores them; objectives come from
+    :func:`~repro.obs.alerts.standard_slos`.
     """
-    objectives = objectives or STANDARD_OBJECTIVES
     start = now - window
     out = []
-    for name, objective in sorted(objectives.items()):
-        total = store.increase(f"slo:{name}:total", None, start, now)
-        bad = store.increase(f"slo:{name}:bad", None, start, now)
-        if total <= 0:
-            total = sum(
-                series.increase(start, now)
-                for series in store.select("slo_events_total", slo=name)
+    objectives = sorted(
+        (tracker.name, tracker.objective) for tracker in standard_slos().all()
+    )
+    for name, objective in objectives:
+        total = sum(
+            series.increase(start, now)
+            for series in store.select("slo_events_total", slo=name)
+        )
+        bad = sum(
+            series.increase(start, now)
+            for series in store.select(
+                "slo_events_total", slo=name, outcome="bad"
             )
-            bad = sum(
-                series.increase(start, now)
-                for series in store.select(
-                    "slo_events_total", slo=name, outcome="bad"
-                )
-            )
+        )
         if total <= 0:
             continue
         bad_fraction = bad / total

@@ -34,13 +34,12 @@ from __future__ import annotations
 import math
 import sys
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.obs.alerts import (
     Alert,
     AlertEngine,
-    SloSet,
     standard_burn_rules,
     standard_slos,
 )
@@ -49,6 +48,17 @@ from repro.obs.incidents import IncidentCorrelator, IncidentReport
 
 #: Default number of missed poll intervals before a coverage gap fires.
 DEFAULT_GAP_POLLS = 3
+
+#: An agent counts as fresh (freshness SLO) while its last successful
+#: attestation is at most this many poll intervals old.
+FRESHNESS_TARGET_POLLS = 2.0
+
+#: A coverage gap detected within this many poll intervals of its start
+#: is a good detection-latency SLO sample.
+DETECTION_TARGET_POLLS = 4.0
+
+#: How many poll intervals of history an incident report looks back.
+INCIDENT_LOOKBACK_POLLS = 8.0
 
 
 class Ewma:
@@ -391,69 +401,27 @@ class CoverageGapDetector:
         return alerts
 
 
-class RegistrySampleSource:
-    """Counter/histogram instants read straight off a live registry.
-
-    This is the seed sampling path, factored behind the same API
-    :class:`repro.obs.rules.TsdbSampleSource` serves from TSDB history,
-    so :class:`HealthMonitor` is source-agnostic: ``None`` answers mean
-    "no data yet" and leave the monitor's delta bookkeeping untouched.
-    """
-
-    def __init__(self, registry) -> None:
-        self.registry = registry
-
-    def counter_value(
-        self, name: str, labels: dict[str, str], at: float
-    ) -> float | None:
-        """Current cumulative value of one counter child."""
-        family = self.registry.get(name)
-        if family is None:
-            return None
-        try:
-            return family.labels(**labels).value if labels else family.value
-        except Exception:
-            return None
-
-    def histogram_totals(
-        self, name: str, at: float
-    ) -> tuple[float, float] | None:
-        """The default child's current ``(count, sum)``."""
-        family = self.registry.get(name)
-        if family is None:
-            return None
-        try:
-            child = family._default_child()
-        except Exception:
-            return None
-        return child.count, child.sum
-
-
 class HealthMonitor:
-    """Wires the detectors to one run's EventLog and metrics registry."""
+    """Wires the detectors to one run's EventLog and metrics registry.
+
+    The SLO trackers record into *registry* as well (the
+    ``slo_events_total`` counter), so scrapes and federation snapshots
+    of the registry carry SLO activity.
+    """
 
     def __init__(
         self,
         events,
         registry=None,
-        slos: SloSet | None = None,
         gap_polls: float = DEFAULT_GAP_POLLS,
-        freshness_target_polls: float = 2.0,
-        detection_target_polls: float = 4.0,
-        source=None,
     ) -> None:
         self.events = events
         self.registry = registry
-        if source is None and registry is not None:
-            source = RegistrySampleSource(registry)
-        self.source = source
-        self.slos = slos if slos is not None else standard_slos()
+        self.slos = standard_slos(registry=registry)
         self.gaps = CoverageGapDetector(gap_polls=gap_polls)
         self.latency = LatencyAnomalyDetector()
         self.failure_rate = FailureRateDetector()
         self.saturation = SaturationDetector()
-        self.freshness_target_polls = freshness_target_polls
-        self.detection_target_polls = detection_target_polls
         self.last_check: float | None = None
         self._sampled: dict[str, float] = {}
         self._latency_sampled_gaps: set[tuple[str | None, float]] = set()
@@ -500,28 +468,44 @@ class HealthMonitor:
 
     # -- telemetry sampling ------------------------------------------------
     #
-    # The monitor owns the delta bookkeeping (previous cumulative value
-    # per sampled key); the *source* only answers "what is the value at
-    # now" -- from the live registry (seed path) or from TSDB history.
+    # The monitor reads the live registry's current values and keeps
+    # the delta bookkeeping (previous cumulative value per sampled key).
 
-    def _counter_delta(self, name: str, now: float, **labels: str) -> float:
-        if self.source is None:
+    def _child(self, name: str, **labels: str):
+        """The registry child for *labels*, ``None`` when it does not exist.
+
+        Looked up through ``family.samples()``: ``family.labels()`` would
+        create a zero child (a ``result="failed"`` poll counter in every
+        clean run) just by reading it.
+        """
+        family = self.registry.get(name) if self.registry is not None else None
+        if family is None:
+            return None
+        for child_labels, child in family.samples():
+            if child_labels == labels:
+                return child
+        return None
+
+    def _value(self, name: str) -> float | None:
+        """Current value of an unlabeled counter or gauge, if present."""
+        child = self._child(name)
+        return None if child is None else child.value
+
+    def _counter_delta(self, name: str, **labels: str) -> float:
+        child = self._child(name, **labels)
+        if child is None:
             return 0.0
-        current = self.source.counter_value(name, labels, now)
-        if current is None:
-            return 0.0
+        current = child.value
         key = name + "".join(f"|{k}={v}" for k, v in sorted(labels.items()))
         delta = current - self._sampled.get(key, 0.0)
         self._sampled[key] = current
         return delta
 
-    def _histogram_delta(self, name: str, now: float) -> tuple[float, float]:
-        if self.source is None:
+    def _histogram_delta(self, name: str) -> tuple[float, float]:
+        child = self._child(name)
+        if child is None:
             return 0.0, 0.0
-        totals = self.source.histogram_totals(name, now)
-        if totals is None:
-            return 0.0, 0.0
-        count, total = totals
+        count, total = child.count, child.sum
         d_count = count - self._sampled.get(name + "|count", 0.0)
         d_sum = total - self._sampled.get(name + "|sum", 0.0)
         self._sampled[name + "|count"] = count
@@ -535,17 +519,15 @@ class HealthMonitor:
         alerts: list[Alert] = []
 
         # Poll-latency stream: per-tick mean from the histogram deltas.
-        d_count, d_sum = self._histogram_delta("verifier_poll_wall_seconds", now)
+        d_count, d_sum = self._histogram_delta("verifier_poll_wall_seconds")
         if d_count > 0:
             anomaly = self.latency.observe(now, d_sum / d_count)
             if anomaly is not None:
                 alerts.append(anomaly)
 
         # Failure-rate stream: per-tick fractions from the counters.
-        failed = self._counter_delta(
-            "verifier_polls_total", now, result="failed"
-        )
-        ok = self._counter_delta("verifier_polls_total", now, result="ok")
+        failed = self._counter_delta("verifier_polls_total", result="failed")
+        ok = self._counter_delta("verifier_polls_total", result="ok")
         spike = self.failure_rate.observe(now, int(failed), int(failed + ok))
         if spike is not None:
             alerts.append(spike)
@@ -553,30 +535,20 @@ class HealthMonitor:
         # Saturation stream: the batch scheduler's tick-budget
         # accounting (repro.obs.capacity).  Counter deltas give this
         # tick's activity; the gauges give the accountant's current
-        # state -- both through the source API, so the seed registry
-        # path and the TSDB path stay alert-for-alert identical.
-        ticks = self._counter_delta("fleet_ticks_total", now)
-        overruns = self._counter_delta("fleet_tick_overruns_total", now)
-        saturated = utilization = budget = None
-        if self.source is not None:
-            saturated = self.source.counter_value("fleet_saturated", {}, now)
-            utilization = self.source.counter_value(
-                "fleet_tick_utilization", {}, now
-            )
-            budget = self.source.counter_value(
-                "fleet_tick_budget_seconds", {}, now
-            )
+        # state.
+        ticks = self._counter_delta("fleet_ticks_total")
+        overruns = self._counter_delta("fleet_tick_overruns_total")
         congestion = self.saturation.observe(
             now,
-            saturated=bool(saturated),
-            utilization=utilization,
+            saturated=bool(self._value("fleet_saturated")),
+            utilization=self._value("fleet_tick_utilization"),
             overruns=overruns,
             ticks=ticks,
-            budget=budget,
+            budget=self._value("fleet_tick_budget_seconds"),
         )
         if congestion is not None:
             alerts.append(congestion)
-        if self.slos.freshness_headroom is not None and ticks > 0:
+        if ticks > 0:
             # One headroom sample per accounted tick, bad per overrun.
             total = min(int(round(ticks)), 10_000)
             bad = min(int(round(overruns)), total)
@@ -593,14 +565,14 @@ class HealthMonitor:
             if key not in self._latency_sampled_gaps:
                 self._latency_sampled_gaps.add(key)
                 latency = now - alert.detail["gap_started"]
-                target = self.detection_target_polls * alert.detail["poll_interval"]
+                target = DETECTION_TARGET_POLLS * alert.detail["poll_interval"]
                 self.slos.detection_latency.record(now, latency <= target)
         alerts.extend(gap_alerts)
 
         for agent_id in self.gaps.agents():
             interval = self.gaps._agents[agent_id].poll_interval
             age = self.gaps.freshness(agent_id, now)
-            fresh = age <= self.freshness_target_polls * interval
+            fresh = age <= FRESHNESS_TARGET_POLLS * interval
             self.slos.freshness.record(now, fresh)
             if self.registry is not None:
                 self.registry.gauge(
@@ -634,18 +606,15 @@ class HealthWatch:
         tick_interval: float = 1800.0,
         on_frame: Callable[[float, "HealthWatch"], None] | None = None,
         frame_every: int = 0,
-        incident_lookback_polls: float = 8.0,
         observatory=None,
     ) -> None:
         self.gap_polls = gap_polls
         self.tick_interval = tick_interval
         self.on_frame = on_frame
         self.frame_every = frame_every
-        self.incident_lookback_polls = incident_lookback_polls
-        # When a repro.obs.rules.Observatory is supplied, the monitor's
-        # detectors and SLO trackers run on TSDB history instead of
-        # private registry sampling; each tick collects (scrape + rules)
-        # before checking, so instants at `now` are this tick's scrape.
+        # An optional repro.obs.rules.Observatory, collected (scrape +
+        # recording rules) at the top of each tick so the run's TSDB
+        # history can be exported; no detector reads it.
         self.observatory = observatory
         self.monitor: HealthMonitor | None = None
         self.engine: AlertEngine | None = None
@@ -666,16 +635,13 @@ class HealthWatch:
     ) -> "HealthWatch":
         """Bind to a run's plumbing; returns self for chaining."""
         self.poll_interval = poll_interval
-        source = None
-        slos = None
-        if self.observatory is not None:
-            if registry is not None and not self.observatory.bound:
-                self.observatory.bind(registry)
-            source = self.observatory.health_source()
-            slos = self.observatory.slos()
+        if (
+            self.observatory is not None and registry is not None
+            and not self.observatory.bound
+        ):
+            self.observatory.bind(registry)
         self.monitor = HealthMonitor(
-            events, registry=registry, gap_polls=self.gap_polls,
-            source=source, slos=slos,
+            events, registry=registry, gap_polls=self.gap_polls
         )
         self.engine = AlertEngine(events)
         self.engine.add_rules(
@@ -718,7 +684,7 @@ class HealthWatch:
         return fired
 
     def _correlate(self, alert: Alert, now: float) -> IncidentReport:
-        lookback = self.incident_lookback_polls * self.poll_interval
+        lookback = INCIDENT_LOOKBACK_POLLS * self.poll_interval
         # Gap incidents should span from *before* the silence began.
         gap_started = alert.detail.get("gap_started")
         if gap_started is not None:

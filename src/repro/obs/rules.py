@@ -1,11 +1,10 @@
-"""Recording rules and TSDB-backed health/SLO evaluation.
+"""Recording rules and the observatory that runs them.
 
 The TSDB (:mod:`repro.obs.tsdb`) gives the telemetry layer *history*;
 this module gives it *derivation*.  A recording rule reads raw scraped
 series at evaluation time and writes a named derived series back into
-the same store -- the Prometheus recording-rule shape -- so dashboards,
-health detectors and the federation hub all consume one shared set of
-windows instead of each keeping a private ad-hoc deque:
+the same store -- the Prometheus recording-rule shape -- so dashboards
+and the federation hub consume one shared set of windows:
 
 * :class:`RateRule` / :class:`IncreaseRule` -- reset-adjusted
   per-second rate / raw increase of a counter over a trailing window,
@@ -27,20 +26,13 @@ windows instead of each keeping a private ad-hoc deque:
 timestamp; :func:`standard_recording_rules` is the default set the
 observatory and the federation hub both run.
 
-The second half wires the store back into the existing alerting stack:
-
-* :class:`TsdbSampleSource` exposes the store through the sampling
-  API :class:`repro.obs.health.HealthMonitor` uses, so the z-score and
-  EWMA detectors read their counter/histogram instants from TSDB
-  history instead of from a live registry.
-* :class:`TsdbSloTracker` is a drop-in :class:`repro.obs.alerts
-  .SloTracker` whose samples live in the store as cumulative counter
-  series (at exact event times, so window math matches the seed
-  implementation sample-for-sample) instead of a private deque.
-* :class:`Observatory` bundles store + scraper + rule engine into the
-  one object runs attach: ``bind(registry)``, then ``collect(now)``
-  each tick (idempotent per timestamp, so a scheduled collector and a
-  health-watch tick landing on the same instant scrape once).
+:class:`Observatory` bundles store + scraper + rule engine into the one
+object a run attaches: ``bind(registry)``, then ``collect(now)`` each
+tick (idempotent per timestamp, so a scheduled collector and a
+health-watch tick landing on the same instant scrape once).  The health
+detectors do not read it -- they sample the live registry
+(:mod:`repro.obs.health`); the observatory's store is history to
+export and render.
 """
 
 from __future__ import annotations
@@ -49,7 +41,6 @@ from dataclasses import dataclass
 from typing import Any, Iterable
 
 from repro.common.errors import ConfigurationError
-from repro.obs.alerts import SloSet, SloTracker, standard_slos
 from repro.obs.tsdb import (
     RegistryScraper,
     Series,
@@ -435,129 +426,11 @@ def standard_recording_rules(
     ]
 
 
-# ---------------------------------------------------------------------------
-# Health sampling + SLO tracking over the store
-# ---------------------------------------------------------------------------
-
-
-class TsdbSampleSource:
-    """The :class:`HealthMonitor` sampling API, served from a store.
-
-    ``HealthMonitor.check(now)`` reads the current cumulative value of
-    a handful of series and diffs against its previous tick; this
-    source answers those reads with TSDB instants at *now*.  Because
-    the observatory scrapes the registry at the top of the same tick,
-    the instants equal the live registry values exactly -- which is the
-    equivalence the tests pin down.
-    """
-
-    def __init__(self, store: TsdbStore) -> None:
-        self.store = store
-
-    def counter_value(
-        self, name: str, labels: dict[str, str], at: float
-    ) -> float | None:
-        """Cumulative counter value at *at*, ``None`` if never scraped."""
-        return self.store.instant(name, labels or None, at)
-
-    def histogram_totals(
-        self, name: str, at: float
-    ) -> tuple[float, float] | None:
-        """The default child's ``(count, sum)`` at *at*."""
-        count = self.store.instant(f"{name}_count", None, at)
-        total = self.store.instant(f"{name}_sum", None, at)
-        if count is None or total is None:
-            return None
-        return count, total
-
-
-class TsdbSloTracker(SloTracker):
-    """A :class:`SloTracker` whose samples live in the TSDB.
-
-    Every ``record(now, good)`` appends the cumulative total/bad counts
-    to two counter series at the *exact* event time (not the scrape
-    grid), so ``window_counts`` -- reimplemented as reset-adjusted
-    store increases with the same left-closed ``time >= start`` edge
-    the deque implementation uses -- returns identical numbers, and
-    the burn-rate rules riding on it fire identically.  The series
-    names use the ``slo:`` prefix so they can never collide with a
-    registry-scraped family.
-
-    When a *registry* is supplied, each sample also bumps
-    ``slo_events_total{slo,outcome}`` so scrape-grid exports and the
-    federation hub see SLO activity too (display resolution only; the
-    alert math always uses the exact-time series).
-    """
-
-    def __init__(
-        self,
-        store: TsdbStore,
-        name: str,
-        objective: float,
-        description: str = "",
-        max_window: float = 7 * 86400.0,
-        registry=None,
-    ) -> None:
-        super().__init__(
-            name, objective, description=description, max_window=max_window
-        )
-        self.store = store
-        self.registry = registry
-        self._total_name = f"slo:{name}:total"
-        self._bad_name = f"slo:{name}:bad"
-
-    def record(self, now: float, good: bool) -> None:
-        """Record one sample as cumulative counter points at *now*."""
-        self.total += 1
-        if not good:
-            self.total_bad += 1
-        self.store.append(
-            self._total_name, None, float(self.total), now, kind="counter"
-        )
-        self.store.append(
-            self._bad_name, None, float(self.total_bad), now, kind="counter"
-        )
-        if self.registry is not None:
-            self.registry.counter(
-                "slo_events_total",
-                "SLO samples recorded, by objective and outcome",
-                ("slo", "outcome"),
-            ).labels(slo=self.name, outcome="good" if good else "bad").inc()
-
-    def window_counts(self, window: float, now: float) -> tuple[int, int]:
-        """``(total, bad)`` over the trailing window, from store history."""
-        start = now - window
-        total = self.store.increase(self._total_name, None, start, now)
-        bad = self.store.increase(self._bad_name, None, start, now)
-        return int(round(total)), int(round(bad))
-
-
-def tsdb_slos(
-    store: TsdbStore,
-    registry=None,
-    max_window: float = 7 * 86400.0,
-) -> SloSet:
-    """:func:`standard_slos` built on :class:`TsdbSloTracker`."""
-    def make(
-        name: str, objective: float, description: str = "",
-        max_window: float = max_window,
-    ) -> TsdbSloTracker:
-        return TsdbSloTracker(
-            store, name, objective, description=description,
-            max_window=max_window, registry=registry,
-        )
-
-    return standard_slos(max_window=max_window, make=make)
-
-
 class Observatory:
     """Store + scraper + rule engine, bundled for one run.
 
-    Attach order per tick matters and is handled by the callers:
-    :meth:`collect` (scrape, then rules) runs *before* the health
-    monitor's check, so detector reads at ``now`` see this tick's
-    scrape.  ``collect`` is idempotent per timestamp -- a scheduled
-    fleet collector and a health-watch tick landing on the same sim
+    ``collect`` (scrape, then rules) is idempotent per timestamp -- a
+    scheduled collector and a health-watch tick landing on the same sim
     instant scrape once.
     """
 
@@ -605,14 +478,6 @@ class Observatory:
         appended += self.engine.evaluate(now)
         self.collections += 1
         return appended
-
-    def health_source(self) -> TsdbSampleSource:
-        """A :class:`HealthMonitor`-compatible sample source."""
-        return TsdbSampleSource(self.store)
-
-    def slos(self, max_window: float = 7 * 86400.0) -> SloSet:
-        """TSDB-backed standard SLO trackers for this store."""
-        return tsdb_slos(self.store, registry=self.registry, max_window=max_window)
 
     def schedule(self, scheduler):
         """Collect every ``poll_interval`` on *scheduler*; returns stop."""

@@ -48,10 +48,6 @@ class Telemetry:
     def __init__(self, clock=None) -> None:
         self.registry = MetricsRegistry()
         self.store = SpanStore()
-        #: Optional repro.obs.rules.Observatory attached by the run
-        #: (``telemetry.observatory = Observatory(registry=...)``) so
-        #: code holding only the telemetry bundle can reach the TSDB.
-        self.observatory = None
         dropped = self.registry.counter(
             "obs_tracer_dropped_roots_total",
             "Root traces evicted from the tracer's retention ring",
@@ -72,7 +68,6 @@ class _NullTelemetry:
     registry = NULL_REGISTRY
     tracer = NULL_TRACER
     store = None
-    observatory = None
 
     def bind_clock(self, clock) -> None:
         """No-op while telemetry is disabled."""

@@ -631,28 +631,10 @@ class RegistryScraper:
     it maps to exactly one series per family no matter how many
     label-sets collapsed into it.  Per-family overflow counts are
     scraped as ``telemetry_label_sets_overflowed_total{metric=...}``.
-
-    *extra_labels* (e.g. ``{"source": "shard-0"}``) are attached to
-    every scraped series -- the federation hub uses this to keep N
-    registries' series apart in one store.
     """
 
-    def __init__(
-        self,
-        store: TsdbStore,
-        extra_labels: dict[str, str] | None = None,
-        scrape_buckets: bool = True,
-    ) -> None:
+    def __init__(self, store: TsdbStore) -> None:
         self.store = store
-        self.extra_labels = dict(extra_labels or {})
-        self.scrape_buckets = scrape_buckets
-
-    def _labels(self, labels: dict[str, str]) -> dict[str, str]:
-        if not self.extra_labels:
-            return labels
-        merged = dict(labels)
-        merged.update(self.extra_labels)
-        return merged
 
     def scrape(self, registry, at: float) -> int:
         """One scrape pass; returns the number of samples appended."""
@@ -660,7 +642,6 @@ class RegistryScraper:
         store = self.store
         for family in registry.families():
             for labels, child in family.samples():
-                labels = self._labels(labels)
                 if family.kind == "histogram":
                     store.append(
                         f"{family.name}_count", labels, child.count, at,
@@ -671,15 +652,14 @@ class RegistryScraper:
                         kind="counter",
                     )
                     appended += 2
-                    if self.scrape_buckets:
-                        for bound, cumulative in child.cumulative_buckets():
-                            bucket_labels = dict(labels)
-                            bucket_labels["le"] = format_le(bound)
-                            store.append(
-                                f"{family.name}_bucket", bucket_labels,
-                                cumulative, at, kind="counter",
-                            )
-                            appended += 1
+                    for bound, cumulative in child.cumulative_buckets():
+                        bucket_labels = dict(labels)
+                        bucket_labels["le"] = format_le(bound)
+                        store.append(
+                            f"{family.name}_bucket", bucket_labels,
+                            cumulative, at, kind="counter",
+                        )
+                        appended += 1
                 else:
                     store.append(
                         family.name, labels, child.value, at, kind=family.kind,
@@ -688,7 +668,7 @@ class RegistryScraper:
         for metric, count in sorted(registry.label_overflow().items()):
             store.append(
                 "telemetry_label_sets_overflowed_total",
-                self._labels({"metric": metric}), count, at, kind="counter",
+                {"metric": metric}, count, at, kind="counter",
             )
             appended += 1
         store.scrapes += 1

@@ -318,7 +318,7 @@ class TestObsCapacity:
 
 
 class TestObsWatchTsdb:
-    def test_watch_tsdb_flag_runs_detectors_from_the_store(
+    def test_watch_tsdb_flag_exports_the_collected_store(
         self, tmp_path, capsys
     ):
         path = tmp_path / "watch.jsonl"
@@ -334,6 +334,11 @@ class TestObsWatchTsdb:
         records = load_jsonl(path.read_text())
         kinds = {record.get("type") for record in records}
         assert "tsdb_series" in kinds and "tsdb_meta" in kinds
+        # The scraped SLO counter feeds the replayed burn panel.
+        assert main(["obs", "top", "--replay", str(path)]) == 0
+        replay = capsys.readouterr().out
+        assert "SLO burn" in replay
+        assert "freshness_headroom" in replay
 
 
 class TestObsTrace:

@@ -66,6 +66,18 @@ def baseline():
     }
 
 
+def test_clean_watched_run_reads_poll_counters_without_creating_them(
+    baseline,
+):
+    """The health watch only reads ``verifier_polls_total``: a run with
+    no failed poll holds (and federates) no ``result="failed"`` child."""
+    result = baseline["result"]
+    polls = result.watch.monitor.registry.get("verifier_polls_total")
+    assert {labels["result"] for labels, _ in polls.samples()} == {"ok"}
+    assert result.hub.store.select("verifier_polls_total", result="ok")
+    assert result.hub.store.select("verifier_polls_total", result="failed") == []
+
+
 class TestKillAtEveryBoundary:
     @pytest.mark.parametrize("boundary", BOUNDARIES)
     def test_failover_run_is_bit_identical(self, baseline, boundary):

@@ -237,6 +237,15 @@ class TestSloTracker:
         with pytest.raises(ConfigurationError):
             SloTracker("broken", 1.0)
 
+    def test_registry_counts_samples_by_outcome(self):
+        registry = MetricsRegistry()
+        slo = SloTracker("s", 0.99, registry=registry)
+        slo.record(1.0, True)
+        slo.record(2.0, False)
+        family = registry.get("slo_events_total")
+        assert family.labels(slo="s", outcome="good").value == 1.0
+        assert family.labels(slo="s", outcome="bad").value == 1.0
+
 
 class TestBurnRateRule:
     def _burned_tracker(self, now: float) -> SloTracker:
@@ -418,6 +427,15 @@ class TestHealthMonitor:
         age = registry.get("obs_agent_attestation_age_seconds")
         assert age.labels(agent="agent-a").value == 5 * POLL
         assert registry.get("obs_coverage_gaps_active").value == 1
+
+    def test_slo_samples_reach_the_registry(self):
+        registry = MetricsRegistry()
+        events, monitor = self._monitor(registry=registry)
+        self._ok(events, POLL)
+        family = registry.get("slo_events_total")
+        assert [labels for labels, _ in family.samples()] == [
+            {"slo": "poll_success", "outcome": "good"}
+        ]
 
     def test_close_unsubscribes(self):
         events, monitor = self._monitor()

@@ -1,9 +1,8 @@
-"""Tests for recording rules, TSDB SLO trackers and the observatory."""
+"""Tests for recording rules and the observatory."""
 
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.obs.alerts import SloTracker
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.rules import (
     AggregateRule,
@@ -13,11 +12,8 @@ from repro.obs.rules import (
     RateRule,
     RatioRule,
     RuleEngine,
-    TsdbSampleSource,
-    TsdbSloTracker,
     histogram_quantile,
     standard_recording_rules,
-    tsdb_slos,
 )
 from repro.obs.tsdb import TsdbStore
 
@@ -137,61 +133,6 @@ class TestRecordingRules:
         written = engine.evaluate(1800.0)
         assert written > 0
         assert store.instant("fleet:poll_rate", None, 1800.0) is not None
-
-
-class TestTsdbSampleSource:
-    def test_reads_mirror_store_instants(self):
-        store = TsdbStore()
-        store.append("c", {"agent": "a"}, 5.0, 10.0, kind="counter")
-        store.append("h_count", None, 3.0, 10.0, kind="counter")
-        store.append("h_sum", None, 1.5, 10.0, kind="counter")
-        source = TsdbSampleSource(store)
-        assert source.counter_value("c", {"agent": "a"}, 10.0) == 5.0
-        assert source.counter_value("missing", {}, 10.0) is None
-        assert source.histogram_totals("h", 10.0) == (3.0, 1.5)
-        assert source.histogram_totals("missing", 10.0) is None
-
-
-class TestTsdbSloTracker:
-    def test_window_counts_match_seed_tracker_exactly(self):
-        """The equivalence the whole PR hinges on: TSDB-backed SLO
-        window math must agree with the deque implementation
-        sample-for-sample, at any window."""
-        import random
-
-        rng = random.Random(42)
-        store = TsdbStore(max_samples=100_000)
-        seed = SloTracker("s", 0.99)
-        mirrored = TsdbSloTracker(store, "s", 0.99)
-        now = 0.0
-        for _ in range(200):
-            now += rng.uniform(1.0, 20.0)
-            good = rng.random() > 0.2
-            seed.record(now, good)
-            mirrored.record(now, good)
-        for window in (10.0, 100.0, 500.0, 1999.0, now, 10 * now):
-            assert mirrored.window_counts(window, now) == \
-                seed.window_counts(window, now), f"window={window}"
-
-    def test_registry_mirror_series(self):
-        registry = MetricsRegistry()
-        store = TsdbStore()
-        tracker = TsdbSloTracker(store, "s", 0.99, registry=registry)
-        tracker.record(1.0, True)
-        tracker.record(2.0, False)
-        family = registry.get("slo_events_total")
-        assert family.labels(slo="s", outcome="good").value == 1.0
-        assert family.labels(slo="s", outcome="bad").value == 1.0
-        # The exact-time series live under the un-scrapable slo: prefix.
-        assert store.instant("slo:s:total", None, 2.0) == 2.0
-        assert store.instant("slo:s:bad", None, 2.0) == 1.0
-
-    def test_tsdb_slos_builds_the_standard_set(self):
-        store = TsdbStore()
-        slos = tsdb_slos(store)
-        assert all(
-            isinstance(tracker, TsdbSloTracker) for tracker in slos.all()
-        )
 
 
 class TestObservatory:

@@ -269,14 +269,6 @@ class TestRegistryScraper:
         assert store.instant("lat_bucket", {"le": "+Inf"}, 100.0) == 2.0
         assert store.scrapes == 1 and store.last_scrape_at == 100.0
 
-    def test_extra_labels_tag_every_series(self):
-        registry = MetricsRegistry()
-        registry.counter("c", "").inc()
-        store = TsdbStore()
-        RegistryScraper(store, extra_labels={"source": "s0"}).scrape(
-            registry, 1.0)
-        assert all(s.label("source") == "s0" for s in store.series())
-
     def test_overflow_cell_is_exactly_one_series_per_family(self):
         """The cardinality guard's ``_overflow`` cell must map to ONE
         TSDB series per family no matter how many label-sets collapsed

@@ -1,40 +1,18 @@
-"""Federated observatory runs and the seed-vs-TSDB equivalence proof."""
+"""Federated observatory runs and the mission-control SLO panel.
+
+The health watch's alert/SLO/incident history is pinned separately,
+by ``tests/test_health_golden.py``.
+"""
 
 import pytest
 
-from repro.common.clock import Scheduler, days, hours
-from repro.common.events import EventLog
-from repro.common.rng import SeededRng
-from repro.distro.archive import UbuntuArchive
-from repro.distro.mirror import LocalMirror
-from repro.distro.workload import (
-    ReleaseStreamConfig,
-    SyntheticReleaseStream,
-    build_base_system,
-)
-from repro.dynpolicy.generator import DynamicPolicyGenerator
-from repro.experiments.fleet_run import DEFAULT_KERNEL, ChaosInjection
 from repro.experiments.observatory import run_federated_observatory
-from repro.keylime.fleet import Fleet
-from repro.keylime.policy import IBM_STYLE_EXCLUDES
 from repro.obs import runtime as obs_runtime
-from repro.obs.dashboard import render_top, top_frame_record
-from repro.obs.health import HealthWatch
-from repro.obs.rules import Observatory
-from repro.tpm.device import TpmManufacturer
+from repro.obs.alerts import standard_slos
+from repro.obs.dashboard import render_top, slo_burn, top_frame_record
+from repro.obs.tsdb import TsdbStore
 
 POLL = 1800.0
-
-
-@pytest.fixture
-def fresh_runtime():
-    """Run each test under its own telemetry, restoring the previous."""
-    previous = obs_runtime.get()
-    yield
-    if previous.enabled:
-        obs_runtime.activate(previous)
-    else:
-        obs_runtime.deactivate()
 
 
 class TestFederatedObservatory:
@@ -109,143 +87,38 @@ class TestFederatedObservatory:
         assert len(record["attestation_age_seconds"]) == 4
         json.dumps(record)  # must be serialisable as exported
 
-    def test_shard_health_watches_ran_on_tsdb(self, result):
-        for shard in result.shards:
-            assert shard.observatory.collections > 0
-            assert shard.watch.monitor.last_check is not None
-            # The watch's SLO trackers are the TSDB-backed kind.
-            from repro.obs.rules import TsdbSloTracker
-
-            assert isinstance(
-                shard.watch.monitor.slos.freshness, TsdbSloTracker)
-
     def test_previous_runtime_restored(self, result):
         assert obs_runtime.get() is not result.shards[0].telemetry
 
 
-def _dual_watch_fleet_run(n_nodes=3, n_days=2, chaos=None):
-    """One fleet run observed by BOTH monitor stacks simultaneously.
-
-    The seed watch samples the live registry; the TSDB watch scrapes
-    the same registry into a store at the top of the same tick and
-    reads instants back.  One timeline, two evaluation paths -- any
-    divergence in alert history is a real equivalence break, not run
-    noise (wall-clock latencies differ between runs, so two separate
-    runs could never prove this).
-    """
-    rng = SeededRng("equivalence")
-    scheduler = Scheduler()
-    events = EventLog()
-    telemetry = obs_runtime.activate(clock=None)
-    telemetry.bind_clock(scheduler.clock)
-
-    archive = UbuntuArchive()
-    base = build_base_system(
-        rng.fork("base"), n_filler_packages=8, mean_exec_files=4.0,
-        kernel_version=DEFAULT_KERNEL,
-    )
-    archive.seed(base)
-    stream = SyntheticReleaseStream(
-        archive, base, rng.fork("stream"),
-        ReleaseStreamConfig(
-            mean_packages_per_day=2.0, sd_packages_per_day=1.0,
-            mean_exec_files_per_package=4.0, kernel_release_every_days=0,
-        ),
-    )
-    mirror = LocalMirror(archive, events=events)
-    mirror.sync(0.0)
-    generator = DynamicPolicyGenerator(mirror, events=events, rng=rng.fork("gen"))
-    policy, _ = generator.generate_full(list(IBM_STYLE_EXCLUDES), {DEFAULT_KERNEL})
-
-    fault_plan = None
-    retry_policy = None
-    quarantine_after = 3
-    if chaos is not None:
-        node_ids = [f"agent-node-{i:03d}" for i in range(n_nodes)]
-        fault_plan = chaos.build_plan(node_ids)
-        retry_policy = chaos.build_retry_policy()
-        quarantine_after = chaos.quarantine_after
-    fleet = Fleet(
-        n_nodes, mirror, TpmManufacturer("Infineon", rng.fork("tpm")),
-        scheduler, rng.fork("fleet"), policy,
-        events=events, kernel_version=DEFAULT_KERNEL,
-        fault_plan=fault_plan, retry_policy=retry_policy,
-        quarantine_after=quarantine_after,
-    )
-
-    seed_watch = HealthWatch(tick_interval=POLL)
-    tsdb_watch = HealthWatch(tick_interval=POLL, observatory=Observatory())
-    fleet.start_polling(POLL)
-    # Registration order => tick order: polls, seed check, TSDB check.
-    fleet.watch_health(seed_watch, POLL)
-    fleet.watch_health(tsdb_watch, POLL)
-
-    for day in range(1, n_days + 1):
-        stream.generate_day(day - 1)
-        scheduler.call_at(
-            days(day) + hours(5.0),
-            lambda: fleet.run_update_cycle(),
-            label=f"update-day{day}",
-        )
-    scheduler.run_until(days(n_days + 1))
-    end = scheduler.clock.now
-    seed_watch.finalize(end)
-    tsdb_watch.finalize(end)
-    return seed_watch, tsdb_watch, end
-
-
-class TestSeedVsTsdbEquivalence:
-    """THE acceptance proof: detectors and SLO burn evaluated from TSDB
-    recording-rule windows fire the same alerts -- same sim-times, same
-    payload fields -- as the seed ad-hoc implementations."""
-
-    @pytest.fixture(scope="class")
-    def watches(self):
-        previous = obs_runtime.get()
-        try:
-            yield _dual_watch_fleet_run(
-                chaos=ChaosInjection(
-                    profile="partition", chaos_seed="eq-chaos",
-                    node_indices=(0,),
-                ),
+class TestSloBurnPanel:
+    def _store(self, slo: str, good: int, bad: int) -> TsdbStore:
+        """``slo_events_total`` for one SLO, as a scrape would store it."""
+        store = TsdbStore()
+        for outcome, count in (("good", good), ("bad", bad)):
+            labels = {"slo": slo, "outcome": outcome, "source": "shard-0"}
+            store.append("slo_events_total", labels, 0.0, 0.0, kind="counter")
+            store.append(
+                "slo_events_total", labels, float(count), POLL, kind="counter"
             )
-        finally:
-            if previous.enabled:
-                obs_runtime.activate(previous)
-            else:
-                obs_runtime.deactivate()
+        return store
 
-    def test_alert_histories_identical(self, watches):
-        seed_watch, tsdb_watch, _ = watches
-        seed_alerts = [a.to_record() for a in seed_watch.engine.history]
-        tsdb_alerts = [a.to_record() for a in tsdb_watch.engine.history]
-        assert len(seed_alerts) > 0, "scenario must actually alert"
-        assert seed_alerts == tsdb_alerts
+    def test_lists_the_freshness_headroom_slo(self):
+        burns = slo_burn(self._store("freshness_headroom", 9, 1), POLL)
+        assert [burn["slo"] for burn in burns] == ["freshness_headroom"]
+        burn = burns[0]
+        assert (burn["total"], burn["bad"]) == (10, 1)
+        assert burn["objective"] == 0.95
+        assert burn["burn_rate"] == pytest.approx(0.1 / 0.05)
 
-    def test_gap_and_burn_rules_both_fired(self, watches):
-        seed_watch, _, _ = watches
-        rules = {a.rule for a in seed_watch.engine.history}
-        assert "health.coverage_gap" in rules
-        # The partitioned node burns poll-success budget, so at least
-        # one SLO burn-rate rule fired through both stacks.
-        assert any(rule.startswith("slo.") for rule in rules)
+    def test_objectives_are_the_standard_slos(self):
+        for tracker in standard_slos().all():
+            burns = slo_burn(self._store(tracker.name, 1, 0), POLL)
+            assert [(b["slo"], b["objective"]) for b in burns] == [
+                (tracker.name, tracker.objective)
+            ]
 
-    def test_slo_window_counts_identical(self, watches):
-        seed_watch, tsdb_watch, end = watches
-        for seed_tracker, tsdb_tracker in zip(
-            seed_watch.monitor.slos.all(), tsdb_watch.monitor.slos.all()
-        ):
-            assert seed_tracker.name == tsdb_tracker.name
-            for window in (POLL, 6 * POLL, 86400.0, 7 * 86400.0):
-                assert tsdb_tracker.window_counts(window, end) == \
-                    seed_tracker.window_counts(window, end), \
-                    f"{seed_tracker.name} window={window}"
-
-    def test_active_alert_sets_identical(self, watches):
-        seed_watch, tsdb_watch, _ = watches
-        assert [a.key for a in seed_watch.engine.active()] == \
-            [a.key for a in tsdb_watch.engine.active()]
-
-    def test_incident_count_identical(self, watches):
-        seed_watch, tsdb_watch, _ = watches
-        assert len(seed_watch.incidents) == len(tsdb_watch.incidents)
+    def test_render_top_shows_the_headroom_line(self):
+        frame = render_top(self._store("freshness_headroom", 4, 0), POLL)
+        assert "SLO burn" in frame
+        assert "freshness_headroom" in frame
