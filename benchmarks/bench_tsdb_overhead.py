@@ -3,12 +3,15 @@
 The observatory only earns its keep if collection is cheap: an operator
 will not run an embedded metrics store whose per-tick scrape slows the
 attestation loop it is supposed to watch.  This bench runs a
-steady-state N-tick poll loop over a bench-scale fleet with a
-per-tick :class:`~repro.obs.rules.Observatory` collection, timing the
-``collect`` calls *inside* the loop -- the increment is measured
-directly rather than as the difference of two multi-second loop totals,
-which on a shared CI box drifts by more than the quantity under test.
-A scrape-only rig (empty rule set) isolates scrape cost from rule cost.
+steady-state N-tick poll loop over a bench-scale fleet and, each tick,
+collects the registry the way every run does: one
+:func:`~repro.obs.federation.registry_snapshot` ingested into a
+one-source :class:`~repro.obs.federation.FederationHub`, then the hub's
+recording rules.  It times those calls *inside* the loop -- the
+increment is measured directly rather than as the difference of two
+multi-second loop totals, which on a shared CI box drifts by more than
+the quantity under test.  A scrape-only rig (``FederationHub(rules=[])``)
+isolates scrape cost from rule cost.
 
 The acceptance bound from the observatory issue: scrape + standard
 recording rules must stay within 5% of the attestation loop on a
@@ -29,8 +32,8 @@ from time import perf_counter
 
 from common import bench_mode, pick, restored_telemetry
 from repro.keylime.fleet import build_fleet
+from repro.obs.federation import FLEET_SOURCE, FederationHub, registry_snapshot
 from repro.obs.perf import BenchMetric, register_bench
-from repro.obs.rules import Observatory
 
 MODE = bench_mode()
 POLL_INTERVAL = 1800.0
@@ -45,7 +48,7 @@ def _params(mode: str) -> tuple[int, int, int]:
 
 
 def _mode_rig(mode: str, seed: str, rig: str):
-    """Fresh fleet + observatory for one collection mode.
+    """Fresh fleet + hub + registry for one collection mode.
 
     Runs against whatever telemetry the caller activated; the caller
     owns the activation lifecycle (see :func:`common.restored_telemetry`).
@@ -58,26 +61,27 @@ def _mode_rig(mode: str, seed: str, rig: str):
         f"{seed}-{size}-{rig}", size, fillers=20, mean_exec_files=5.0,
         manufacturer="Bench",
     )
-    observatory = Observatory(
-        registry=telemetry.registry,
+    hub = FederationHub(
         # Scrape-only mode runs an empty rule set so the difference
         # between the two rigs' increments isolates rule cost.
         rules=[] if rig == "scrape" else None,
         poll_interval=POLL_INTERVAL,
     )
     fleet.poll_all()  # prime: first poll replays the whole log
-    return fleet, fleet.scheduler, observatory
+    return fleet, hub, telemetry.registry
 
 
-def _loop_times(fleet, scheduler, observatory, n_ticks) -> tuple[float, float]:
-    """(whole-loop seconds, seconds spent inside collect) for N ticks."""
+def _loop_times(fleet, hub, registry, n_ticks) -> tuple[float, float]:
+    """(whole-loop seconds, seconds spent collecting) for N ticks."""
+    clock = fleet.scheduler.clock
     collect_s = 0.0
     start = perf_counter()
     for _ in range(n_ticks):
-        scheduler.clock.advance_by(POLL_INTERVAL)
+        clock.advance_by(POLL_INTERVAL)
         results = fleet.poll_all()
         tick = perf_counter()
-        observatory.collect(scheduler.clock.now)
+        hub.ingest(registry_snapshot(registry, FLEET_SOURCE, clock.now))
+        hub.evaluate(clock.now)
         collect_s += perf_counter() - tick
     elapsed = perf_counter() - start
     assert all(result.ok for result in results.values())
@@ -85,7 +89,7 @@ def _loop_times(fleet, scheduler, observatory, n_ticks) -> tuple[float, float]:
 
 
 def _best_round(
-    fleet, scheduler, observatory, n_ticks, rounds
+    fleet, hub, registry, n_ticks, rounds
 ) -> tuple[float, float, float]:
     """(overhead ratio, bare ms/tick, collect ms/tick), min over rounds.
 
@@ -94,8 +98,7 @@ def _best_round(
     the difference of two separately-timed loops.
     """
     timings = [
-        _loop_times(fleet, scheduler, observatory, n_ticks)
-        for _ in range(rounds)
+        _loop_times(fleet, hub, registry, n_ticks) for _ in range(rounds)
     ]
     ratios = [
         (collect / (total - collect), total - collect, collect)
@@ -119,13 +122,13 @@ def run_bench(mode: str, seed: str) -> dict[str, float]:
         )
         scrape_ratio = scrape_ms / scrape_bare if scrape_bare > 0 else 0.0
     with restored_telemetry():
-        rules_fleet, rules_sched, rules_obs = _mode_rig(mode, seed, "rules")
+        rules_fleet, rules_hub, rules_registry = _mode_rig(mode, seed, "rules")
         _, rules_bare, rules_ms = _best_round(
-            rules_fleet, rules_sched, rules_obs, n_ticks, rounds
+            rules_fleet, rules_hub, rules_registry, n_ticks, rounds
         )
         rules_ratio = rules_ms / rules_bare if rules_bare > 0 else 0.0
-        stats = rules_obs.store.stats()
-    assert rules_obs.store.counter_resets == 0
+        stats = rules_hub.store.stats()
+    assert rules_hub.store.counter_resets == 0
     return {
         "scrape_ms_per_tick": scrape_ms,
         "rules_ms_per_tick": rules_ms,
@@ -163,20 +166,20 @@ def test_tsdb_scrape_and_rules_overhead(benchmark, emit):
             *_mode_rig(MODE, "tsdb-bench", "scrape"), n_ticks, rounds
         )
     with restored_telemetry():
-        rules_fleet, rules_sched, rules_obs = _mode_rig(
+        rules_fleet, rules_hub, rules_registry = _mode_rig(
             MODE, "tsdb-bench", "rules"
         )
         rules_ratio, rules_bare_ms, rules_ms = _best_round(
-            rules_fleet, rules_sched, rules_obs, n_ticks, rounds
+            rules_fleet, rules_hub, rules_registry, n_ticks, rounds
         )
 
         # One extra instrumented loop so the pytest-benchmark JSON
         # carries a real wall number for the full scrape+rules rig.
         benchmark.pedantic(
-            lambda: _loop_times(rules_fleet, rules_sched, rules_obs, n_ticks),
+            lambda: _loop_times(rules_fleet, rules_hub, rules_registry, n_ticks),
             rounds=1, iterations=1,
         )
-        stats = rules_obs.store.stats()
+        stats = rules_hub.store.stats()
 
     emit()
     emit(f"TSDB collection overhead ({fleet_size} nodes, {n_ticks} ticks"
@@ -202,7 +205,7 @@ def test_tsdb_scrape_and_rules_overhead(benchmark, emit):
         "series": stats["series"],
         "samples": stats["samples"],
     }
-    assert rules_obs.store.counter_resets == 0
+    assert rules_hub.store.counter_resets == 0
     if not smoke:
         assert rules_ratio <= MAX_OVERHEAD, (
             f"scrape+rules overhead {rules_ratio:.2%} exceeds "

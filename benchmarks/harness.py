@@ -39,13 +39,13 @@ from repro.obs.perf import (
     TRAJECTORY_PATH,
     BenchRecord,
     BenchSpec,
-    SamplingProfiler,
     TrajectoryStore,
     capture_environment,
     get_bench,
     record_from_run,
     registered_benches,
 )
+from repro.obs.profiling import SamplingProfiler
 
 #: The directory this harness (and the bench modules) live in.
 BENCH_DIR = os.path.dirname(os.path.abspath(__file__))

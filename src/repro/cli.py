@@ -195,17 +195,17 @@ def _cmd_obs_watch(args: argparse.Namespace) -> int:
         print(render_dashboard(live_watch, now))
         print()
 
-    observatory = None
+    hub = None
     if args.tsdb:
-        from repro.obs.rules import Observatory
+        from repro.obs.federation import FederationHub
 
-        observatory = Observatory(poll_interval=args.tick_minutes * 60.0)
+        hub = FederationHub(poll_interval=args.tick_minutes * 60.0)
     watch = HealthWatch(
         gap_polls=args.gap_polls,
         tick_interval=args.tick_minutes * 60.0,
         on_frame=None if args.once else frame,
         frame_every=0 if args.once else args.frame_every,
-        observatory=observatory,
+        hub=hub,
     )
     with obs_runtime.session() as telemetry:
         chaos = None
@@ -282,8 +282,8 @@ def _cmd_obs_watch(args: argparse.Namespace) -> int:
             extra = [run_meta]
             extra += [alert.to_record() for alert in watch.engine.history]
             extra += [incident.to_record() for incident in watch.incidents]
-            if watch.observatory is not None:
-                extra += list(watch.observatory.store.export_records())
+            if hub is not None:
+                extra += list(hub.store.export_records())
             # Stream record-by-record: a long TSDB-backed run exports in
             # O(1) memory while keeping the atomic-replace guarantee.
             lines = write_jsonl_atomic(
@@ -309,14 +309,6 @@ def _cmd_obs_top(args: argparse.Namespace) -> int:
 
     poll_interval = args.tick_minutes * 60.0
 
-    def load_perf(store: TsdbStore) -> None:
-        """Merge a perf trajectory into *store* as perf:metric series."""
-        if not getattr(args, "perf", None):
-            return
-        from repro.obs.perf import load_trajectory, trajectory_to_store
-
-        trajectory_to_store(load_trajectory(args.perf), store)
-
     if args.replay:
         from repro.obs.exporters import load_jsonl
 
@@ -326,7 +318,6 @@ def _cmd_obs_top(args: argparse.Namespace) -> int:
         if not len(store):
             print(f"no TSDB series in {args.replay}")
             return 1
-        load_perf(store)
         span = store.time_span()
         now = span[1] if span else 0.0
         frames = [r for r in records if r.get("type") == "top_frame"]
@@ -372,7 +363,6 @@ def _cmd_obs_top(args: argparse.Namespace) -> int:
     hub = result.hub
     end = result.end_time
     staleness = hub.staleness(end)
-    load_perf(hub.store)
     print(render_top(hub.store, end, staleness, poll_interval=poll_interval))
     for shard in result.shards:
         alerts = len(shard.watch.engine.history)
@@ -713,13 +703,8 @@ def _cmd_bench_compare(args: argparse.Namespace) -> int:
     import os
 
     from repro.obs.exporters import write_jsonl_atomic
-    from repro.obs.perf import (
-        compare_trajectory,
-        diff_folds,
-        load_folds,
-        load_trajectory,
-        render_fold_diff,
-    )
+    from repro.obs.perf import compare_trajectory, load_trajectory
+    from repro.obs.profiling import diff_folds, load_folds, render_fold_diff
 
     records = load_trajectory(args.trajectory)
     if not records:
@@ -954,9 +939,10 @@ def build_parser() -> argparse.ArgumentParser:
     watch.add_argument("--jsonl", default=None, help="write the full run export here")
     watch.add_argument(
         "--tsdb", action="store_true",
-        help="also collect the registry into an embedded TSDB (scrape + "
-             "recording rules) every tick and add it to the --jsonl export "
-             "for `obs top --replay`; detectors always read the registry",
+        help="also ingest the registry into a one-source federation hub "
+             "(snapshot + recording rules) every tick and add its TSDB to "
+             "the --jsonl export for `obs top --replay`; detectors always "
+             "read the registry",
     )
     watch.set_defaults(func=_cmd_obs_watch)
 
@@ -997,11 +983,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--replay", default=None, metavar="EXPORT",
         help="post-hoc: render the dashboard from a --jsonl export "
              "instead of running a fleet",
-    )
-    top.add_argument(
-        "--perf", default=None, metavar="TRAJECTORY",
-        help="also load a perf trajectory (perf/trajectory.jsonl) so the "
-             "frame grows a perf-trajectory panel",
     )
     top.set_defaults(func=_cmd_obs_top)
 

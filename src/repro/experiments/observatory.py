@@ -43,7 +43,7 @@ from repro.obs.health import HealthWatch
 
 
 @dataclass
-class ObservatoryShard:
+class FederatedShard:
     """One independent verifier shard and its private plumbing."""
 
     name: str
@@ -64,7 +64,7 @@ class FederatedObservatoryResult:
     """Outcome of one federated observatory run."""
 
     hub: FederationHub
-    shards: list[ObservatoryShard]
+    shards: list[FederatedShard]
     n_days: int
     poll_interval: float
     scrape_interval: float
@@ -84,7 +84,7 @@ def _build_shard(
     n_filler_packages: int,
     poll_interval: float,
     chaos: ChaosInjection | None,
-) -> ObservatoryShard:
+) -> FederatedShard:
     """Provision one shard under its own (already active) telemetry."""
     name = f"shard-{index}"
     telemetry = obs_runtime.get()
@@ -118,7 +118,7 @@ def _build_shard(
     # Staggered snapshot cadence: even shards ship every slice, odd
     # shards every other slice, so the hub's per-source staleness
     # column shows real spread instead of N identical ages.
-    return ObservatoryShard(
+    return FederatedShard(
         name=name, telemetry=telemetry, scheduler=scheduler, events=events,
         fleet=fleet, watch=watch, stream=stream,
         snapshot_every=(index % 2) + 1,
@@ -154,7 +154,7 @@ def run_federated_observatory(
         raise ValueError(f"n_shards must be >= 1, got {n_shards}")
     previous = obs_runtime.get()
     hub = FederationHub(poll_interval=poll_interval)
-    shards: list[ObservatoryShard] = []
+    shards: list[FederatedShard] = []
     try:
         for index in range(n_shards):
             obs_runtime.activate(clock=None)

@@ -39,6 +39,7 @@ from repro.keylime.faults import VerifierOutage
 from repro.keylime.fleet import Fleet, build_fleet
 from repro.obs import runtime as obs_runtime
 from repro.obs.federation import (
+    FLEET_SOURCE,
     FederationHub,
     registry_snapshot,
     snapshot_to_json,
@@ -48,9 +49,6 @@ from repro.obs.health import HealthWatch
 #: Kernel pinned by the deterministic state-fleet rig (no release
 #: stream, so provisioning is a pure function of the seed).
 SHARD_RIG_KERNEL = "5.15.0-91-generic"
-
-#: Source name carrying families that belong to no single member.
-FLEET_SOURCE = "fleet"
 
 
 def build_shard_rig(

@@ -4,9 +4,9 @@
 point-in-time ``obs watch`` dashboard: every line is answered from
 :class:`~repro.obs.tsdb.TsdbStore` queries -- instants for the current
 state, ranges for the sparkline trends, windowed increases for the SLO
-burn -- so the same renderer works live against a local observatory,
-against a :class:`~repro.obs.federation.FederationHub` merging N
-registries, or post-hoc against a store rebuilt from a JSONL export.
+burn -- so the same renderer works live against a
+:class:`~repro.obs.federation.FederationHub` (one source or N merged
+registries) or post-hoc against a store rebuilt from a JSONL export.
 
 Rendering is plain console text in the existing ``render_dashboard``
 idiom; :func:`top_frame_record` is the machine-readable twin for
@@ -293,59 +293,6 @@ def _shard_panel(store: TsdbStore, now: float) -> list[str]:
     return lines
 
 
-def _perf_series(store: TsdbStore) -> dict[tuple[str, str, str], dict]:
-    """Perf-trajectory samples grouped by (bench, mode, metric).
-
-    The ``perf:metric`` series are loaded by
-    :func:`repro.obs.perf.trajectory_to_store` with the *run sequence*
-    as their time axis, so the whole history is read (no ``now``
-    cutoff -- run index and simulated seconds are different clocks).
-    """
-    groups: dict[tuple[str, str, str], dict] = {}
-    for series in store.select("perf:metric"):
-        bench = series.label("bench") or "?"
-        metric = series.label("metric") or "?"
-        mode = series.label("mode") or "?"
-        values = [
-            value for _, value in
-            series.range_values(float("-inf"), float("inf"))
-        ]
-        if not values:
-            continue
-        groups[(bench, mode, metric)] = {
-            "values": values,
-            "unit": series.label("unit") or "",
-            "better": series.label("better") or "lower",
-        }
-    return groups
-
-
-def _perf_panel(
-    store: TsdbStore, width: int, max_rows: int = 12
-) -> list[str]:
-    """Perf-trajectory lines for :func:`render_top` (empty without data)."""
-    groups = _perf_series(store)
-    if not groups:
-        return []
-    runs = max(len(group["values"]) for group in groups.values())
-    lines = [f"  -- perf trajectory ({len(groups)} metric(s), "
-             f"up to {runs} run(s)) --"]
-    shown = sorted(groups.items())[:max_rows]
-    label_width = max(
-        len(f"{bench}/{metric}") for (bench, _, metric), _ in shown
-    )
-    for (bench, mode, metric), group in shown:
-        values = group["values"]
-        label = f"{bench}/{metric}"
-        lines.append(
-            f"    {label:<{label_width}s} [{mode:<5s}] "
-            f"{sparkline(values, width)} {values[-1]:10.4g}{group['unit']}"
-        )
-    if len(groups) > max_rows:
-        lines.append(f"    ... {len(groups) - max_rows} more metrics")
-    return lines
-
-
 def render_top(
     store: TsdbStore,
     now: float,
@@ -433,9 +380,6 @@ def render_top(
             f"  chaos: {int(sum(faults.values()))} faults injected "
             f"[{by_kind}] degraded_rounds={int(degraded)}"
         )
-
-    # Perf trajectory (present when a bench trajectory was loaded).
-    lines.extend(_perf_panel(store, width))
 
     # Per-agent freshness heatmap, worst first.
     rows = _agent_heat(store, now, poll_interval, width)
@@ -529,15 +473,5 @@ def top_frame_record(
             _series_total(store, "verifier_degraded_rounds_total", now)
         ),
         "attestation_age_seconds": agents,
-        "perf_trajectory": {
-            f"{bench}/{metric}[{mode}]": {
-                "last": group["values"][-1],
-                "runs": len(group["values"]),
-                "unit": group["unit"],
-                "better": group["better"],
-            }
-            for (bench, mode, metric), group in
-            sorted(_perf_series(store).items())
-        },
         "tsdb": store.stats(),
     }

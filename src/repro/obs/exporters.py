@@ -30,7 +30,8 @@ from repro.obs.metrics import (
     MetricsRegistry,
     SUMMARY_QUANTILES,
 )
-from repro.obs.tracing import Span, SpanTracer
+from repro.obs.tracestore import span_record
+from repro.obs.tracing import SpanTracer
 
 # -- Prometheus text exposition --------------------------------------------
 
@@ -221,22 +222,6 @@ def _metric_record(family, labels: dict[str, str], child) -> dict[str, Any]:
     return record
 
 
-def _span_record(span: Span) -> dict[str, Any]:
-    return {
-        "type": "span",
-        "name": span.name,
-        "trace_id": span.trace_id,
-        "span_id": span.span_id,
-        "parent_id": span.parent_id,
-        "sim_start": span.sim_start,
-        "sim_end": span.sim_end,
-        "sim_duration": span.sim_duration,
-        "wall_ms": span.wall_duration * 1000.0,
-        "status": span.status,
-        "attributes": span.attributes,
-    }
-
-
 def _event_record(record) -> dict[str, Any]:
     return {
         "type": "event",
@@ -280,7 +265,7 @@ def jsonl_records(
             yield _metric_record(family, labels, child)
     if tracer is not None:
         for span in tracer.iter_spans():
-            yield _span_record(span)
+            yield span_record(span)
     if events is not None:
         for record in events:
             yield _event_record(record)

@@ -22,15 +22,17 @@ work lands against a working fleet view:
   and merges label-overflow counts across sources so a cardinality bug
   in any shard stays visible fleet-wide.
 
-The hub runs its own recording rules (fleet-level, collapsing the
-``source`` label) so ``repro-cli obs top`` reads derived series from
-the hub exactly as a single-process dashboard reads them from its
-local observatory.
+This is the only way registry samples reach a store.  The hub runs
+its own recording rules (fleet-level, collapsing the ``source`` label);
+a single-process run is the one-source case -- ``obs watch --tsdb``
+ingests its registry under :data:`FLEET_SOURCE` each tick -- so
+``repro-cli obs top`` reads the same series shape either way.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Iterable
 
 from repro.common.errors import IntegrityError
@@ -39,6 +41,10 @@ from repro.obs.tsdb import TsdbStore, format_le
 
 #: The label the hub adds to every federated series.
 SOURCE_LABEL = "source"
+
+#: Source name for families that belong to no single verifier member
+#: (and for the whole registry of a one-source run).
+FLEET_SOURCE = "fleet"
 
 #: ``type`` tag of a snapshot record (JSONL export compatible).
 SNAPSHOT_TYPE = "obs_snapshot"
@@ -49,10 +55,9 @@ _DECODE_ERRORS = (KeyError, ValueError, TypeError, AttributeError, OverflowError
 def registry_snapshot(registry, source: str, at: float) -> dict[str, Any]:
     """One registry's current state as a JSON-safe snapshot dict.
 
-    Histograms are exploded the same way the scraper stores them
-    (``count`` / ``sum`` / cumulative ``buckets``), so an ingested
-    snapshot lands in the hub's store with exactly the series shape a
-    local :class:`~repro.obs.tsdb.RegistryScraper` would produce.
+    Histograms travel exploded (``count`` / ``sum`` / cumulative
+    ``buckets`` keyed by their ``le`` label), the shape
+    :meth:`FederationHub.ingest` stores them in.
     """
     metrics: list[dict[str, Any]] = []
     for family in registry.families():
@@ -90,7 +95,10 @@ def snapshot_from_json(blob: str | bytes | bytearray) -> dict[str, Any]:
     """Decode and validate a wire snapshot.
 
     Raises :class:`IntegrityError` on anything malformed -- a federation
-    peer is exactly as untrusted as an attestation peer.
+    peer is exactly as untrusted as an attestation peer.  That includes
+    a bucket bound that is neither ``+Inf`` nor a finite number (the
+    quantile rules parse it) and any non-finite sample, which would
+    poison every rule sum it joins.
     """
     try:
         snapshot = json.loads(blob)
@@ -101,7 +109,7 @@ def snapshot_from_json(blob: str | bytes | bytearray) -> dict[str, Any]:
         source = snapshot["source"]
         if not isinstance(source, str) or not source:
             raise IntegrityError(f"bad snapshot source: {source!r}")
-        snapshot["at"] = float(snapshot["at"])
+        snapshot["at"] = _finite(snapshot["at"])
         metrics = snapshot["metrics"]
         if not isinstance(metrics, list):
             raise IntegrityError("snapshot metrics must be a list")
@@ -111,14 +119,14 @@ def snapshot_from_json(blob: str | bytes | bytearray) -> dict[str, Any]:
                 str(k): str(v) for k, v in entry.get("labels", {}).items()
             }
             if entry["kind"] == "histogram":
-                entry["count"] = float(entry["count"])
-                entry["sum"] = float(entry["sum"])
+                entry["count"] = _finite(entry["count"])
+                entry["sum"] = _finite(entry["sum"])
                 entry["buckets"] = [
-                    [str(le), float(cumulative)]
+                    [_bound(le), _finite(cumulative)]
                     for le, cumulative in entry["buckets"]
                 ]
             else:
-                entry["value"] = float(entry["value"])
+                entry["value"] = _finite(entry["value"])
         snapshot["label_overflow"] = {
             str(name): int(count)
             for name, count in snapshot.get("label_overflow", {}).items()
@@ -128,6 +136,22 @@ def snapshot_from_json(blob: str | bytes | bytearray) -> dict[str, Any]:
     except _DECODE_ERRORS as exc:
         raise IntegrityError(f"malformed metrics snapshot: {exc}") from exc
     return snapshot
+
+
+def _finite(raw: Any) -> float:
+    """*raw* as a finite float; NaN and infinities are malformed."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise IntegrityError(f"non-finite snapshot sample: {raw!r}")
+    return value
+
+
+def _bound(raw: Any) -> str:
+    """A bucket's ``le`` label: ``+Inf`` or a finite number."""
+    le = str(raw)
+    if le != "+Inf":
+        _finite(le)
+    return le
 
 
 class SourceState:

@@ -44,6 +44,7 @@ from repro.obs.alerts import (
     standard_slos,
 )
 from repro.obs.capacity import SaturationDetector, saturation_summary
+from repro.obs.federation import FLEET_SOURCE, FederationHub, registry_snapshot
 from repro.obs.incidents import IncidentCorrelator, IncidentReport
 
 #: Default number of missed poll intervals before a coverage gap fires.
@@ -606,16 +607,17 @@ class HealthWatch:
         tick_interval: float = 1800.0,
         on_frame: Callable[[float, "HealthWatch"], None] | None = None,
         frame_every: int = 0,
-        observatory=None,
+        hub: FederationHub | None = None,
     ) -> None:
         self.gap_polls = gap_polls
         self.tick_interval = tick_interval
         self.on_frame = on_frame
         self.frame_every = frame_every
-        # An optional repro.obs.rules.Observatory, collected (scrape +
-        # recording rules) at the top of each tick so the run's TSDB
-        # history can be exported; no detector reads it.
-        self.observatory = observatory
+        # An optional one-source federation hub: the watched registry is
+        # ingested and the hub's recording rules run at the top of each
+        # tick, so the run's TSDB history can be exported; no detector
+        # reads it.
+        self.hub = hub
         self.monitor: HealthMonitor | None = None
         self.engine: AlertEngine | None = None
         self.correlator: IncidentCorrelator | None = None
@@ -635,11 +637,6 @@ class HealthWatch:
     ) -> "HealthWatch":
         """Bind to a run's plumbing; returns self for chaining."""
         self.poll_interval = poll_interval
-        if (
-            self.observatory is not None and registry is not None
-            and not self.observatory.bound
-        ):
-            self.observatory.bind(registry)
         self.monitor = HealthMonitor(
             events, registry=registry, gap_polls=self.gap_polls
         )
@@ -669,8 +666,11 @@ class HealthWatch:
 
     def tick(self, now: float) -> list[Alert]:
         """One watch cycle: detect, alert, correlate; returns new alerts."""
-        if self.observatory is not None:
-            self.observatory.collect(now)
+        if self.hub is not None:
+            self.hub.ingest(
+                registry_snapshot(self.monitor.registry, FLEET_SOURCE, now)
+            )
+            self.hub.evaluate(now)
         signals = self.monitor.check(now)
         fired = self.engine.ingest(signals, now)
         fired.extend(self.engine.evaluate(now))

@@ -28,15 +28,12 @@ the instrument every scale-out PR reports through:
   slowdown always does.  Each metric classifies as ``ok`` /
   ``improved`` / ``regressed`` / ``noisy`` and every verdict is a
   machine-readable record.
-* **TSDB loading.**  :func:`trajectory_to_store` turns a trajectory
-  into ``perf:metric`` series (one sample per run, indexed by run
-  sequence) so ``repro-cli obs top`` grows a perf-trajectory panel and
-  the dashboard sparkline machinery applies unchanged.
-* **Continuous profiling (opt-in).**  :class:`SamplingProfiler` wraps
-  a bench's hot section in a stack-sampling thread emitting collapsed
-  flamegraph folds in the :func:`repro.obs.profiling.collapsed_stacks`
-  text format; a regression verdict then links the candidate's folds
-  to the baseline's so the diff is one :func:`diff_folds` away.
+* **Continuous profiling (opt-in).**  The harness wraps a bench's hot
+  section in :class:`repro.obs.profiling.SamplingProfiler`; a
+  regression verdict then links the candidate's collapsed flamegraph
+  folds to the baseline's so the diff is one
+  :func:`repro.obs.profiling.diff_folds` away.  ``repro-cli bench
+  history`` is the trajectory view.
 
 Determinism contract: a bench's *workload* must be a pure function of
 ``(mode, seed)`` -- both are stamped into every record -- so the only
@@ -53,15 +50,12 @@ import os
 import platform
 import statistics
 import subprocess
-import sys
-import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable
 
 from repro.common.errors import ConfigurationError
 from repro.obs.exporters import write_jsonl_atomic
-from repro.obs.tsdb import TsdbStore
 
 #: Default trajectory location, relative to the working directory.
 TRAJECTORY_PATH = os.path.join("perf", "trajectory.jsonl")
@@ -72,9 +66,6 @@ BENCH_MODES = ("smoke", "full")
 
 #: Allowed better-directions for a metric.
 BETTER_DIRECTIONS = ("lower", "higher")
-
-#: TSDB series name trajectory samples load under.
-PERF_SERIES = "perf:metric"
 
 #: Baseline runs (per bench+mode, newest first) the detector medians.
 DEFAULT_BASELINE_RUNS = 5
@@ -462,45 +453,6 @@ def write_trajectory(path: str, records: Iterable[BenchRecord]) -> int:
     )
 
 
-# -- TSDB loading -----------------------------------------------------------
-
-
-def trajectory_to_store(
-    records: Iterable[BenchRecord], store: TsdbStore | None = None
-) -> TsdbStore:
-    """Load a trajectory into a :class:`TsdbStore` as ``perf:metric``.
-
-    One gauge sample per (record, metric), at time = record ``seq`` --
-    the run index is the only honest x-axis for a trajectory that mixes
-    hosts and dates -- labelled by bench / metric / mode / unit /
-    better, so the dashboard's sparkline and instant machinery applies
-    unchanged and an ``obs top --replay`` export carries the series
-    through its ordinary TSDB round-trip.
-    """
-    store = store if store is not None else TsdbStore()
-    ordered = sorted(
-        (record for record in records),
-        key=lambda record: (record.seq if record.seq is not None else 0),
-    )
-    for record in ordered:
-        at = float(record.seq if record.seq is not None else 0)
-        for name, value in sorted(record.metrics.items()):
-            store.append(
-                PERF_SERIES,
-                {
-                    "bench": record.bench,
-                    "metric": name,
-                    "mode": record.mode,
-                    "unit": record.units.get(name, ""),
-                    "better": record.better.get(name, "lower"),
-                },
-                value,
-                at,
-                kind="gauge",
-            )
-    return store
-
-
 # -- regression detection ---------------------------------------------------
 
 
@@ -744,139 +696,3 @@ def compare_trajectory(
     return CompareResult(
         verdicts=verdicts, baseline_runs=baseline_runs, mode=mode,
     )
-
-
-# -- sampling profiler (opt-in continuous profiling) ------------------------
-
-
-class SamplingProfiler:
-    """Wall-clock stack sampler emitting collapsed flamegraph folds.
-
-    A daemon thread snapshots the target thread's stack every
-    *interval* seconds via ``sys._current_frames()`` and accumulates
-    ``root;child;leaf -> samples`` folds -- the same collapsed-stack
-    text format :func:`repro.obs.profiling.collapsed_stacks` emits for
-    span trees, so one flamegraph toolchain (and :func:`diff_folds`)
-    serves both.  Opt-in: sampling perturbs the measured section by the
-    cost of walking its stack, so the harness only engages it under
-    ``--profile`` and never derives metrics from a profiled run's
-    timings relative to an unprofiled baseline of a *different* flag
-    setting.
-    """
-
-    def __init__(self, interval: float = 0.005) -> None:
-        if interval <= 0:
-            raise ConfigurationError(
-                f"sampling interval must be positive, got {interval}"
-            )
-        self.interval = interval
-        self.samples = 0
-        self._folds: dict[str, int] = {}
-        self._target_ident: int | None = None
-        self._thread: threading.Thread | None = None
-        self._stop = threading.Event()
-
-    @staticmethod
-    def _stack_of(frame) -> str:
-        parts: list[str] = []
-        while frame is not None:
-            module = frame.f_globals.get("__name__", "?")
-            parts.append(f"{module}:{frame.f_code.co_name}")
-            frame = frame.f_back
-        parts.reverse()
-        return ";".join(parts)
-
-    def _sample_loop(self) -> None:
-        while not self._stop.wait(self.interval):
-            frame = sys._current_frames().get(self._target_ident)
-            if frame is None:
-                continue
-            stack = self._stack_of(frame)
-            self._folds[stack] = self._folds.get(stack, 0) + 1
-            self.samples += 1
-
-    def start(self) -> None:
-        """Begin sampling the *calling* thread."""
-        if self._thread is not None:
-            raise ConfigurationError("profiler already started")
-        self._target_ident = threading.get_ident()
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._sample_loop, name="perf-sampler", daemon=True,
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        """Stop sampling (idempotent)."""
-        if self._thread is None:
-            return
-        self._stop.set()
-        self._thread.join(timeout=5.0)
-        self._thread = None
-
-    def __enter__(self) -> "SamplingProfiler":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    def folds(self) -> dict[str, int]:
-        """``stack -> sample count`` folds accumulated so far."""
-        return dict(self._folds)
-
-    def collapsed(self) -> str:
-        """Folds as flamegraph-ready ``stack count`` text lines."""
-        return "\n".join(
-            f"{stack} {count}" for stack, count in sorted(self._folds.items())
-        )
-
-
-def load_folds(text: str) -> dict[str, int]:
-    """Parse collapsed-stack text back into ``stack -> count`` folds."""
-    folds: dict[str, int] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        stack, _, count = line.rpartition(" ")
-        if not stack:
-            continue
-        folds[stack] = folds.get(stack, 0) + int(count)
-    return folds
-
-
-def diff_folds(
-    a: dict[str, int], b: dict[str, int]
-) -> list[tuple[str, int]]:
-    """Per-stack count deltas ``b - a``, biggest movement first.
-
-    The flamegraph-diff primitive behind a regression verdict: *a* is
-    the baseline run's folds, *b* the regressed candidate's, and the
-    top positive deltas are where the new time went.
-    """
-    deltas = [
-        (stack, b.get(stack, 0) - a.get(stack, 0))
-        for stack in sorted(set(a) | set(b))
-    ]
-    deltas = [(stack, delta) for stack, delta in deltas if delta != 0]
-    deltas.sort(key=lambda item: (-abs(item[1]), item[0]))
-    return deltas
-
-
-def render_fold_diff(
-    deltas: list[tuple[str, int]],
-    a_label: str = "baseline",
-    b_label: str = "candidate",
-    limit: int = 12,
-) -> str:
-    """Human-readable top of a fold diff."""
-    lines = [f"== flamegraph fold diff: {a_label} -> {b_label} (samples) =="]
-    if not deltas:
-        return lines[0] + "\n(no stack movement)"
-    for stack, delta in deltas[:limit]:
-        leaf = stack.rsplit(";", 1)[-1]
-        lines.append(f"  {delta:+6d}  {leaf}  [{stack}]")
-    if len(deltas) > limit:
-        lines.append(f"  ... {len(deltas) - limit} more stacks")
-    return "\n".join(lines)

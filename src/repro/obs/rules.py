@@ -1,4 +1,4 @@
-"""Recording rules and the observatory that runs them.
+"""Recording rules over the TSDB.
 
 The TSDB (:mod:`repro.obs.tsdb`) gives the telemetry layer *history*;
 this module gives it *derivation*.  A recording rule reads raw scraped
@@ -23,16 +23,8 @@ and the federation hub consume one shared set of windows:
   matching series (fleet node-state rollups across federated sources).
 
 :class:`RuleEngine` evaluates a rule set against a store at a
-timestamp; :func:`standard_recording_rules` is the default set the
-observatory and the federation hub both run.
-
-:class:`Observatory` bundles store + scraper + rule engine into the one
-object a run attaches: ``bind(registry)``, then ``collect(now)`` each
-tick (idempotent per timestamp, so a scheduled collector and a
-health-watch tick landing on the same instant scrape once).  The health
-detectors do not read it -- they sample the live registry
-(:mod:`repro.obs.health`); the observatory's store is history to
-export and render.
+timestamp; :func:`standard_recording_rules` is the default set a
+:class:`repro.obs.federation.FederationHub` runs.
 """
 
 from __future__ import annotations
@@ -41,12 +33,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable
 
 from repro.common.errors import ConfigurationError
-from repro.obs.tsdb import (
-    RegistryScraper,
-    Series,
-    TsdbStore,
-    meta_registry_reset_hook,
-)
+from repro.obs.tsdb import Series, TsdbStore
 
 #: Aggregations :class:`AggregateRule` understands.
 AGGREGATIONS = ("sum", "avg", "min", "max", "count")
@@ -359,7 +346,7 @@ def standard_recording_rules(
     Windows are expressed in poll intervals (like the burn-rate rules)
     so the rules stay meaningful at any cadence; every rule collapses
     the federation ``source`` label unless it groups by something, so
-    the same set works on a single-process store and on the hub.
+    a one-source hub and an N-source hub derive the same fleet numbers.
     """
     window = max(4 * poll_interval, 3600.0)
     return [
@@ -425,64 +412,3 @@ def standard_recording_rules(
         BalanceRule("fleet:shard_balance", "fleet_shard_agents", by=("shard",)),
     ]
 
-
-class Observatory:
-    """Store + scraper + rule engine, bundled for one run.
-
-    ``collect`` (scrape, then rules) is idempotent per timestamp -- a
-    scheduled collector and a health-watch tick landing on the same sim
-    instant scrape once.
-    """
-
-    def __init__(
-        self,
-        store: TsdbStore | None = None,
-        registry=None,
-        rules: Iterable[Any] | None = None,
-        poll_interval: float = 1800.0,
-    ) -> None:
-        self.store = store if store is not None else TsdbStore()
-        self.poll_interval = poll_interval
-        self.engine = RuleEngine(
-            self.store,
-            rules if rules is not None
-            else standard_recording_rules(poll_interval),
-        )
-        self.registry = None
-        self.scraper: RegistryScraper | None = None
-        self.collections = 0
-        if registry is not None:
-            self.bind(registry)
-
-    def bind(self, registry) -> "Observatory":
-        """Point the observatory at a live registry; returns self."""
-        self.registry = registry
-        self.store.on_counter_reset = meta_registry_reset_hook(registry)
-        self.scraper = RegistryScraper(self.store)
-        return self
-
-    @property
-    def bound(self) -> bool:
-        """Whether :meth:`bind` has been called."""
-        return self.scraper is not None
-
-    def collect(self, now: float) -> int:
-        """One scrape + rule evaluation; returns samples appended.
-
-        No-op (returns 0) when already collected at exactly *now* or
-        when no registry is bound yet.
-        """
-        if self.scraper is None or self.store.last_scrape_at == now:
-            return 0
-        appended = self.scraper.scrape(self.registry, now)
-        appended += self.engine.evaluate(now)
-        self.collections += 1
-        return appended
-
-    def schedule(self, scheduler):
-        """Collect every ``poll_interval`` on *scheduler*; returns stop."""
-        return scheduler.every(
-            self.poll_interval,
-            lambda: self.collect(scheduler.clock.now),
-            label="obs.observatory",
-        )

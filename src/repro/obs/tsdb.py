@@ -10,10 +10,10 @@ other way -- coverage gaps, policy-update storms and slow appraisal are
 first shard exists.  This module is that substrate:
 
 * :class:`TsdbStore` -- a bounded in-memory store of
-  ``(name, labels)`` series.  A :class:`RegistryScraper` periodically
-  samples a :class:`repro.obs.metrics.MetricsRegistry` into it
-  (counters and gauges as raw values, histograms exploded into
-  ``_count`` / ``_sum`` / per-``le`` ``_bucket`` series).
+  ``(name, labels)`` series.  Registry samples reach it only through
+  :class:`repro.obs.federation.FederationHub`, one snapshot per source
+  per tick (counters and gauges as raw values, histograms exploded
+  into ``_count`` / ``_sum`` / per-``le`` ``_bucket`` series).
 * **Resolution tiers under a fixed budget.**  Each series keeps a raw
   ring; samples evicted from it fold (``fold``-at-a-time, default 10x)
   into tier-1 frames, and tier-1 evictions fold again into tier-2
@@ -22,8 +22,7 @@ first shard exists.  This module is that substrate:
   bounded while remaining queryable at every resolution.
 * **Counter-reset safety.**  A cumulative value going backwards
   (process restart, registry swap, federation source reboot) is
-  detected at append time (``counter_resets`` and the
-  ``obs_tsdb_counter_resets_total`` meta-counter) and again inside
+  counted at append time (``counter_resets``) and handled again inside
   :meth:`Series.increase`, which restarts the extrapolation at the
   reset instead of emitting a giant negative spike -- the
   Prometheus-style adjustment.
@@ -49,7 +48,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.common.errors import ConfigurationError
 
@@ -69,9 +68,6 @@ MIN_SERIES_SLOTS = 24
 #: Series kinds the store distinguishes (reset detection applies to
 #: counters only).
 SERIES_KINDS = ("counter", "gauge")
-
-#: Name of the meta-counter bumped on every detected counter reset.
-COUNTER_RESETS_METRIC = "obs_tsdb_counter_resets_total"
 
 
 def label_key(labels: dict[str, str] | None) -> tuple[tuple[str, str], ...]:
@@ -221,7 +217,7 @@ class Series:
             and value < self.raw[-1][1]
         ):
             self.resets += 1
-            self._store._on_counter_reset(self)
+            self._store.counter_resets += 1
         self.raw.append((at, value))
         self.enforce()
 
@@ -389,7 +385,6 @@ class TsdbStore:
         self,
         max_samples: int = DEFAULT_MAX_SAMPLES,
         fold: int = DEFAULT_FOLD,
-        on_counter_reset: Callable[["Series"], None] | None = None,
     ) -> None:
         if max_samples < MIN_SERIES_SLOTS:
             raise ConfigurationError(
@@ -399,7 +394,6 @@ class TsdbStore:
             raise ConfigurationError(f"fold must be >= 2, got {fold}")
         self.max_samples = max_samples
         self.fold = fold
-        self.on_counter_reset = on_counter_reset
         self.counter_resets = 0
         self.scrapes = 0
         self.last_scrape_at: float | None = None
@@ -424,11 +418,6 @@ class TsdbStore:
     def total_samples(self) -> int:
         """Retained slots across every series (raw + frames)."""
         return sum(len(series) for series in self._series.values())
-
-    def _on_counter_reset(self, series: Series) -> None:
-        self.counter_resets += 1
-        if self.on_counter_reset is not None:
-            self.on_counter_reset(series)
 
     # -- writes ------------------------------------------------------------
 
@@ -620,74 +609,3 @@ def format_le(bound: float) -> str:
         return str(int(bound))
     return repr(float(bound))
 
-
-class RegistryScraper:
-    """Samples a :class:`MetricsRegistry` into a :class:`TsdbStore`.
-
-    Counters and gauges map 1:1 onto series; histograms explode into
-    ``{name}_count`` / ``{name}_sum`` (cumulative counters) plus one
-    ``{name}_bucket{le=...}`` counter per bound.  The registry's
-    label-cardinality ``_overflow`` cell is just another label-set, so
-    it maps to exactly one series per family no matter how many
-    label-sets collapsed into it.  Per-family overflow counts are
-    scraped as ``telemetry_label_sets_overflowed_total{metric=...}``.
-    """
-
-    def __init__(self, store: TsdbStore) -> None:
-        self.store = store
-
-    def scrape(self, registry, at: float) -> int:
-        """One scrape pass; returns the number of samples appended."""
-        appended = 0
-        store = self.store
-        for family in registry.families():
-            for labels, child in family.samples():
-                if family.kind == "histogram":
-                    store.append(
-                        f"{family.name}_count", labels, child.count, at,
-                        kind="counter",
-                    )
-                    store.append(
-                        f"{family.name}_sum", labels, child.sum, at,
-                        kind="counter",
-                    )
-                    appended += 2
-                    for bound, cumulative in child.cumulative_buckets():
-                        bucket_labels = dict(labels)
-                        bucket_labels["le"] = format_le(bound)
-                        store.append(
-                            f"{family.name}_bucket", bucket_labels,
-                            cumulative, at, kind="counter",
-                        )
-                        appended += 1
-                else:
-                    store.append(
-                        family.name, labels, child.value, at, kind=family.kind,
-                    )
-                    appended += 1
-        for metric, count in sorted(registry.label_overflow().items()):
-            store.append(
-                "telemetry_label_sets_overflowed_total",
-                {"metric": metric}, count, at, kind="counter",
-            )
-            appended += 1
-        store.scrapes += 1
-        store.last_scrape_at = at
-        return appended
-
-
-def meta_registry_reset_hook(registry) -> Callable[[Series], None]:
-    """An ``on_counter_reset`` hook that bumps the meta-counter.
-
-    Wire it as ``TsdbStore(on_counter_reset=meta_registry_reset_hook(
-    registry))`` so every detected reset is itself observable (and, one
-    scrape later, historical).
-    """
-    def _hook(series: Series) -> None:
-        registry.counter(
-            COUNTER_RESETS_METRIC,
-            "Counter resets detected by the TSDB scraper",
-            ("metric",),
-        ).labels(metric=series.name).inc()
-
-    return _hook

@@ -48,6 +48,15 @@ class TestSnapshotWire:
         '"metrics": [{"kind": "counter"}]}',
         '{"type": "obs_snapshot", "source": "s", "at": 0, '
         '"metrics": [{"name": "h", "kind": "histogram", "count": 1}]}',
+        # A bucket bound that is neither +Inf nor a number.
+        '{"type": "obs_snapshot", "source": "s", "at": 0, '
+        '"metrics": [{"name": "verifier_poll_wall_seconds", '
+        '"kind": "histogram", "labels": {}, "count": 1, "sum": 0.1, '
+        '"buckets": [["abc", 1]]}]}',
+        # A non-finite value would poison every rule sum it joins.
+        '{"type": "obs_snapshot", "source": "s", "at": 0, '
+        '"metrics": [{"name": "c", "kind": "counter", "labels": {}, '
+        '"value": NaN}]}',
     ])
     def test_malformed_input_is_integrity_error(self, blob):
         with pytest.raises(IntegrityError):
@@ -80,10 +89,14 @@ class TestFederationHub:
             for series in hub.store.select("polls_total", result="ok")
         )
         assert total == 14.0
-        # Histograms land exploded, same shape as a local scrape.
+        # Histograms land exploded into cumulative per-le buckets.
         assert hub.store.instant(
             "lat_count", {"source": "shard-0"}, 60.0) == 2.0
         assert len(hub.store.select("lat_bucket", source="shard-0")) == 3
+        assert hub.store.instant(
+            "lat_bucket", {"le": "0.1", "source": "shard-0"}, 60.0) == 1.0
+        assert hub.store.instant(
+            "lat_bucket", {"le": "+Inf", "source": "shard-0"}, 60.0) == 2.0
 
     def test_out_of_order_snapshot_dropped_with_accounting(self):
         hub = FederationHub()
@@ -156,6 +169,28 @@ class TestFederationHub:
         # And each shard's _overflow cell is exactly one merged series.
         assert len(hub.store.select("chatty", who="_overflow",
                                     source="shard-0")) == 1
+
+    def test_overflow_cell_is_exactly_one_series_per_family(self):
+        """The cardinality guard's ``_overflow`` cell must map to ONE
+        TSDB series per family no matter how many label-sets collapsed
+        into it -- and repeated ingests must not multiply it."""
+        registry = MetricsRegistry(max_label_sets=3)
+        family = registry.counter("chatty_total", "", ("who",))
+        for i in range(50):
+            family.labels(who=f"agent-{i}").inc()
+        hub = FederationHub()
+        hub.ingest(registry_snapshot(registry, "s", 1.0))
+        hub.ingest(registry_snapshot(registry, "s", 2.0))
+        overflow = hub.store.select("chatty_total", who="_overflow")
+        assert len(overflow) == 1
+        assert overflow[0].instant(2.0) == 47.0
+        # 3 real cells + 1 overflow cell.
+        assert len(hub.store.select("chatty_total")) == 4
+        # The per-family overflow count is ingested as its own counter.
+        assert hub.store.instant(
+            "telemetry_label_sets_overflowed_total",
+            {"metric": "chatty_total", "source": "s"}, 2.0,
+        ) == 47.0
 
     def test_scrape_bookkeeping(self):
         hub = FederationHub()

@@ -1,13 +1,11 @@
-"""Tests for recording rules and the observatory."""
+"""Tests for recording rules."""
 
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.rules import (
     AggregateRule,
     IncreaseRule,
-    Observatory,
     QuantileOverTimeRule,
     RateRule,
     RatioRule,
@@ -133,46 +131,3 @@ class TestRecordingRules:
         written = engine.evaluate(1800.0)
         assert written > 0
         assert store.instant("fleet:poll_rate", None, 1800.0) is not None
-
-
-class TestObservatory:
-    def _registry(self):
-        registry = MetricsRegistry()
-        registry.counter("verifier_polls_total", "", ("result",)).labels(
-            result="ok").inc(10)
-        return registry
-
-    def test_collect_is_idempotent_per_timestamp(self):
-        observatory = Observatory(registry=self._registry())
-        assert observatory.collect(100.0) > 0
-        assert observatory.collect(100.0) == 0
-        assert observatory.collections == 1
-        assert observatory.collect(200.0) > 0
-
-    def test_unbound_observatory_is_inert(self):
-        observatory = Observatory()
-        assert not observatory.bound
-        assert observatory.collect(100.0) == 0
-
-    def test_bind_wires_the_reset_meta_counter(self):
-        registry = self._registry()
-        observatory = Observatory(registry=registry)
-        store = observatory.store
-        store.append("x", None, 5.0, 0.0, kind="counter")
-        store.append("x", None, 1.0, 1.0, kind="counter")
-        from repro.obs.tsdb import COUNTER_RESETS_METRIC
-
-        assert registry.get(COUNTER_RESETS_METRIC) is not None
-
-    def test_schedule_collects_on_cadence(self):
-        from repro.common.clock import Scheduler
-
-        scheduler = Scheduler()
-        observatory = Observatory(
-            registry=self._registry(), poll_interval=60.0)
-        stop = observatory.schedule(scheduler)
-        scheduler.run_until(300.0)
-        assert observatory.collections == 5
-        stop()
-        scheduler.run_until(600.0)
-        assert observatory.collections == 5

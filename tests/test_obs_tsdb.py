@@ -1,18 +1,20 @@
-"""Tests for the embedded TSDB: tiers, budgets, resets, scraping."""
+"""Tests for the embedded TSDB: tiers, budgets, resets, scraping, export."""
 
 import pytest
 
 from repro.common.errors import ConfigurationError
+from repro.obs.federation import (
+    FLEET_SOURCE,
+    FederationHub,
+    registry_snapshot,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tsdb import (
-    COUNTER_RESETS_METRIC,
     Frame,
-    RegistryScraper,
     Series,
     TsdbStore,
     format_le,
     label_key,
-    meta_registry_reset_hook,
 )
 
 HOUR = 3600.0
@@ -97,12 +99,10 @@ class TestCounterIncrease:
             store.get_series("c").rate(0.0, 100.0)
 
     def test_reset_bumps_store_and_hook(self):
-        seen = []
-        store = TsdbStore(on_counter_reset=seen.append)
+        store = TsdbStore()
         store.append("c", None, 5.0, 0.0, kind="counter")
         store.append("c", None, 1.0, 1.0, kind="counter")
         assert store.counter_resets == 1
-        assert [series.name for series in seen] == ["c"]
 
     def test_gauges_never_count_resets(self):
         store = TsdbStore()
@@ -250,6 +250,9 @@ class TestFormatLe:
 
 
 class TestRegistryScraper:
+    """Registry samples reach a store only as a snapshot ingested by a
+    hub; these pin the series shapes that path writes."""
+
     def test_counters_gauges_histograms(self):
         registry = MetricsRegistry()
         registry.counter("polls_total", "", ("result",)).labels(
@@ -258,52 +261,20 @@ class TestRegistryScraper:
         hist = registry.histogram("lat", "", buckets=(0.1, 1.0))
         hist.observe(0.05)
         hist.observe(0.5)
-        store = TsdbStore()
-        scraper = RegistryScraper(store)
-        appended = scraper.scrape(registry, 100.0)
+        hub = FederationHub(rules=[])
+        store = hub.store
+        appended = hub.ingest(registry_snapshot(registry, FLEET_SOURCE, 100.0))
         assert appended > 0
-        assert store.instant("polls_total", {"result": "ok"}, 100.0) == 5.0
-        assert store.instant("nodes", None, 100.0) == 7.0
-        assert store.instant("lat_count", None, 100.0) == 2.0
-        assert store.instant("lat_bucket", {"le": "0.1"}, 100.0) == 1.0
-        assert store.instant("lat_bucket", {"le": "+Inf"}, 100.0) == 2.0
+        source = {"source": FLEET_SOURCE}
+        assert store.instant(
+            "polls_total", {"result": "ok", **source}, 100.0) == 5.0
+        assert store.instant("nodes", source, 100.0) == 7.0
+        assert store.instant("lat_count", source, 100.0) == 2.0
+        assert store.instant(
+            "lat_bucket", {"le": "0.1", **source}, 100.0) == 1.0
+        assert store.instant(
+            "lat_bucket", {"le": "+Inf", **source}, 100.0) == 2.0
         assert store.scrapes == 1 and store.last_scrape_at == 100.0
-
-    def test_overflow_cell_is_exactly_one_series_per_family(self):
-        """The cardinality guard's ``_overflow`` cell must map to ONE
-        TSDB series per family no matter how many label-sets collapsed
-        into it -- and repeated scrapes must not multiply it."""
-        registry = MetricsRegistry(max_label_sets=3)
-        family = registry.counter("chatty_total", "", ("who",))
-        for i in range(50):
-            family.labels(who=f"agent-{i}").inc()
-        store = TsdbStore()
-        scraper = RegistryScraper(store)
-        scraper.scrape(registry, 1.0)
-        scraper.scrape(registry, 2.0)
-        overflow = store.select("chatty_total", who="_overflow")
-        assert len(overflow) == 1
-        assert overflow[0].instant(2.0) == 47.0
-        # 3 real cells + 1 overflow cell.
-        assert len(store.select("chatty_total")) == 4
-        # The per-family overflow count is scraped as its own counter.
-        assert store.instant(
-            "telemetry_label_sets_overflowed_total",
-            {"metric": "chatty_total"}, 2.0,
-        ) == 47.0
-
-    def test_meta_reset_hook_records_resets_observably(self):
-        registry = MetricsRegistry()
-        store = TsdbStore(on_counter_reset=meta_registry_reset_hook(registry))
-        store.append("c", None, 5.0, 0.0, kind="counter")
-        store.append("c", None, 1.0, 1.0, kind="counter")
-        family = registry.get(COUNTER_RESETS_METRIC)
-        assert family is not None
-        assert family.labels(metric="c").value == 1.0
-        # One scrape later the reset count is itself historical.
-        RegistryScraper(store).scrape(registry, 2.0)
-        assert store.instant(
-            COUNTER_RESETS_METRIC, {"metric": "c"}, 2.0) == 1.0
 
 
 class TestStoreValidation:

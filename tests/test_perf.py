@@ -22,26 +22,26 @@ from repro.common.errors import ConfigurationError
 from repro.obs.perf import (
     DEFAULT_REL_FLOOR,
     DEFAULT_Z_THRESHOLD,
-    PERF_SERIES,
     BenchMetric,
     BenchRecord,
     BenchSpec,
-    SamplingProfiler,
     TrajectoryStore,
     capture_environment,
     classify_metric,
     clear_registry,
     compare_trajectory,
-    diff_folds,
     get_bench,
-    load_folds,
     load_trajectory,
     record_from_run,
     register_bench,
     registered_benches,
-    render_fold_diff,
-    trajectory_to_store,
     write_trajectory,
+)
+from repro.obs.profiling import (
+    SamplingProfiler,
+    diff_folds,
+    load_folds,
+    render_fold_diff,
 )
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -264,24 +264,6 @@ class TestTrajectoryStore:
 
     def test_missing_file_is_empty(self, tmp_path):
         assert load_trajectory(str(tmp_path / "nope.jsonl")) == []
-
-
-class TestTrajectoryToStore:
-    def test_series_labels_and_run_axis(self):
-        records = [
-            make_record(metrics={"wall_s": 1.0, "eps": 100.0},
-                        better={"eps": "higher"}, seq=0),
-            make_record(metrics={"wall_s": 2.0, "eps": 150.0},
-                        better={"eps": "higher"}, seq=1),
-        ]
-        store = trajectory_to_store(records)
-        series = store.select(PERF_SERIES, bench="pipeline", metric="eps")
-        assert len(series) == 1
-        assert series[0].label("better") == "higher"
-        assert series[0].label("mode") == "smoke"
-        values = series[0].range_values(float("-inf"), float("inf"))
-        assert [(point[0], point[1]) for point in values] \
-            == [(0.0, 100.0), (1.0, 150.0)]
 
 
 class TestClassifyMetric:
