@@ -327,80 +327,71 @@ def _cmd_obs_top(args: argparse.Namespace) -> int:
         ))
         return 0
 
-    from repro.experiments.fleet_run import ChaosInjection
-    from repro.experiments.observatory import run_federated_observatory
+    from repro.experiments.shardfleet import run_shard_fleet
 
-    chaos = None
-    if args.chaos_profile is not None:
-        chaos = ChaosInjection(
-            profile=args.chaos_profile, chaos_seed=args.chaos_seed
-        )
+    frames: list[dict] = []
 
-    def frame(now: float, hub) -> dict:
-        record = top_frame_record(
-            hub.store, now, hub.staleness(now), poll_interval
-        )
+    def on_round(round_index: int, result) -> None:
+        if args.frame_every <= 0 or (round_index + 1) % args.frame_every:
+            return
+        hub, now = result.hub, result.fleet.scheduler.clock.now
+        staleness = hub.staleness(now)
+        frames.append(top_frame_record(hub.store, now, staleness, poll_interval))
         if not args.once:
             print(render_top(
-                hub.store, now, hub.staleness(now),
-                poll_interval=poll_interval,
+                hub.store, now, staleness, poll_interval=poll_interval
             ))
             print()
-        return record
 
-    result = run_federated_observatory(
-        seed=args.seed,
-        n_shards=args.shards,
-        nodes_per_shard=args.nodes,
-        n_days=args.days,
-        n_filler_packages=args.fillers,
+    result = run_shard_fleet(
+        seed=str(args.seed),
+        n_nodes=args.nodes,
+        n_verifiers=args.verifiers,
+        fillers=args.fillers,
+        rounds=args.rounds,
         poll_interval=poll_interval,
-        scrape_interval=poll_interval,
-        chaos=chaos,
-        on_frame=frame,
-        frame_every=args.frame_every,
+        push_mode=args.push,
+        kill={} if args.kill is None else {args.kill_round: args.kill},
+        on_round=on_round,
     )
     hub = result.hub
     end = result.end_time
     staleness = hub.staleness(end)
     print(render_top(hub.store, end, staleness, poll_interval=poll_interval))
-    for shard in result.shards:
-        alerts = len(shard.watch.engine.history)
-        print(f"  {shard.name}: {len(shard.fleet)} nodes, "
-              f"{shard.snapshots_sent} snapshots shipped, "
-              f"{alerts} alert(s) fired")
+    for round_index, shard_ids in sorted(result.failovers.items()):
+        print(f"  round {round_index}: failover "
+              f"{', '.join(shard_ids)} -> "
+              f"{', '.join(result.fleet.shards[s].host for s in shard_ids)}")
+    gaps = result.gap_alerts()
+    print(f"  coverage-gap alerts: {len(gaps)} "
+          f"({'FAILOVER LEFT A BLIND SPOT' if gaps else 'no blind spots'})")
+    states = result.fleet.status()
+    attesting = sum(1 for state in states.values() if state == "attesting")
+    print(f"  nodes attesting: {attesting}/{len(states)}")
 
+    final = top_frame_record(hub.store, end, staleness, poll_interval)
     if args.jsonl:
-        final = top_frame_record(hub.store, end, staleness, poll_interval)
-
         def records():
             yield {
                 "type": "run_meta",
                 "scenario": "observatory",
+                "push_mode": args.push,
                 "seed": str(args.seed),
-                "days": args.days,
-                "shards": args.shards,
-                "nodes_per_shard": args.nodes,
+                "verifiers": args.verifiers,
+                "rounds": args.rounds,
                 "poll_interval": poll_interval,
+                "agents": result.watch.monitor.gaps.agents(),
                 "end_time": end,
-                "sources": {
-                    shard.name: shard.snapshots_sent
-                    for shard in result.shards
-                },
             }
             yield from hub.store.export_records()
-            for _, captured in result.frames:
-                yield captured
+            yield from frames
             yield final
 
         lines = write_jsonl_atomic(args.jsonl, records())
         print(f"\nTSDB export written to {args.jsonl} ({lines} records)")
     if args.json_summary:
-        print(json_module.dumps(
-            top_frame_record(hub.store, end, staleness, poll_interval),
-            sort_keys=True,
-        ))
-    return 0
+        print(json_module.dumps(final, sort_keys=True))
+    return 1 if gaps else 0
 
 
 def _cmd_obs_capacity(args: argparse.Namespace) -> int:
@@ -467,8 +458,13 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
     groups = split_export(records)
     meta = (groups.get("run_meta") or [{}])[0]
     if meta:
-        print(f"run: scenario={meta.get('scenario')} seed={meta.get('seed')} "
-              f"days={meta.get('days')} agents={len(meta.get('agents', ()))}")
+        fields = [
+            f"{key}={meta[key]}" for key in ("scenario", "seed", "days")
+            if key in meta
+        ]
+        if "agents" in meta:
+            fields.append(f"agents={len(meta['agents'])}")
+        print("run: " + " ".join(fields))
     print("records: " + ", ".join(
         f"{kind}={len(items)}" for kind, items in sorted(groups.items())
     ))
@@ -948,24 +944,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     top = obs_commands.add_parser(
         "top",
-        help="federated mission control: N telemetry shards merged into "
-             "one TSDB, live fleet rollups, freshness heatmap, SLO burn",
+        help="federated mission control: a fleet sharded across N "
+             "verifiers merged into one TSDB; fleet rollups, shard "
+             "layout, freshness heatmap, SLO burn, optional failover",
     )
-    top.add_argument("--shards", type=int, default=2, help="independent registries")
-    top.add_argument("--nodes", type=int, default=2, help="nodes per shard")
-    top.add_argument("--days", type=int, default=1)
+    top.add_argument("--verifiers", type=int, default=3)
     top.add_argument(
-        "--chaos-profile", default=None,
-        help="inject a seeded fault profile into shard 0",
+        "--nodes", type=int, default=9, help="fleet size, across all verifiers"
     )
-    top.add_argument("--chaos-seed", default="chaos")
+    top.add_argument("--rounds", type=int, default=5)
+    top.add_argument(
+        "--kill", default=None, metavar="MEMBER",
+        help="mark MEMBER dead at --kill-round's boundary",
+    )
+    top.add_argument(
+        "--kill-round", type=int, default=2,
+        help="round index at which --kill takes effect",
+    )
+    top.add_argument(
+        "--push", action="store_true",
+        help="drive the rounds through the push exchange",
+    )
     top.add_argument(
         "--tick-minutes", type=float, default=30.0,
-        help="poll/scrape interval, simulated minutes",
+        help="simulated minutes between attestation rounds",
     )
     top.add_argument(
         "--frame-every", type=int, default=24,
-        help="render a dashboard frame every N scrape slices",
+        help="render a dashboard frame every N rounds",
     )
     top.add_argument(
         "--once", action="store_true",
@@ -1185,8 +1191,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     shard = commands.add_parser(
         "shard",
-        help="multi-verifier fleet: consistent-hash assignment, "
-             "federated failover demo",
+        help="multi-verifier fleet: consistent-hash assignment",
     )
     shard_commands = shard.add_subparsers(dest="shard_command", required=True)
 
@@ -1213,32 +1218,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also print the migration plan for retiring MEMBER",
     )
     shard_assign.set_defaults(func=_cmd_shard_assign)
-
-    shard_demo = shard_commands.add_parser(
-        "demo",
-        help="run a sharded fleet under the federation observatory, "
-             "optionally killing a verifier mid-run",
-    )
-    shard_demo.add_argument("--verifiers", type=int, default=3)
-    shard_demo.add_argument("--nodes", type=int, default=9)
-    shard_demo.add_argument("--rounds", type=int, default=5)
-    shard_demo.add_argument(
-        "--tick-minutes", type=float, default=30.0,
-        help="simulated minutes between attestation rounds",
-    )
-    shard_demo.add_argument(
-        "--kill", default=None, metavar="MEMBER",
-        help="mark MEMBER dead at --kill-round's boundary",
-    )
-    shard_demo.add_argument(
-        "--kill-round", type=int, default=2,
-        help="round index at which --kill takes effect",
-    )
-    shard_demo.add_argument(
-        "--push", action="store_true",
-        help="drive the rounds through the push exchange",
-    )
-    shard_demo.set_defaults(func=_cmd_shard_demo)
 
     bench = commands.add_parser(
         "bench",
@@ -1573,43 +1552,6 @@ def _cmd_shard_assign(args: argparse.Namespace) -> int:
         for move in plan.moves:
             print(f"    {move.key}: {move.source} -> {move.target}")
     return 0
-
-
-def _cmd_shard_demo(args: argparse.Namespace) -> int:
-    """A federated multi-verifier run with a forced mid-run failover."""
-    from repro.experiments.shardfleet import run_shard_fleet
-    from repro.obs.dashboard import render_top
-
-    poll_interval = args.tick_minutes * 60.0
-    kill = {}
-    if args.kill is not None:
-        kill[args.kill_round] = args.kill
-    result = run_shard_fleet(
-        seed=str(args.seed),
-        n_nodes=args.nodes,
-        n_verifiers=args.verifiers,
-        fillers=args.fillers,
-        rounds=args.rounds,
-        poll_interval=poll_interval,
-        push_mode=args.push,
-        kill=kill,
-    )
-    end = result.end_time
-    print(render_top(
-        result.hub.store, end, result.hub.staleness(end),
-        poll_interval=poll_interval,
-    ))
-    for round_index, shard_ids in sorted(result.failovers.items()):
-        print(f"  round {round_index}: failover "
-              f"{', '.join(shard_ids)} -> "
-              f"{', '.join(result.fleet.shards[s].host for s in shard_ids)}")
-    gaps = result.gap_alerts()
-    print(f"  coverage-gap alerts: {len(gaps)} "
-          f"({'FAILOVER LEFT A BLIND SPOT' if gaps else 'no blind spots'})")
-    states = result.fleet.status()
-    attesting = sum(1 for state in states.values() if state == "attesting")
-    print(f"  nodes attesting: {attesting}/{len(states)}")
-    return 1 if gaps else 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:

@@ -5,11 +5,9 @@ This scenario is the ROADMAP's sharded fleet made real: one provisioned
 the registrar's consistent-hash ring
 (:class:`~repro.keylime.sharding.ConsistentHashRing`, see
 :meth:`~repro.keylime.fleet.Fleet.shard`), driven round by round
-through the fleet's own ``poll_all``.  Unlike
-:mod:`repro.experiments.observatory` -- which simulated shards as N
-*independent* fleets -- every member here attests a key range of the
-*same* fleet, so failover and rebalancing are observable as state
-handoffs, not as disjoint worlds.
+through the fleet's own ``poll_all``.  Every member attests a key
+range of the *same* fleet, so failover and rebalancing are observable
+as state handoffs.  ``repro-cli obs top`` renders this run.
 
 Federation works the way a real per-process deployment would: after
 each round, every member serialises its slice of the process registry
@@ -184,44 +182,44 @@ def run_shard_fleet(
         seed, n_nodes, n_verifiers, fillers, push_mode,
         outages=outages, checkpoint_every=checkpoint_every,
     )
-    telemetry = obs_runtime.activate(clock=fleet.scheduler.clock)
-    # Rollups recorded during construction went to the previous bundle;
-    # refresh them into this run's registry.
-    fleet._record_rollups()
-    hub = FederationHub(poll_interval=poll_interval)
-    watch = HealthWatch(tick_interval=poll_interval)
-    watch.attach(
-        fleet.events,
-        registry=telemetry.registry,
-        tracer=telemetry.tracer,
-        poll_interval=poll_interval,
-        now=fleet.scheduler.clock.now,
-    )
-    for node in fleet.nodes:
-        watch.watch_agent(
-            node.agent.agent_id, poll_interval, now=fleet.scheduler.clock.now
+    with obs_runtime.session(clock=fleet.scheduler.clock) as telemetry:
+        # Rollups recorded during construction went to the previous bundle;
+        # refresh them into this run's registry.
+        fleet._record_rollups()
+        hub = FederationHub(poll_interval=poll_interval)
+        watch = HealthWatch(tick_interval=poll_interval)
+        watch.attach(
+            fleet.events,
+            registry=telemetry.registry,
+            tracer=telemetry.tracer,
+            poll_interval=poll_interval,
+            now=fleet.scheduler.clock.now,
         )
+        for node in fleet.nodes:
+            watch.watch_agent(
+                node.agent.agent_id, poll_interval, now=fleet.scheduler.clock.now
+            )
 
-    result = ShardFleetResult(
-        fleet=fleet, hub=hub, watch=watch,
-        rounds=rounds, poll_interval=poll_interval,
-    )
-    kill = dict(kill or {})
-    for round_index in range(rounds):
-        member = kill.get(round_index)
-        if member is not None:
-            fleet.kill(member)
-        fleet.scheduler.clock.advance_by(poll_interval)
-        now = fleet.scheduler.clock.now
-        adopted = fleet.probe()
-        if adopted:
-            result.failovers[round_index] = adopted
-        fleet.poll_all()
-        for snapshot in member_snapshots(fleet, telemetry.registry, now):
-            hub.ingest_json(snapshot_to_json(snapshot))
-        hub.evaluate(now)
-        watch.tick(now)
-        if on_round is not None:
-            on_round(round_index, result)
-    watch.finalize(fleet.scheduler.clock.now)
-    return result
+        result = ShardFleetResult(
+            fleet=fleet, hub=hub, watch=watch,
+            rounds=rounds, poll_interval=poll_interval,
+        )
+        kill = dict(kill or {})
+        for round_index in range(rounds):
+            member = kill.get(round_index)
+            if member is not None:
+                fleet.kill(member)
+            fleet.scheduler.clock.advance_by(poll_interval)
+            now = fleet.scheduler.clock.now
+            adopted = fleet.probe()
+            if adopted:
+                result.failovers[round_index] = adopted
+            fleet.poll_all()
+            for snapshot in member_snapshots(fleet, telemetry.registry, now):
+                hub.ingest_json(snapshot_to_json(snapshot))
+            hub.evaluate(now)
+            watch.tick(now)
+            if on_round is not None:
+                on_round(round_index, result)
+        watch.finalize(fleet.scheduler.clock.now)
+        return result

@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable
 
 from repro.obs.alerts import Alert
@@ -86,7 +86,6 @@ class TickRecord:
     lag_seconds: float
     utilization: float | None
     overrun: bool
-    stage_seconds: dict[str, float] = field(default_factory=dict)
 
 
 class TickBudgetAccountant:
@@ -130,7 +129,6 @@ class TickBudgetAccountant:
         self.self_wall_seconds = 0.0
         self._last_at: float | None = None
         self._delay_seen = 0.0
-        self._stage_seen: dict[str, float] = {}
 
     def configure(
         self,
@@ -170,20 +168,6 @@ class TickBudgetAccountant:
         self._delay_seen = total
         return max(0.0, delta)
 
-    def _stage_deltas(self, registry) -> dict[str, float]:
-        """Per-stage pipeline wall seconds attributed to this tick."""
-        family = registry.get("verifier_stage_wall_seconds")
-        if family is None:
-            return {}
-        deltas: dict[str, float] = {}
-        for labels, child in family.samples():
-            stage = labels.get("stage", "?")
-            delta = child.sum - self._stage_seen.get(stage, 0.0)
-            self._stage_seen[stage] = child.sum
-            if delta > 0.0:
-                deltas[stage] = delta
-        return deltas
-
     def observe_tick(
         self,
         now: float,
@@ -221,14 +205,12 @@ class TickBudgetAccountant:
         if self._last_at is not None and self.interval:
             lag = max(0.0, (now - self._last_at) - self.interval)
         self._last_at = now
-        stage_seconds = self._stage_deltas(registry)
 
         record = TickRecord(
             at=now, wall_seconds=wall, delay_seconds=delay,
             busy_seconds=busy, budget=budget, registered=registered,
             polled=polled, skipped=skipped, lag_seconds=lag,
             utilization=utilization, overrun=overrun,
-            stage_seconds=stage_seconds,
         )
         self.records.append(record)
         self.ticks += 1
@@ -330,17 +312,6 @@ class TickBudgetAccountant:
     def model(self) -> "CapacityModel | None":
         """Fit the per-node cost model from the retained ticks."""
         return fit_capacity(self.pairs())
-
-    def stage_share(self) -> dict[str, float]:
-        """Fraction of accounted stage cost per pipeline stage."""
-        totals: dict[str, float] = {}
-        for record in self.records:
-            for stage, seconds in record.stage_seconds.items():
-                totals[stage] = totals.get(stage, 0.0) + seconds
-        grand = sum(totals.values())
-        if grand <= 0:
-            return {}
-        return {stage: value / grand for stage, value in totals.items()}
 
 
 class SaturationDetector:
@@ -772,19 +743,3 @@ def saturation_summary(registry) -> list[str]:
     if saturated:
         line += "  ** SATURATED **"
     return [line]
-
-
-def tick_critical_path(span_store, name: str = "fleet.poll_batch"):
-    """Critical path of the slowest recorded batch tick, or ``None``.
-
-    Convenience glue between the accountant ("the tick is too slow")
-    and the PR-4 profiling layer ("here is where the time went"):
-    resolves the slowest ``fleet.poll_batch`` trace in *span_store* and
-    runs :func:`repro.obs.profiling.critical_path` over it.
-    """
-    from repro.obs.profiling import critical_path
-
-    slowest = span_store.slowest(1, name=name)
-    if not slowest:
-        return None
-    return critical_path(slowest[0].primary)

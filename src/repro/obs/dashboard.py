@@ -146,7 +146,7 @@ def _agent_heat(
         agent = series.label("agent")
         if agent is None:
             continue
-        # Shards reuse agent ids; keep federated rows apart by source.
+        # Name the federation source that reported the row.
         origin = series.label("source")
         if origin:
             agent = f"{origin}/{agent}"

@@ -98,9 +98,15 @@ def deactivate() -> None:
 
 @contextmanager
 def session(clock=None) -> Iterator[Telemetry]:
-    """Activate a fresh telemetry bundle for the duration of a block."""
+    """Activate a fresh telemetry bundle for the duration of a block.
+
+    On exit the bundle that was active on entry is active again, so
+    sessions nest and a run never leaks its bundle to the caller.
+    """
+    global _active
+    previous = _active
     telemetry = activate(clock=clock)
     try:
         yield telemetry
     finally:
-        deactivate()
+        _active = previous

@@ -189,7 +189,7 @@ class TestObsWatch:
 class TestObsTop:
     @pytest.fixture(scope="class")
     def top_export(self, tmp_path_factory):
-        """One federated observatory run, exported to JSONL."""
+        """One sharded run with a forced failover, exported to JSONL."""
         import contextlib
         import io
 
@@ -197,36 +197,49 @@ class TestObsTop:
         buffer = io.StringIO()
         with contextlib.redirect_stdout(buffer):
             code = main([
-                "--fillers", "5", "--seed", "cli-top",
-                "obs", "top", "--shards", "2", "--nodes", "2", "--days", "1",
+                "--fillers", "2", "--seed", "cli-top",
+                "obs", "top", "--verifiers", "3", "--nodes", "9",
+                "--rounds", "5", "--kill", "verifier-1", "--kill-round", "2",
                 "--once", "--jsonl", str(path), "--json-summary",
             ])
         return code, path, buffer.getvalue()
 
     def test_parser_accepts_top_options(self):
         args = build_parser().parse_args([
-            "obs", "top", "--shards", "3", "--days", "2", "--once",
-            "--chaos-profile", "partition", "--replay", "x.jsonl",
+            "obs", "top", "--verifiers", "4", "--nodes", "12",
+            "--rounds", "3", "--kill", "verifier-2", "--kill-round", "1",
+            "--push", "--once", "--replay", "x.jsonl",
         ])
-        assert args.shards == 3 and args.once
-        assert args.chaos_profile == "partition"
+        assert (args.verifiers, args.nodes, args.rounds) == (4, 12, 3)
+        assert (args.kill, args.kill_round) == ("verifier-2", 1)
+        assert args.push and args.once
         assert args.replay == "x.jsonl"
+
+    def test_failover_run_shows_the_adoption(self, top_export):
+        code, _, out = top_export
+        assert code == 0
+        assert "-- shards" in out
+        assert "(adopted)" in out
+        assert "round 2: failover verifier-1" in out
+        assert "coverage-gap alerts: 0 (no blind spots)" in out
+        assert "nodes attesting: 9/9" in out
 
     def test_once_renders_federated_rollups(self, top_export):
         import json
 
         code, path, out = top_export
         assert code == 0
-        assert "sources: 2 federated" in out
-        assert "shard-0" in out and "shard-1" in out
-        assert "fleet: 4 nodes" in out
+        assert "sources: 4 federated" in out
+        assert "verifier-1: 90m STALE" in out
+        assert "fleet: 9 nodes" in out
         assert "SLO burn" in out
         assert "tsdb:" in out
         assert path.exists()
         # --json-summary emits one machine-checkable final frame.
         summary = json.loads(out.strip().splitlines()[-1])
         assert summary["type"] == "top_frame"
-        assert summary["fleet_nodes"]["attesting"] == 4
+        assert summary["fleet_nodes"]["attesting"] == 9
+        assert summary["shard_failovers"] == 1
 
     def test_export_carries_the_full_tsdb(self, top_export):
         from repro.obs.exporters import load_jsonl
@@ -245,7 +258,8 @@ class TestObsTop:
         capsys.readouterr()
         assert main(["obs", "top", "--replay", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "fleet: 4 nodes" in out
+        assert "fleet: 9 nodes" in out
+        assert "(adopted)" in out
         assert "tsdb:" in out
 
     def test_report_summarises_the_tsdb(self, top_export, capsys):
@@ -253,8 +267,17 @@ class TestObsTop:
         capsys.readouterr()
         assert main(["obs", "report", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "scenario=observatory" in out
+        assert "run: scenario=observatory seed=cli-top agents=9\n" in out
         assert "tsdb:" in out and "series" in out
+
+    def test_capacity_fits_from_the_export(self, top_export, capsys):
+        _, path, _ = top_export
+        capsys.readouterr()
+        assert main([
+            "obs", "capacity", "--replay", str(path), "--interval", "0.01",
+            "--current-nodes", "2", "--growth-per-day", "0.5",
+        ]) == 0
+        assert "max sustainable nodes/verifier" in capsys.readouterr().out
 
     def test_replay_of_tsdb_free_export_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"

@@ -144,6 +144,16 @@ class TestDisabledTelemetry:
         assert obs_runtime.get().registry.families() == []
 
 
+class TestSession:
+    def test_nested_session_restores_the_outer_bundle(self):
+        before = obs_runtime.get()
+        with obs_runtime.session() as outer:
+            with obs_runtime.session() as inner:
+                assert obs_runtime.get() is inner
+            assert obs_runtime.get() is outer
+        assert obs_runtime.get() is before
+
+
 class TestCliObs:
     def test_fleet_export_files(self, tmp_path, capsys):
         prom_path = tmp_path / "metrics.prom"

@@ -1,77 +1,61 @@
-"""Federated observatory runs and the mission-control SLO panel.
+"""The federated sharded run behind ``obs top``, and its SLO burn panel.
 
 The health watch's alert/SLO/incident history is pinned separately,
-by ``tests/test_health_golden.py``.
+by ``tests/test_health_golden.py``; a dead member reading STALE on the
+hub, by ``tests/test_failover.py::TestObservatorySeesTheFailover``.
 """
 
 import pytest
 
-from repro.experiments.observatory import run_federated_observatory
+from repro.experiments.shardfleet import run_shard_fleet
 from repro.obs import runtime as obs_runtime
 from repro.obs.alerts import standard_slos
 from repro.obs.dashboard import render_top, slo_burn, top_frame_record
 from repro.obs.tsdb import TsdbStore
 
 POLL = 1800.0
+MEMBERS = ("verifier-0", "verifier-1")
 
 
 class TestFederatedObservatory:
     @pytest.fixture(scope="class")
     def result(self):
-        previous = obs_runtime.get()
-        try:
-            yield run_federated_observatory(
-                seed="test-fed", n_shards=2, nodes_per_shard=2, n_days=1,
-                n_filler_packages=8,
-            )
-        finally:
-            if previous.enabled:
-                obs_runtime.activate(previous)
-            else:
-                obs_runtime.deactivate()
-
-    def test_two_independent_telemetry_runtimes(self, result):
-        shard_a, shard_b = result.shards
-        assert shard_a.telemetry is not shard_b.telemetry
-        assert shard_a.telemetry.registry is not shard_b.telemetry.registry
-        # Both registries actually recorded their own fleet's activity.
-        for shard in result.shards:
-            family = shard.telemetry.registry.get("verifier_polls_total")
-            assert family is not None
+        return run_shard_fleet(
+            seed="test-fed", n_nodes=4, n_verifiers=2, fillers=2, rounds=4,
+            poll_interval=POLL,
+        )
 
     def test_snapshots_flow_through_the_json_wire(self, result):
-        shard_a, shard_b = result.shards
-        assert shard_a.snapshots_sent > shard_b.snapshots_sent > 0
-        assert result.hub.source("shard-0").snapshots == shard_a.snapshots_sent
-        assert result.hub.source("shard-1").snapshots == shard_b.snapshots_sent
+        # One snapshot per round from every live member and the fleet.
+        for source in ("fleet",) + MEMBERS:
+            assert result.hub.source(source).snapshots == result.rounds
 
     def test_hub_store_holds_both_sources(self, result):
+        """Unsharded families ship under ``fleet``; each member ships
+        the shard-labelled families of the shards it hosts."""
         store = result.hub.store
         end = result.end_time
-        for source in ("shard-0", "shard-1"):
-            series = store.select("verifier_polls_total", source=source)
-            assert series, f"no federated series for {source}"
-            assert any(s.instant(end) for s in series)
+        polls = store.select("verifier_polls_total", source="fleet")
+        assert polls and any(s.instant(end) for s in polls)
+        for member in MEMBERS:
+            sizes = store.select("fleet_shard_agents", source=member)
+            assert [s.instant(end) for s in sizes] == [2.0]
         # Fleet-level recording rules collapse the source label.
         assert store.instant("fleet:poll_rate", None, end) is not None
         nodes = store.select("fleet:nodes", state="attesting")
         assert nodes and nodes[0].instant(end) == 4.0
-
-    def test_staleness_reflects_staggered_cadence(self, result):
-        ages = result.hub.staleness(result.end_time)
-        assert set(ages) == {"shard-0", "shard-1"}
-        assert all(age is not None for age in ages.values())
 
     def test_dashboard_renders_rollups_from_both_registries(self, result):
         frame = render_top(
             result.hub.store, result.end_time,
             result.hub.staleness(result.end_time), poll_interval=POLL,
         )
-        assert "sources: 2 federated" in frame
-        assert "shard-0" in frame and "shard-1" in frame
+        assert "sources: 3 federated" in frame
+        assert "verifier-0: 0m" in frame and "verifier-1: 0m" in frame
         assert "fleet: 4 nodes" in frame
-        assert "shard-0/agent-node-000" in frame
-        assert "shard-1/agent-node-000" in frame
+        assert "-- shards (2), 2 live member(s)" in frame
+        assert "fleet/agent-node-000" in frame
+        assert "fleet/agent-node-003" in frame
         assert "tsdb:" in frame
 
     def test_top_frame_record_is_json_shaped(self, result):
@@ -83,12 +67,21 @@ class TestFederatedObservatory:
         )
         assert record["type"] == "top_frame"
         assert record["fleet_nodes"].get("attesting") == 4
-        assert set(record["sources"]) == {"shard-0", "shard-1"}
+        assert set(record["sources"]) == {"fleet", *MEMBERS}
+        assert set(record["shards"]) == set(MEMBERS)
         assert len(record["attestation_age_seconds"]) == 4
         json.dumps(record)  # must be serialisable as exported
 
-    def test_previous_runtime_restored(self, result):
-        assert obs_runtime.get() is not result.shards[0].telemetry
+    def test_previous_runtime_restored(self):
+        before = obs_runtime.get()
+        with obs_runtime.session() as outer:
+            result = run_shard_fleet(
+                seed="test-fed", n_nodes=2, n_verifiers=1, fillers=2,
+                rounds=1,
+            )
+            assert obs_runtime.get() is outer
+            assert result.watch.monitor.registry is not outer.registry
+        assert obs_runtime.get() is before
 
 
 class TestSloBurnPanel:
