@@ -3,8 +3,9 @@
 Not a paper artifact -- these keep an eye on the cost of the operations
 the long-run experiments execute tens of thousands of times: TPM
 quoting, quote verification, the full verifier poll, IMA measurement,
-policy evaluation, and the RSA signing and key generation beneath the
-simulated TPM.
+policy evaluation, the RSA signing and key generation beneath the
+simulated TPM, and the VFS walk over ``/usr`` that the benign workload
+runs every simulated day.
 """
 
 from __future__ import annotations
@@ -24,6 +25,14 @@ def rig():
     testbed = build_testbed(TestbedConfig(seed="micro"))
     testbed.poll()
     return testbed
+
+
+@pytest.fixture(scope="module")
+def longrun_testbed():
+    """The longrun testbed's scale: about 46,000 executables."""
+    return build_testbed(
+        TestbedConfig(seed="micro", n_filler_packages=600, mean_exec_files=77.0)
+    )
 
 
 def test_micro_pcr_extend(benchmark):
@@ -93,3 +102,9 @@ def test_micro_policy_evaluation(benchmark, rig):
     )
     verdict, failure = benchmark(lambda: policy.evaluate_entry(entry))
     assert failure is None
+
+
+def test_micro_vfs_walk(benchmark, longrun_testbed):
+    vfs = longrun_testbed.machine.vfs
+    stats = benchmark(lambda: list(vfs.walk("/usr")))
+    assert len(stats) > 40_000

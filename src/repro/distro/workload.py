@@ -339,15 +339,13 @@ class BenignWorkload:
         """Include an installed SNAP in the daily rotation."""
         self._snaps.append(snap)
 
-    def _executables(self, limit: int = 50_000) -> list[str]:
-        paths = []
-        for prefix in ("/bin", "/usr"):
-            for stat in self.machine.vfs.walk(prefix):
-                if stat.executable:
-                    paths.append(stat.path)
-                    if len(paths) >= limit:
-                        return paths
-        return paths
+    def _executables(self) -> list[str]:
+        return [
+            stat.path
+            for prefix in ("/bin", "/usr")
+            for stat in self.machine.vfs.walk(prefix)
+            if stat.executable
+        ]
 
     def run_session(self, n_execs: int = 25) -> list[ExecResult]:
         """One interactive session: execute a sample of system binaries."""

@@ -27,6 +27,7 @@ semantics).
 from __future__ import annotations
 
 import posixpath
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator
@@ -105,6 +106,9 @@ class Filesystem:
         self.fs_id = fs_id
         self.fstype = fstype
         self._entries: dict[str, Inode] = {}
+        # Sorted entry names; ``None`` once the name set changes, and
+        # rebuilt by the next entries() call.  Content writes keep it.
+        self._names: list[str] | None = []
         self._next_ino = 2  # inode 1 is the root directory, by convention
 
     def __contains__(self, relpath: str) -> bool:
@@ -114,16 +118,21 @@ class Filesystem:
         """The inode at *relpath*, or ``None``."""
         return self._entries.get(relpath)
 
+    def _set(self, relpath: str, inode: Inode) -> None:
+        if relpath not in self._entries:
+            self._names = None
+        self._entries[relpath] = inode
+
     def create(self, relpath: str, content: bytes, executable: bool) -> Inode:
         """Create a fresh inode at *relpath* (replacing any existing entry)."""
         inode = Inode(ino=self._next_ino, content=content, executable=executable)
         self._next_ino += 1
-        self._entries[relpath] = inode
+        self._set(relpath, inode)
         return inode
 
     def link(self, relpath: str, inode: Inode) -> None:
         """Add a directory entry for an existing inode (rename/hardlink)."""
-        self._entries[relpath] = inode
+        self._set(relpath, inode)
         inode.nlink += 1
 
     def unlink(self, relpath: str) -> Inode:
@@ -132,16 +141,37 @@ class Filesystem:
             inode = self._entries.pop(relpath)
         except KeyError:
             raise VfsError(f"unlink: no such file: {relpath!r} on {self.fs_id}") from None
+        self._names = None
         inode.nlink -= 1
         return inode
 
-    def entries(self) -> Iterator[tuple[str, Inode]]:
-        """All (relative path, inode) pairs, sorted for determinism."""
-        return iter(sorted(self._entries.items()))
+    def entries(self, under: str = "") -> Iterator[tuple[str, Inode]]:
+        """(relative path, inode) pairs at or below *under*, sorted by path.
+
+        *under* is a relative path matched per component: ``"usr"``
+        yields ``usr`` itself and ``usr/...``, never ``usr2``.  The
+        empty string yields every entry.  The pairs are a snapshot taken
+        when this is called, so unlinking while iterating is safe.
+        """
+        names = self._names
+        if names is None:
+            names = self._names = sorted(self._entries)
+        entries = self._entries
+        if under:
+            # Names below ``under/`` sort between it and ``under0``: "0"
+            # follows "/" in code-point order.
+            lo = bisect_left(names, under + "/")
+            hi = bisect_left(names, under + "0", lo)
+            names = ([under] if under in entries else []) + names[lo:hi]
+        # The sorted list is replaced, never mutated, so it is already a
+        # snapshot.  zip() pairs lazily: a walk leaves no per-entry
+        # tuples for the garbage collector to trace.
+        return zip(names, [entries[name] for name in names])
 
     def clear(self) -> None:
         """Drop every entry (volatile filesystems lose content on reboot)."""
         self._entries.clear()
+        self._names = []
 
 
 def _normalize(path: str) -> str:
@@ -150,6 +180,21 @@ def _normalize(path: str) -> str:
         raise VfsError(f"path must be absolute: {path!r}")
     normalized = posixpath.normpath(path)
     return normalized
+
+
+def _base(point: str) -> str:
+    """*point* with one trailing slash: what every path below it starts with."""
+    return point if point.endswith("/") else point + "/"
+
+
+def _within(path: str, top: str) -> bool:
+    """True when *path* is *top* or below it, matched per component."""
+    return path == top or path.startswith(_base(top))
+
+
+def _relative(path: str, top: str) -> str:
+    """*path* relative to *top*, for a *path* strictly below it."""
+    return path[len(_base(top)):]
 
 
 @dataclass(frozen=True)
@@ -320,25 +365,58 @@ class Vfs:
     # -- traversal ----------------------------------------------------------
 
     def walk(self, prefix: str = "/") -> Iterator[FileStat]:
-        """Every file whose absolute path starts with *prefix*.
+        """Every file at or below *prefix*.
 
         Used by the static policy builder (the paper's "bash script that
-        recursively hashes every executable under /").
+        recursively hashes every executable under /") and the benign
+        workload's daily pick of executables.  The contract:
+
+        * *prefix* is matched per path component, so ``/usr`` does not
+          match ``/usr2``.
+        * Entries come in mount-point order, then relative-path order
+          within each mount -- not absolute-path order.
+        * An entry under a longer mount (written before that mount
+          covered it) is skipped: only the file a path resolves to is
+          walked.
+        * Each mount's entries are a snapshot taken when the walk
+          reaches that mount.
+
+        Only the prefix's range is visited: mounts that cannot overlap
+        it are skipped, and each filesystem bisects its sorted names.
         """
         prefix = _normalize(prefix)
-        for mount in sorted(self._mounts, key=lambda m: m.point):
-            for rel, inode in mount.filesystem.entries():
-                if mount.point == "/":
-                    absolute = "/" + rel
-                else:
-                    absolute = mount.point + ("/" + rel if rel else "")
-                resolved_fs, _ = self.resolve(absolute)
-                if resolved_fs is not mount.filesystem:
-                    continue  # shadowed by a longer mount
-                if absolute == prefix or absolute.startswith(
-                    prefix if prefix.endswith("/") else prefix + "/"
-                ):
-                    yield self._stat(absolute, mount.filesystem, inode)
+        mounts = sorted(self._mounts, key=lambda m: m.point)
+        for mount in mounts:
+            point = mount.point
+            if _within(point, prefix):
+                under = ""
+            elif _within(prefix, point):
+                under = _relative(prefix, point)
+            else:
+                continue  # cannot overlap the prefix
+            # Longer mounts nested in this one that overlap the walked
+            # range hide this filesystem's entries at and below them.
+            nested = [
+                _relative(other.point, point)
+                for other in mounts
+                if other is not mount
+                and _within(other.point, point)
+                and (_within(other.point, prefix) or _within(prefix, other.point))
+            ]
+            hidden = set(nested)
+            hidden_below = tuple(rel + "/" for rel in nested)
+            base = _base(point)
+            filesystem = mount.filesystem
+            fs_id, fstype = filesystem.fs_id, filesystem.fstype
+            for rel, inode in filesystem.entries(under):
+                if nested and (rel in hidden or rel.startswith(hidden_below)):
+                    continue
+                # Mount points and stored names both come from normalised
+                # paths, so the joined path needs no second _normalize().
+                yield FileStat(
+                    base + rel if rel else point, fs_id, fstype, inode.ino,
+                    inode.size, inode.executable, inode.iversion,
+                )
 
     def files_under(self, prefix: str = "/") -> list[str]:
         """Sorted absolute paths under *prefix* (test helper)."""

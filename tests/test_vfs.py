@@ -175,6 +175,26 @@ class TestWalk:
         vfs.write_file("/usr2/bin/ls", b"x")
         assert vfs.files_under("/usr") == ["/usr/bin/ls"]
 
+    def test_walk_order_is_mount_point_then_relative_path(self, vfs: Vfs):
+        for path in ("/zz", "/tmp2/b", "/tmp2/a", "/proc/x", "/a"):
+            vfs.write_file(path, b"x")
+        walked = [stat.path for stat in vfs.walk("/")]
+        # "/" < "/proc" < "/tmp2": each mount's files together, which
+        # absolute-path order would interleave.
+        assert walked == ["/a", "/zz", "/proc/x", "/tmp2/a", "/tmp2/b"]
+        assert walked != sorted(walked)
+
+    def test_walk_skips_files_hidden_by_a_later_mount(self):
+        vfs = Vfs()
+        vfs.write_file("/mnt/x", b"under the mount")
+        vfs.write_file("/mnt/kept", b"under the mount")
+        vfs.mount("/mnt", FilesystemType.TMPFS)
+        vfs.write_file("/mnt/kept", b"on the mount")
+        assert [(stat.path, stat.fstype) for stat in vfs.walk("/")] == [
+            ("/mnt/kept", FilesystemType.TMPFS)
+        ]
+        assert vfs.files_under("/mnt/x") == []
+
 
 class TestStat:
     def test_stat_fields(self, vfs: Vfs):

@@ -4,9 +4,17 @@ Hypothesis drives a random sequence of filesystem operations against
 both the real VFS and a plain-dict model; any divergence in content,
 existence, or inode-identity bookkeeping fails the run.  This is the
 test that guards the inode semantics P4 rests on.
+
+It also pins ``Vfs.walk`` to :func:`reference_walk`, a plain full scan
+with one ``resolve()`` per entry: every ``FileStat`` field, in yield
+order, for prefixes that sit on mount boundaries and next to sibling
+names that sort at the edges of the bisected range.
 """
 
 from __future__ import annotations
+
+import posixpath
+from typing import Iterator
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -17,14 +25,49 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.kernelsim.vfs import FilesystemType, Vfs
+from repro.kernelsim.vfs import FileStat, FilesystemType, Vfs
 
+_SQUASHFS_POINT = "/usr/sq"
 _NAMES = st.sampled_from(
     [f"/usr/bin/f{i}" for i in range(6)]
     + [f"/tmp/f{i}" for i in range(4)]
     + [f"/shm/f{i}" for i in range(3)]
+    + [_SQUASHFS_POINT] + [f"{_SQUASHFS_POINT}/f{i}" for i in range(3)]
+    + ["/usr/bin-x/f0", "/usr0/f0"]
 )
 _CONTENT = st.binary(min_size=0, max_size=16)
+_WALK_PREFIXES = (
+    "/", "/usr", "/usr/bin", "/usr/sq", "/usr/sq/f0", "/usr0", "/tmp", "/shm",
+)
+
+
+def reference_walk(vfs: Vfs, prefix: str) -> Iterator[FileStat]:
+    """The full-scan walk: every entry of every mount, one resolve() each.
+
+    Mounts in point order; each filesystem's entries fully sorted; an
+    entry is skipped when its path resolves to another (longer) mount,
+    and kept when it equals *prefix* or lies below it.
+    """
+    prefix = posixpath.normpath(prefix)
+    below = prefix if prefix.endswith("/") else prefix + "/"
+    for point, filesystem in sorted(vfs.mounts(), key=lambda mount: mount[0]):
+        for rel, inode in sorted(filesystem._entries.items()):
+            if point == "/":
+                absolute = "/" + rel
+            else:
+                absolute = point + ("/" + rel if rel else "")
+            if vfs.resolve(absolute)[0] is not filesystem:
+                continue  # shadowed by a longer mount
+            if absolute == prefix or absolute.startswith(below):
+                yield FileStat(
+                    path=posixpath.normpath(absolute),
+                    fs_id=filesystem.fs_id,
+                    fstype=filesystem.fstype,
+                    ino=inode.ino,
+                    size=inode.size,
+                    executable=inode.executable,
+                    iversion=inode.iversion,
+                )
 
 
 class VfsModel(RuleBasedStateMachine):
@@ -36,6 +79,12 @@ class VfsModel(RuleBasedStateMachine):
         super().__init__()
         self.vfs = Vfs()
         self.vfs.mount("/shm", FilesystemType.TMPFS)
+        # Written on the root filesystem before the squashfs covers
+        # them: still stored there, but hidden from every path lookup,
+        # so no walk may yield them.  The model never sees them.
+        self.vfs.write_file(_SQUASHFS_POINT, b"hidden", executable=True)
+        self.vfs.write_file(_SQUASHFS_POINT + "/f0", b"hidden", executable=True)
+        self.vfs.mount(_SQUASHFS_POINT, FilesystemType.SQUASHFS)
         self.model: dict[str, bytes] = {}
         self.exec_bits: dict[str, bool] = {}
 
@@ -90,6 +139,11 @@ class VfsModel(RuleBasedStateMachine):
         self.vfs.chmod(path, executable)
         self.exec_bits[path] = executable
         assert self.vfs.stat(path).iversion == before.iversion
+
+    @invariant()
+    def walk_matches_reference(self) -> None:
+        for prefix in _WALK_PREFIXES:
+            assert list(self.vfs.walk(prefix)) == list(reference_walk(self.vfs, prefix)), prefix
 
     @invariant()
     def contents_match_model(self) -> None:

@@ -129,6 +129,17 @@ class TestBenignWorkload:
         poll = small_testbed.poll()
         assert poll.ok
 
+    def test_sample_population_is_every_executable(self, small_testbed):
+        """Past 50,000 executables the later paths still get sampled."""
+        workload = small_testbed.workload
+        before = workload._executables()
+        extra = [f"/usr/lib/x86_64-linux-gnu/extra/tool{i:05d}" for i in range(50_000)]
+        for path in extra:
+            small_testbed.machine.install_file(path, b"\x7fELF", executable=True)
+        candidates = workload._executables()
+        assert len(candidates) == len(before) + len(extra)
+        assert sorted(candidates) == sorted(before + extra)
+
     def test_run_session_executes_existing_binaries(self, small_testbed):
         results = small_testbed.workload.run_session(3)
         assert len(results) == 3
