@@ -49,7 +49,7 @@ def _run_rounds(fleet: Fleet, n_rounds: int) -> float:
     start = perf_counter()
     for _ in range(n_rounds):
         fleet.scheduler.clock.advance_by(ROUND_INTERVAL)
-        fleet.poll_scheduler.poll_batch()
+        fleet.poll_all()
     return perf_counter() - start
 
 

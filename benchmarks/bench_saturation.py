@@ -12,7 +12,7 @@ budget) and asserts the model's ``max_nodes(budget)`` lands within
 knee is real measured data on any hardware, not a hard-coded constant
 that only saturates one machine.
 
-**Overhead.** Tick accounting rides inside every ``poll_batch``; it
+**Overhead.** Tick accounting rides inside every shard's batch; it
 must not meaningfully tax the loop it measures.  The accountant times
 its own ``observe_tick`` bodies (``self_wall_seconds``), so the cost is
 measured directly in-loop -- same reasoning as the TSDB bench: on a
@@ -70,7 +70,7 @@ def _accounting_overhead(
     fleet, scheduler = build_probe_fleet(
         loop_size, seed=f"{seed}-overhead", n_filler_packages=20,
     )
-    accountant = fleet.poll_scheduler.accounting
+    accountant = fleet.accounting
     accountant.configure(interval=POLL_INTERVAL, budget=POLL_INTERVAL)
     fleet.poll_all()  # prime: first poll replays the whole log
     accountant.self_wall_seconds = 0.0

@@ -35,7 +35,6 @@ determinism assertions.
 from __future__ import annotations
 
 import json
-from time import perf_counter
 
 from common import bench_mode, pick
 from repro.common.events import EventLog
@@ -74,9 +73,9 @@ def _run_rounds(fleet: Fleet, n_rounds: int, warm: int = 1) -> float:
     """Slowest-shard seconds for N rounds (after *warm* untimed rounds).
 
     The shards of a tick run one after another; each tick is charged
-    its slowest shard's batch, the wall perfectly parallel members
-    would see, so the 1-verifier run and the 4-verifier run are
-    charged on the same axis.
+    its slowest shard's batch (the wall its tick accountant measured),
+    the wall perfectly parallel members would see, so the 1-verifier
+    run and the 4-verifier run are charged on the same axis.
     """
     for _ in range(warm):
         fleet.scheduler.clock.advance_by(ROUND_INTERVAL)
@@ -84,12 +83,11 @@ def _run_rounds(fleet: Fleet, n_rounds: int, warm: int = 1) -> float:
     total = 0.0
     for _ in range(n_rounds):
         fleet.scheduler.clock.advance_by(ROUND_INTERVAL)
-        slowest = 0.0
-        for shard_id in fleet.shard_ids:
-            start = perf_counter()
-            fleet.shards[shard_id].batch.poll_batch()
-            slowest = max(slowest, perf_counter() - start)
-        total += slowest
+        fleet.poll_all()
+        total += max(
+            host.accounting.records[-1].wall_seconds
+            for host in fleet.shards.values()
+        )
     return total
 
 

@@ -901,10 +901,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     watch.add_argument(
         "--push", action="store_true",
-        help="push-mode attestation: agents drive their own "
-             "negotiate/submit/verdict exchanges on their own timers and "
-             "the verifier tick only reaps expired sessions (fleet "
-             "scenario only; verdict-equivalent to pull on the same seed)",
+        help="push-mode attestation: within each fleet tick the agents "
+             "drive their own negotiate/submit/verdict exchanges, then "
+             "the verifier reaps expired sessions (fleet scenario only; "
+             "verdict-equivalent to pull on the same seed)",
     )
     watch.add_argument(
         "--chaos-profile", default=None,
@@ -1389,35 +1389,17 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_state_fleet(
-    seed: str, n_nodes: int, fillers: int, push_mode: bool
-):
-    """A deterministic fleet rig for snapshot save/load round-trips.
-
-    Provisioning is a pure function of ``(seed, n_nodes, fillers)`` and
-    there is no release stream, so ``state load`` can rebuild machines
-    bit-identical to the ones ``state save`` attested -- the snapshot
-    only needs to carry the verifier's side of the world.  It is the
-    sharding experiments' rig, :func:`repro.experiments.shardfleet
-    .build_shard_rig`.
-    """
-    from repro.experiments.shardfleet import build_shard_rig
-
-    return build_shard_rig(seed, n_nodes, fillers, push_mode)
-
-
 def _drive_state_rounds(fleet, rounds: int, interval: float) -> None:
     for _ in range(rounds):
         fleet.scheduler.clock.advance_by(interval)
-        fleet.poll_scheduler.poll_batch()
+        fleet.poll_all()
 
 
 def _cmd_state_save(args: argparse.Namespace) -> int:
+    from repro.experiments.shardfleet import build_shard_rig
     from repro.keylime.statestore import write_snapshot
 
-    fleet = _build_state_fleet(
-        str(args.seed), args.nodes, args.fillers, args.push
-    )
+    fleet = build_shard_rig(str(args.seed), args.nodes, args.fillers, args.push)
     _drive_state_rounds(fleet, args.rounds, args.interval)
     meta = {
         "rig": "state-fleet",
@@ -1468,6 +1450,7 @@ def _cmd_state_inspect(args: argparse.Namespace) -> int:
 
 def _cmd_state_load(args: argparse.Namespace) -> int:
     from repro.common.errors import IntegrityError
+    from repro.experiments.shardfleet import build_shard_rig
     from repro.keylime.statestore import read_snapshot, restore_verifier
 
     try:
@@ -1482,7 +1465,7 @@ def _cmd_state_load(args: argparse.Namespace) -> int:
               "your own rig instead", file=sys.stderr)
         return 2
 
-    fleet = _build_state_fleet(
+    fleet = build_shard_rig(
         str(meta["seed"]), int(meta["nodes"]), int(meta["fillers"]),
         bool(meta["push_mode"]),
     )
@@ -1556,14 +1539,14 @@ def _cmd_shard_assign(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.analysis.report import ReportScale, generate_report
+    from repro.obs.exporters import write_text_atomic
 
     scale = ReportScale(
         seed=str(args.seed), fillers=args.fillers, longrun_days=args.days,
     )
     text = generate_report(scale)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        write_text_atomic(args.out, text)
         print(f"report written to {args.out}")
     else:
         print(text)

@@ -137,7 +137,6 @@ def run_fleet_scenario(
     sync_hour: float = 5.0,
     p2: P2Injection | None = None,
     watch=None,
-    wire_transport: bool = True,
     chaos: ChaosInjection | None = None,
     push_mode: bool = False,
 ) -> FleetScenarioResult:
@@ -147,16 +146,13 @@ def run_fleet_scenario(
     :class:`P2Injection`); *watch* is an optional
     :class:`repro.obs.health.HealthWatch` attached to the fleet before
     the run starts, so its detectors observe the whole timeline.
-    *wire_transport* routes every verifier/agent round through the JSON
-    wire formats (traceparent propagation included); see
-    :class:`repro.keylime.fleet.Fleet`.  *chaos* installs a seeded
-    fault plan on every node's wire plus the paired retry policy and
-    quarantine budget (see :class:`ChaosInjection`); the run stays
-    deterministic per (seed, chaos) pair.  *push_mode* inverts the
-    attestation direction: agents drive their own push exchanges on
-    their own timers and the verifier's tick only reaps expired
-    sessions -- verdict-for-verdict equivalent to pull mode on the same
-    seed.
+    *chaos* installs a seeded fault plan on every node's wire plus the
+    paired retry policy and quarantine budget (see
+    :class:`ChaosInjection`); the run stays deterministic per (seed,
+    chaos) pair.  *push_mode* inverts the attestation direction: in
+    each fleet tick every agent drives its own push exchange, then the
+    verifier reaps expired sessions -- verdict-for-verdict equivalent
+    to pull mode on the same seed.
     """
     fault_plan = None
     retry_policy = None
@@ -171,9 +167,9 @@ def run_fleet_scenario(
     fleet = build_fleet(
         seed, n_nodes, fillers=n_filler_packages, mean_exec_files=6.0,
         manufacturer="Infineon", events=EventLog(),
-        kernel_version=DEFAULT_KERNEL, wire_transport=wire_transport,
-        fault_plan=fault_plan, retry_policy=retry_policy,
-        quarantine_after=quarantine_after, push_mode=push_mode,
+        kernel_version=DEFAULT_KERNEL, fault_plan=fault_plan,
+        retry_policy=retry_policy, quarantine_after=quarantine_after,
+        push_mode=push_mode,
     )
     scheduler, events = fleet.scheduler, fleet.events
     stream = release_stream(fleet, seed, ReleaseStreamConfig(

@@ -103,7 +103,7 @@ def probe_tick_cost(
         size, seed=seed, n_filler_packages=n_filler_packages,
         tick_budget=tick_budget,
     )
-    accountant = fleet.poll_scheduler.accounting
+    accountant = fleet.accounting
     accountant.configure(interval=poll_interval, budget=tick_budget)
     for _ in range(warmup_ticks):
         scheduler.clock.advance_by(poll_interval)

@@ -13,8 +13,9 @@ provides that layer on top of the single-node stack:
   every node, and status roll-ups;
 * revocation wiring: a fleet-level :class:`QuarantineListener` so a
   single compromised node is fenced without touching its siblings;
-* a :class:`VerificationScheduler` that batches the whole fleet's
-  attestation rounds into one tick and shares a single
+* one tick, :meth:`Fleet.poll_all` (scheduled by
+  :meth:`Fleet.start_polling`), that runs every shard's batch of
+  attestation rounds back-to-back and shares a single
   :class:`repro.keylime.policy.VerdictCache` across every node --
   same-distro nodes measure nearly identical files, so policy
   evaluation costs O(unique digests), not O(nodes x entries);
@@ -96,88 +97,60 @@ class FleetUpdateReport:
     rebooted_nodes: tuple[str, ...] = ()
 
 
-class VerificationScheduler:
-    """Batches many agents' attestation rounds into shared ticks.
+@dataclass
+class ShardHost:
+    """One shard: a self-contained verifier attesting a key range.
 
-    Instead of one scheduler timer per agent, the fleet registers every
-    agent here and the scheduler drives them all through the verifier's
-    staged pipeline in a single ``fleet.poll_batch`` span per tick.
-    Because the rounds run back-to-back against one verifier (and
-    therefore one shared :class:`~repro.keylime.policy.VerdictCache`),
-    the first node of a same-distro batch warms the cache and every
-    subsequent node's policy evaluation is almost entirely hits.
+    The shard is the unit of both assignment and failover.  It owns a
+    private :class:`KeylimeVerifier` (own RNG streams, own hash-chained
+    audit log, own tick accountant) so that *where it runs* is
+    irrelevant to *what it computes*: when the hosting member dies, the
+    whole shard is rebuilt on the adopter from ``checkpoint`` and its
+    nonce sequence, verdict history and audit chain continue
+    bit-identically.  ``host`` names the member currently running the
+    shard; it starts equal to ``shard_id`` and diverges on adoption.
+    ``agents`` maps agent id -> the verifier-side agent; its insertion
+    order is the batch order.
     """
 
-    def __init__(
-        self,
-        verifier: KeylimeVerifier,
-        events: EventLog | None = None,
-        tick_budget: float | None = None,
-        overrun_ticks: int = 3,
-        push_mode: bool = False,
-    ) -> None:
-        self.verifier = verifier
-        self.push_mode = push_mode
-        self._agents: list[str] = []
-        # Set-backed membership index: `register` is called once per
-        # node at provision time but also on every re-onboard, and the
-        # list scan made that O(fleet) per call.  The list still owns
-        # the batch order.
-        self._registered: set[str] = set()
-        self._stop: object | None = None
-        self._push_timers: list = []
-        # Push-cadence accounting accumulators, flushed by the reap tick.
-        self._push_wall = 0.0
-        self._push_polled = 0
-        self._push_skipped = 0
-        self.accounting = TickBudgetAccountant(
-            budget=tick_budget, overrun_ticks=overrun_ticks, events=events,
-        )
+    shard_id: str
+    host: str
+    verifier: KeylimeVerifier
+    audit: AuditLog
+    accounting: TickBudgetAccountant
+    agents: dict[str, KeylimeAgent] = field(default_factory=dict)
+    checkpoint: dict | None = None
+    adoptions: int = 0
 
-    def register(self, agent_id: str) -> None:
-        """Add an agent to the batch (order = poll order within a tick)."""
-        if agent_id not in self._registered:
-            self._registered.add(agent_id)
-            self._agents.append(agent_id)
+    def __len__(self) -> int:
+        return len(self.agents)
 
-    def unregister(self, agent_id: str) -> None:
-        """Drop an agent from the batch (a shard migrated it away).
-
-        Idempotent; the remaining batch order is preserved, so the
-        agents that did not move keep their exact poll positions -- a
-        rebalance must not perturb the survivors' round sequence.
-        """
-        if agent_id in self._registered:
-            self._registered.discard(agent_id)
-            self._agents.remove(agent_id)
-
-    @property
-    def agents(self) -> tuple[str, ...]:
-        """Registered agent ids, in batch order."""
-        return tuple(self._agents)
-
-    def poll_batch(self) -> dict[str, AttestationResult]:
+    def poll_batch(self, push: bool) -> dict[str, AttestationResult]:
         """One attestation round for every still-attesting agent.
 
-        In push mode the same agents, in the same order, drive their
-        own negotiate -> submit -> verdict exchanges instead of being
-        polled (a ``fleet.push_batch`` span), and the verifier then
-        reaps any session left to expire.  Agents whose exchange never
-        produced a result (abandoned delivery, protocol rejection) are
-        absent from the returned mapping -- the reaper accounts for
-        their silence.
+        The rounds run back-to-back in batch order in one
+        ``fleet.poll_batch`` span against one verifier (and therefore
+        one shared :class:`~repro.keylime.policy.VerdictCache`), so the
+        first node of a same-distro batch warms the cache and every
+        later node's policy evaluation is almost entirely hits.
+
+        With *push* the same agents, in the same order, drive their own
+        negotiate -> submit -> verdict exchanges instead of being polled
+        (a ``fleet.push_batch`` span), and the verifier then reaps any
+        session left to expire.  Agents whose exchange never produced a
+        result (abandoned delivery, protocol rejection) are absent from
+        the returned mapping -- the reaper accounts for their silence.
         """
         telemetry = obs.get()
-        push = self.push_mode
         run_round = self.verifier.push_round if push else self.verifier.poll
         results: dict[str, AttestationResult] = {}
         skipped = 0
         wall_start = perf_counter()
         with telemetry.tracer.span(
             "fleet.push_batch" if push else "fleet.poll_batch",
-            agents=len(self._agents),
+            agents=len(self.agents),
         ) as span:
-            for agent_id in self._agents:
+            for agent_id in self.agents:
                 # SUSPECT nodes stay in the batch (the anti-P2
                 # invariant); only FAILED/STOPPED/QUARANTINED drop out.
                 if self.verifier.state_of(agent_id) not in POLLABLE_STATES:
@@ -202,122 +175,12 @@ class VerificationScheduler:
         self.accounting.observe_tick(
             self.verifier.scheduler.clock.now,
             wall_seconds=perf_counter() - wall_start,
-            registered=len(self._agents),
+            registered=len(self.agents),
             polled=len(results),
             skipped=skipped,
             registry=telemetry.registry,
         )
         return results
-
-    def _push_agent_tick(self, agent_id: str) -> None:
-        """One agent's self-scheduled push round."""
-        if self.verifier.state_of(agent_id) not in POLLABLE_STATES:
-            self._push_skipped += 1
-            return
-        wall_start = perf_counter()
-        result = self.verifier.push_round(agent_id)
-        self._push_wall += perf_counter() - wall_start
-        if result is not None:
-            self._push_polled += 1
-
-    def _reap_tick(self) -> None:
-        """The verifier's own push-mode tick: reap expired sessions only."""
-        telemetry = obs.get()
-        wall_start = perf_counter()
-        with telemetry.tracer.span("fleet.push_reap") as span:
-            reaped = self.verifier.reap_push_sessions()
-            span.set_attribute("reaped", len(reaped))
-        self.accounting.observe_tick(
-            self.verifier.scheduler.clock.now,
-            wall_seconds=self._push_wall + (perf_counter() - wall_start),
-            registered=len(self._agents),
-            polled=self._push_polled,
-            skipped=self._push_skipped,
-            registry=telemetry.registry,
-        )
-        self._push_wall = 0.0
-        self._push_polled = 0
-        self._push_skipped = 0
-
-    def start(
-        self,
-        scheduler: Scheduler,
-        interval: float,
-        tick_budget: float | None = None,
-    ) -> None:
-        """Tick the batch every *interval* simulated seconds.
-
-        *tick_budget* is the accountant's per-tick busy budget; it
-        defaults to the interval (one tick must fit in one interval).
-
-        In push mode the cadence inverts: each agent gets its own
-        ``push:<agent>`` timer driving its exchanges (the agents own
-        their cadence), and the verifier's tick -- ``fleet-push-reap``,
-        registered after the agent timers so it runs last within a
-        coincident tick -- only reaps expired sessions and flushes the
-        interval's accounting.
-        """
-        self.stop()
-        if self.push_mode:
-            for agent_id in self._agents:
-                self._push_timers.append(
-                    scheduler.every(
-                        interval,
-                        (lambda aid=agent_id: self._push_agent_tick(aid)),
-                        label=f"push:{agent_id}",
-                    )
-                )
-            self._stop = scheduler.every(
-                interval, self._reap_tick, label="fleet-push-reap"
-            )
-        else:
-            self._stop = scheduler.every(
-                interval, self.poll_batch, label="fleet-poll-batch"
-            )
-        self.accounting.configure(
-            interval=getattr(self._stop, "interval", interval),
-            budget=tick_budget,
-            timer=getattr(self._stop, "label", "fleet-poll-batch"),
-        )
-
-    def stop(self) -> None:
-        """Cancel the periodic batch tick(s).  Idempotent."""
-        stop = self._stop
-        if callable(stop):
-            self._stop = None
-            stop()
-        timers, self._push_timers = self._push_timers, []
-        for cancel in timers:
-            if callable(cancel):
-                cancel()
-
-
-@dataclass
-class ShardHost:
-    """One shard: a self-contained verifier attesting a key range.
-
-    The shard is the unit of both assignment and failover.  It owns a
-    private :class:`KeylimeVerifier` (own RNG streams, own hash-chained
-    audit log, own batch scheduler) so that *where it runs* is
-    irrelevant to *what it computes*: when the hosting member dies, the
-    whole shard is rebuilt on the adopter from ``checkpoint`` and its
-    nonce sequence, verdict history and audit chain continue
-    bit-identically.  ``host`` names the member currently running the
-    shard; it starts equal to ``shard_id`` and diverges on adoption.
-    ``agents`` maps agent id -> the verifier-side agent, in batch order.
-    """
-
-    shard_id: str
-    host: str
-    verifier: KeylimeVerifier
-    batch: VerificationScheduler
-    audit: AuditLog
-    agents: dict[str, KeylimeAgent] = field(default_factory=dict)
-    checkpoint: dict | None = None
-    adoptions: int = 0
-
-    def __len__(self) -> int:
-        return len(self.agents)
 
 
 def _settings_of(verifier: KeylimeVerifier) -> dict:
@@ -326,7 +189,6 @@ def _settings_of(verifier: KeylimeVerifier) -> dict:
         "continue_on_failure": verifier.continue_on_failure,
         "retry_policy": verifier.retry_policy,
         "quarantine_after": verifier.quarantine_after,
-        "push_session_ttl": verifier.push_session_ttl,
     }
 
 
@@ -335,15 +197,18 @@ class Fleet:
 
     The fleet attests through ``shards``: one :class:`ShardHost` per
     verifier member.  It starts with the single member ``verifier-0``
-    (reachable as :attr:`verifier`, :attr:`poll_scheduler` and
+    (reachable as :attr:`verifier`, :attr:`accounting` and
     :attr:`audit`); :meth:`shard` splits it, before the first round,
     across N members of a seeded
     :class:`~repro.keylime.sharding.ConsistentHashRing` attached to the
-    registrar.  Every member runs a :class:`VerificationScheduler` over
-    its key range against a private :class:`KeylimeVerifier`, while the
+    registrar.  Every member batches its key range against a private
+    :class:`KeylimeVerifier`, while the
     :class:`~repro.keylime.policy.VerdictCache` stays the fleet's single
     instance: identical files evaluated on any shard answer all of them,
     so a migrated agent never cold-starts policy evaluation.
+
+    :meth:`poll_all` is the fleet's one tick (probe, every shard's
+    batch, checkpoint, roll-ups); :meth:`start_polling` schedules it.
 
     Two kinds of membership change apply to a sharded fleet:
 
@@ -378,24 +243,20 @@ class Fleet:
         events: EventLog | None = None,
         kernel_version: str = DEFAULT_KERNEL,
         continue_on_failure: bool = False,
-        wire_transport: bool = True,
         fault_plan: FaultPlan | None = None,
         retry_policy: RetryPolicy | None = None,
         quarantine_after: int = 3,
         tick_budget: float | None = None,
         push_mode: bool = False,
-        push_session_ttl: float | None = None,
     ) -> None:
         """Provision, register and onboard *size* identical nodes.
 
-        With ``wire_transport`` (the default) the verifier talks to each
-        agent through a :class:`repro.keylime.transport
-        .JsonTransportAgent` proxy: every challenge and every piece of
-        evidence crosses the JSON wire formats, traceparent propagation
-        included, exactly as it would between separate processes.  The
-        round-trip is lossless, so verdicts and RNG draws are unchanged;
-        set it ``False`` to shave the serialisation cost in
-        pure-throughput experiments.
+        The verifier talks to each agent through a
+        :class:`repro.keylime.transport.JsonTransportAgent` proxy: every
+        challenge and every piece of evidence crosses the JSON wire
+        formats, traceparent propagation included, exactly as it would
+        between separate processes.  The round-trip is lossless, so
+        verdicts and RNG draws are unchanged.
 
         A *fault_plan* (:mod:`repro.keylime.faults`) interposes on both
         wire legs of every node; pair it with a *retry_policy* so
@@ -404,19 +265,18 @@ class Fleet:
         matching fault specs is bit-identical to no plan at all.
         ``quarantine_after`` is the verifier's suspect-window budget.
 
-        ``tick_budget`` seeds the batch scheduler's
+        ``tick_budget`` seeds every shard's
         :class:`repro.obs.capacity.TickBudgetAccountant`: the busy
         seconds one batch tick may spend before it counts as an
         overrun.  Left ``None`` it defaults to the polling interval
         when :meth:`start_polling` runs.
 
-        With ``push_mode`` the attestation direction inverts: each
-        node's agent drives its own negotiate -> submit -> verdict
-        exchange on its own timer, and the verifier's tick only reaps
+        With ``push_mode`` the attestation direction inverts: within
+        each tick every node's agent drives its own negotiate -> submit
+        -> verdict exchange, in batch order, and the verifier then reaps
         expired push sessions.  The wire/fault proxies, retry policy,
         verdict cache and degraded-state machinery are all shared with
-        pull mode.  ``push_session_ttl`` overrides the verifier's
-        session freshness window.
+        pull mode.
         """
         if size < 1:
             raise ValueError("fleet needs at least one node")
@@ -448,18 +308,15 @@ class Fleet:
         self.checkpoint_every = 0
         self._shard_rng: SeededRng | None = None
         self._round = 0
-        self._stop_heartbeat = None
+        self.tick_budget = tick_budget
+        self._poll_timer = None
 
         settings = {
             "continue_on_failure": continue_on_failure,
             "retry_policy": retry_policy,
             "quarantine_after": quarantine_after,
         }
-        if push_session_ttl is not None:
-            settings["push_session_ttl"] = push_session_ttl
-        sole = self._new_host(
-            SOLE_MEMBER, rng.fork("verifier"), settings, tick_budget=tick_budget,
-        )
+        sole = self._new_host(SOLE_MEMBER, rng.fork("verifier"), settings)
         self.members: dict[str, bool] = {SOLE_MEMBER: True}
         self.shards: dict[str, ShardHost] = {SOLE_MEMBER: sole}
 
@@ -478,10 +335,8 @@ class Fleet:
             self.registrar.register(agent)
             if fault_plan is not None:
                 verifier_side = fault_plan.wrap(agent)
-            elif wire_transport:
-                verifier_side = JsonTransportAgent(agent)
             else:
-                verifier_side = agent
+                verifier_side = JsonTransportAgent(agent)
             self._enroll(sole, verifier_side, policy)
             self.nodes.append(FleetNode(name=name, machine=machine, apt=apt, agent=agent))
 
@@ -497,32 +352,24 @@ class Fleet:
 
     # -- construction helpers ----------------------------------------------
 
-    def _new_host(
-        self,
-        shard_id: str,
-        rng: SeededRng,
-        settings: dict,
-        tick_budget: float | None = None,
-    ) -> ShardHost:
+    def _new_host(self, shard_id: str, rng: SeededRng, settings: dict) -> ShardHost:
         audit = AuditLog()
         verifier = KeylimeVerifier(
             self.registrar, self.scheduler, rng, events=self.events,
             notifier=self.notifier, audit=audit,
             verdict_cache=self.verdict_cache, **settings,
         )
-        batch = VerificationScheduler(
-            verifier, events=self.events, tick_budget=tick_budget,
-            push_mode=self.push_mode,
-        )
+        accounting = TickBudgetAccountant(budget=self.tick_budget, events=self.events)
+        if self._poll_timer is not None:
+            accounting.configure(interval=self._poll_timer.interval)
         return ShardHost(
             shard_id=shard_id, host=shard_id, verifier=verifier,
-            batch=batch, audit=audit,
+            audit=audit, accounting=accounting,
         )
 
     @staticmethod
     def _enroll(host: ShardHost, agent, policy, measured_boot=None) -> None:
         host.verifier.add_agent(agent, policy, measured_boot=measured_boot)
-        host.batch.register(agent.agent_id)
         host.agents[agent.agent_id] = agent
 
     # -- introspection -----------------------------------------------------
@@ -541,9 +388,9 @@ class Fleet:
         return self._sole_host().verifier
 
     @property
-    def poll_scheduler(self) -> VerificationScheduler:
-        """The one verifier's batch scheduler (unsharded fleets only)."""
-        return self._sole_host().batch
+    def accounting(self) -> TickBudgetAccountant:
+        """The one verifier's tick accountant (unsharded fleets only)."""
+        return self._sole_host().accounting
 
     @property
     def audit(self) -> AuditLog:
@@ -625,16 +472,20 @@ class Fleet:
         self.probe()
         results: dict[str, AttestationResult] = {}
         for shard_id in self.shard_ids:
-            results.update(self.shards[shard_id].batch.poll_batch())
+            results.update(self.shards[shard_id].poll_batch(self.push_mode))
         self._round += 1
         if self.checkpoint_every and self._round % self.checkpoint_every == 0:
             self.checkpoint()
-        self._record_rollups()
+        by_state = self._record_rollups()
         self.events.emit(
             self.scheduler.clock.now, "keylime.fleet", "fleet.polled",
             polled=len(results),
             ok=sum(1 for result in results.values() if result.ok),
             healthy=self.healthy_count(),
+            attesting=by_state.get(AgentState.ATTESTING.value, 0),
+            failed=by_state.get(AgentState.FAILED.value, 0),
+            suspect=by_state.get(AgentState.SUSPECT.value, 0),
+            quarantined=by_state.get(AgentState.QUARANTINED.value, 0),
         )
         return results
 
@@ -676,42 +527,29 @@ class Fleet:
         ).set(len(self.quarantine.quarantined))
         return by_state
 
-    def start_polling(
-        self, interval: float, tick_budget: float | None = None
-    ) -> None:
-        """Continuous attestation for the whole (unsharded) fleet.
+    def start_polling(self, interval: float) -> None:
+        """Continuous attestation: :meth:`poll_all` every *interval*.
 
-        One batch tick polls every attesting node back-to-back (sharing
-        the verdict cache within the tick), instead of N independent
-        per-agent timers.  A fleet heartbeat on the same cadence keeps
-        the state roll-up (events + gauges) current.  *tick_budget*
-        overrides the saturation accountant's per-tick busy budget
-        (defaults to the interval).
+        One ``fleet-poll-batch`` timer ticks the whole fleet, sharded or
+        not, instead of N independent per-agent timers: each tick probes
+        the members, runs every shard's batch back-to-back against the
+        shared verdict cache, checkpoints a sharded fleet and refreshes
+        the state roll-up (gauges and the ``fleet.polled`` event).  Each
+        shard's tick accountant takes *interval* as its cadence and, for
+        a fleet built without a ``tick_budget``, as its budget.
         """
-        self.poll_scheduler.start(self.scheduler, interval, tick_budget=tick_budget)
-        self._stop_heartbeat = self.scheduler.every(
-            interval, self._heartbeat, label="fleet-heartbeat"
+        self.stop_polling()
+        self._poll_timer = self.scheduler.every(
+            interval, self.poll_all, label="fleet-poll-batch"
         )
+        for host in self.shards.values():
+            host.accounting.configure(interval=interval)
 
     def stop_polling(self) -> None:
-        """Cancel the fleet's batch polling and heartbeat.  Idempotent."""
-        self.poll_scheduler.stop()
-        stop = self._stop_heartbeat
-        if callable(stop):
-            self._stop_heartbeat = None
-            stop()
-
-    def _heartbeat(self) -> None:
-        """Roll up fleet state into one event and the state gauges."""
-        by_state = self._record_rollups()
-        self.events.emit(
-            self.scheduler.clock.now, "keylime.fleet", "fleet.heartbeat",
-            healthy=self.healthy_count(),
-            attesting=by_state.get(AgentState.ATTESTING.value, 0),
-            failed=by_state.get(AgentState.FAILED.value, 0),
-            suspect=by_state.get(AgentState.SUSPECT.value, 0),
-            quarantined=by_state.get(AgentState.QUARANTINED.value, 0),
-        )
+        """Cancel the fleet's polling timer.  Idempotent."""
+        timer, self._poll_timer = self._poll_timer, None
+        if timer is not None:
+            timer.stop()
 
     def watch_health(self, watch, poll_interval: float) -> None:
         """Attach a :class:`repro.obs.health.HealthWatch` to this fleet.
@@ -839,7 +677,7 @@ class Fleet:
         if n_verifiers < 1:
             raise ValueError("verifier fleet needs at least one member")
         sole = self._sole_host()
-        if self._round or self._stop_heartbeat is not None or any(
+        if self._round or self._poll_timer is not None or any(
             sole.verifier.results_of(agent_id) for agent_id in sole.agents
         ):
             raise StateError("a fleet must be sharded before its first round")
@@ -1030,7 +868,6 @@ class Fleet:
         target = self.shards[target_id]
         slot = source.verifier._slots[agent_id]
         record = export_agent_state(source.verifier, agent_id)
-        source.batch.unregister(agent_id)
         source.verifier.remove_agent(agent_id)
         del source.agents[agent_id]
         self._enroll(target, slot.agent, slot.policy, slot.measured_boot)

@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from typing import Any
 
+from repro.common.atomicfile import write_atomic
 from repro.common.errors import IntegrityError, StateError
 from repro.common.hexutil import sha256_hex
 from repro.keylime.pipeline import (
@@ -254,9 +254,9 @@ def write_snapshot(
 ) -> dict[str, Any]:
     """Snapshot *verifier* to *path* atomically; returns the header.
 
-    The temporary file lives in the destination directory so the final
-    ``os.replace`` is a same-filesystem rename: a crash at any point
-    leaves either the old snapshot or the new one, never a hybrid.
+    The write goes through :func:`repro.common.atomicfile.write_atomic`:
+    a crash at any point leaves either the old snapshot or the new one,
+    never a hybrid.
     """
     body = snapshot_verifier(verifier, meta=meta)
     body_bytes = json.dumps(body, sort_keys=True).encode("utf-8")
@@ -268,25 +268,11 @@ def write_snapshot(
         "created_at": body["created_at"],
         "agents": len(body["agents"]),
     }
-    path = os.fspath(path)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, temp_path = tempfile.mkstemp(
-        prefix=".snapshot-", suffix=".tmp", dir=directory
+    header_line = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
+    write_atomic(
+        path, lambda handle: handle.writelines((header_line, body_bytes)),
+        binary=True,
     )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-            handle.write(b"\n")
-            handle.write(body_bytes)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp_path, path)
-    except BaseException:
-        try:
-            os.unlink(temp_path)
-        except OSError:
-            pass
-        raise
     return header
 
 

@@ -701,6 +701,7 @@ class PushAgentClient:
         the mirror image of pull mode's challenge propagation.
         """
         telemetry = obs.get()
+        bytes_before = self.bytes_transferred
         with telemetry.tracer.span(
             "agent.push_round", agent=self.agent_id
         ) as span:
@@ -759,7 +760,9 @@ class PushAgentClient:
             "Bytes crossing the serialised agent/verifier channel",
             labelnames=("direction",),
         )
-        bytes_total.labels(direction="push").inc(self.bytes_transferred)
+        bytes_total.labels(direction="push").inc(
+            self.bytes_transferred - bytes_before
+        )
         return verdict
 
 

@@ -8,8 +8,8 @@ freshness guarantees quietly start slipping fleet-wide -- the most
 important verifier failure mode that is *not* an integrity failure.
 This module makes that headroom a first-class measured quantity:
 
-* :class:`TickBudgetAccountant` -- per-tick cost accounting for the
-  fleet's batch scheduler.  Each ``poll_batch`` tick reports its wall
+* :class:`TickBudgetAccountant` -- per-tick cost accounting for one
+  shard of the fleet.  Each ``poll_batch`` tick reports its wall
   cost; the accountant folds in the chaos layer's injected wire delays
   (simulated seconds -- the rounds of a batch run back-to-back, so
   injected latency serialises), compares busy time against the
@@ -131,10 +131,7 @@ class TickBudgetAccountant:
         self._delay_seen = 0.0
 
     def configure(
-        self,
-        interval: float | None = None,
-        budget: float | None = None,
-        timer: str | None = None,
+        self, interval: float | None = None, budget: float | None = None
     ) -> None:
         """Bind the accountant to a timer's cadence.
 
@@ -150,8 +147,6 @@ class TickBudgetAccountant:
             self.budget = budget
         elif self.budget is None and self.interval is not None:
             self.budget = self.interval
-        if timer is not None:
-            self.timer = timer
 
     @property
     def saturated(self) -> bool:

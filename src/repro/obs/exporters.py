@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import tempfile
 from typing import Any, Iterable
 
+from repro.common.atomicfile import write_atomic
 from repro.obs.metrics import (
     CounterChild,
     GaugeChild,
@@ -232,7 +231,8 @@ def _event_record(record) -> dict[str, Any]:
     }
 
 
-def _audit_export_record(record) -> dict[str, Any]:
+def audit_record(record) -> dict[str, Any]:
+    """The JSONL dict for one audit record (the ``type: audit`` shape)."""
     return {
         "type": "audit",
         "index": record.index,
@@ -271,7 +271,7 @@ def jsonl_records(
             yield _event_record(record)
     if audit is not None:
         for record in audit.records():
-            yield _audit_export_record(record)
+            yield audit_record(record)
     for record in extra_records or ():
         yield record
 
@@ -306,28 +306,6 @@ def jsonl_dump(
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _atomic_writer(path: str, write) -> None:
-    """Run *write(handle)* against a same-directory temp file, then
-    fsync + rename over *path* -- the shared atomicity core."""
-    directory = os.path.dirname(os.path.abspath(path))
-    handle = tempfile.NamedTemporaryFile(
-        "w", encoding="utf-8", dir=directory,
-        prefix=os.path.basename(path) + ".", suffix=".tmp", delete=False,
-    )
-    try:
-        with handle:
-            write(handle)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(handle.name, path)
-    except BaseException:
-        try:
-            os.unlink(handle.name)
-        except OSError:
-            pass
-        raise
-
-
 def write_text_atomic(path: str, text: str) -> None:
     """Write *text* to *path* via a same-directory temp file + rename.
 
@@ -335,7 +313,7 @@ def write_text_atomic(path: str, text: str) -> None:
     replace is atomic, so readers see either the old content or the
     complete new one.
     """
-    _atomic_writer(path, lambda handle: handle.write(text))
+    write_atomic(path, lambda handle: handle.write(text))
 
 
 def write_jsonl_atomic(path: str, records: Iterable[dict[str, Any]]) -> int:
@@ -355,7 +333,7 @@ def write_jsonl_atomic(path: str, records: Iterable[dict[str, Any]]) -> int:
             handle.write("\n")
             written += 1
 
-    _atomic_writer(path, _write)
+    write_atomic(path, _write)
     return written
 
 

@@ -31,8 +31,9 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.common.events import EventLog
+from repro.obs.exporters import audit_record
 from repro.obs.profiling import critical_path, self_wall
-from repro.obs.tracestore import build_spans
+from repro.obs.tracestore import build_spans, span_record
 
 #: Cap on records per section of one report, so a month-long window
 #: cannot produce a megabyte of timeline.
@@ -183,34 +184,6 @@ class IncidentReport:
         return "\n".join(lines)
 
 
-def _span_to_dict(span) -> dict[str, Any]:
-    return {
-        "type": "span",
-        "name": span.name,
-        "trace_id": span.trace_id,
-        "span_id": span.span_id,
-        "parent_id": span.parent_id,
-        "sim_start": span.sim_start,
-        "sim_end": span.sim_end,
-        "wall_ms": span.wall_duration * 1000.0,
-        "status": span.status,
-        "attributes": span.attributes,
-    }
-
-
-def _audit_to_dict(record) -> dict[str, Any]:
-    return {
-        "type": "audit",
-        "index": record.index,
-        "time": record.time,
-        "agent": record.agent_id,
-        "ok": record.ok,
-        "detail": record.detail,
-        "previous_hash": record.previous_hash,
-        "record_hash": record.record_hash,
-    }
-
-
 class IncidentCorrelator:
     """Builds :class:`IncidentReport` objects from a run's sources.
 
@@ -240,11 +213,11 @@ class IncidentCorrelator:
         self, t0: float, t1: float, agent: str | None
     ) -> list[dict[str, Any]]:
         if self.tracer is not None:
-            roots = [_span_to_dict(span) for span in self.tracer.roots]
+            roots = [span_record(span) for span in self.tracer.roots]
             children: dict[int, list[dict[str, Any]]] = {}
             for root in self.tracer.roots:
                 children[root.trace_id] = [
-                    _span_to_dict(span) for span in root.walk()
+                    span_record(span) for span in root.walk()
                 ][1:]
         else:
             raw = self._raw_spans or []
@@ -272,7 +245,7 @@ class IncidentCorrelator:
         self, t0: float, t1: float, agent: str | None
     ) -> tuple[list[dict[str, Any]], dict[str, Any]]:
         if self.audit is not None:
-            all_records = [_audit_to_dict(record) for record in self.audit.records()]
+            all_records = [audit_record(record) for record in self.audit.records()]
             head = self.audit.head_hash
             try:
                 self.audit.verify_chain()

@@ -426,7 +426,7 @@ class TestChaosDelaySaturation:
 
     def test_every_tick_overran(self, run):
         fleet, _, _ = run
-        acct = fleet.poll_scheduler.accounting
+        acct = fleet.accounting
         assert acct.ticks > 0
         assert acct.overruns == acct.ticks
         assert all(record.overrun for record in acct.records)
@@ -445,7 +445,7 @@ class TestChaosDelaySaturation:
         # fires exactly at the third tick, once for the whole run.
         assert [record.time for record in fired] == [3 * POLL]
         assert fired[0].details["timer"] == "fleet-poll-batch"
-        assert fleet.poll_scheduler.accounting.saturated
+        assert fleet.accounting.saturated
 
     def test_health_alert_and_incident(self, run):
         _, watch, _ = run
@@ -476,5 +476,5 @@ class TestChaosDelaySaturation:
         registry = watch.monitor.registry
         assert registry.get("fleet_saturated").value == 1.0
         ticks = registry.get("fleet_ticks_total").value
-        assert ticks == fleet.poll_scheduler.accounting.ticks
+        assert ticks == fleet.accounting.ticks
         assert registry.get("fleet_tick_utilization").value > 1.0

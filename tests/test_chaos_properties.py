@@ -177,9 +177,9 @@ def _fleet_tick_coverage(result):
     """Invariant 3 over a full fleet run: join ticks against events."""
     events = list(result.fleet.events)
     tick_times = sorted(
-        {event.time for event in events if event.kind == "fleet.heartbeat"}
+        {event.time for event in events if event.kind == "fleet.polled"}
     )
-    assert tick_times, "fleet run recorded no heartbeat ticks"
+    assert tick_times, "fleet run recorded no fleet ticks"
     per_node_attested = {}
     per_node_explained = {}
     for event in events:

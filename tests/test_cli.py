@@ -88,6 +88,25 @@ class TestReport:
         assert "Headline verdicts" in text
         assert "basic attacks detected: **8/8**" in text
 
+    def test_failed_report_write_keeps_the_previous_file(
+        self, tmp_path, monkeypatch
+    ):
+        """A write that fails part-way (here: text the encoder rejects
+        after a valid prefix) leaves the old report byte-identical and
+        no temp file behind."""
+        import repro.analysis.report as report_module
+
+        out = tmp_path / "report.md"
+        out.write_bytes(b"# previous report\n")
+        monkeypatch.setattr(
+            report_module, "generate_report",
+            lambda scale: "# new report\n" * 1000 + "\ud800",
+        )
+        with pytest.raises(UnicodeEncodeError):
+            main(["report", "--out", str(out)])
+        assert out.read_bytes() == b"# previous report\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["report.md"]
+
 
 class TestPolicyFileCommands:
     @pytest.fixture()

@@ -19,8 +19,9 @@ import sys
 
 import pytest
 
-from repro.cli import _build_state_fleet, _drive_state_rounds
+from repro.cli import _drive_state_rounds
 from repro.common.errors import IntegrityError
+from repro.experiments.shardfleet import build_shard_rig
 from repro.keylime.statestore import restore_from_file, write_snapshot
 from repro.obs.health import HealthWatch
 
@@ -39,7 +40,7 @@ SEED = "crash-resume"
 def baseline(tmp_path_factory):
     """One uninterrupted run, snapshotted at every round boundary."""
     directory = tmp_path_factory.mktemp("snapshots")
-    fleet = _build_state_fleet(SEED, N_NODES, FILLERS, push_mode=True)
+    fleet = build_shard_rig(SEED, N_NODES, FILLERS, push_mode=True)
     snapshots = {}
     for boundary in range(1, N_ROUNDS):
         _drive_state_rounds(fleet, 1, INTERVAL)
@@ -53,7 +54,7 @@ def _resume(
     snapshot_path, rounds_remaining, push_mode=True, watch=None,
     n_nodes=N_NODES,
 ):
-    fleet = _build_state_fleet(SEED, n_nodes, FILLERS, push_mode=push_mode)
+    fleet = build_shard_rig(SEED, n_nodes, FILLERS, push_mode=push_mode)
     events_before = len(fleet.events)
     restore_from_file(fleet.verifier, snapshot_path)
     # A restore is bookkeeping, not attestation: it emits no events and
@@ -68,7 +69,7 @@ def _resume(
         fleet.watch_health(watch, INTERVAL)
     for _ in range(rounds_remaining):
         fleet.scheduler.clock.advance_by(INTERVAL)
-        fleet.poll_scheduler.poll_batch()
+        fleet.poll_all()
         if watch is not None:
             watch.tick(fleet.scheduler.clock.now)
     if watch is not None:
@@ -113,7 +114,7 @@ class TestEveryRoundBoundary:
         mutated = bytearray(raw)
         mutated[len(raw) // 2] ^= 0xFF
         corrupt.write_bytes(bytes(mutated))
-        fleet = _build_state_fleet(SEED, N_NODES, FILLERS, push_mode=True)
+        fleet = build_shard_rig(SEED, N_NODES, FILLERS, push_mode=True)
         with pytest.raises(IntegrityError):
             restore_from_file(fleet.verifier, corrupt)
         # The rejected restore left the fresh verifier untouched.
@@ -123,13 +124,13 @@ class TestEveryRoundBoundary:
     def test_pull_mode_resumes_identically_too(self, tmp_path):
         """The state store is mode-blind: a pull fleet killed at round 2
         resumes bit-identical as well."""
-        uninterrupted = _build_state_fleet(
+        uninterrupted = build_shard_rig(
             SEED, 3, FILLERS, push_mode=False
         )
         _drive_state_rounds(uninterrupted, N_ROUNDS, INTERVAL)
         expected = _fingerprint(uninterrupted)
 
-        crashed = _build_state_fleet(SEED, 3, FILLERS, push_mode=False)
+        crashed = build_shard_rig(SEED, 3, FILLERS, push_mode=False)
         _drive_state_rounds(crashed, 2, INTERVAL)
         snapshot = tmp_path / "pull.snap"
         write_snapshot(snapshot, crashed.verifier)

@@ -186,9 +186,7 @@ class TestSharedVerdictCache:
 
     def test_batch_scheduler_registers_every_agent(self, world):
         fleet, _, _ = world
-        assert set(fleet.poll_scheduler.agents) == {
-            node.agent.agent_id for node in fleet.nodes
-        }
+        assert list(fleet.shards["verifier-0"].agents) == fleet.agent_ids
 
     def test_stop_polling_idempotent(self, world):
         fleet, _, scheduler = world
@@ -212,20 +210,21 @@ class TestSharedVerdictCache:
         victim.machine.install_file("/usr/bin/implant", b"x", executable=True)
         victim.machine.exec_file("/usr/bin/implant")
         fleet.poll_all()
-        results = fleet.poll_scheduler.poll_batch()
+        results = fleet.poll_all()
         assert victim.agent.agent_id not in results  # FAILED: not re-polled
         assert len(results) == len(fleet) - 1
 
     def test_register_deduplicates_and_keeps_batch_order(self, world):
         fleet, _, _ = world
-        batch = fleet.poll_scheduler
-        before = batch.agents
-        # Re-onboarding an existing agent must not duplicate its slot.
-        batch.register(before[0])
-        batch.register(before[-1])
-        assert batch.agents == before
-        batch.register("agent-late-joiner")
-        assert batch.agents == before + ("agent-late-joiner",)
+        host = fleet.shards["verifier-0"]
+        before = list(host.agents)
+        # Re-onboarding an existing agent must not duplicate its slot
+        # or move it within the batch.
+        for agent_id in (before[0], before[-1]):
+            Fleet._enroll(host, host.agents[agent_id], fleet.policy)
+        assert list(host.agents) == before
+        # One tick polls every agent exactly once, in batch order.
+        assert list(fleet.poll_all()) == before
 
     def test_skipped_nodes_are_accounted(self, world):
         from repro.obs import runtime as obs_runtime
@@ -238,7 +237,7 @@ class TestSharedVerdictCache:
         previous = obs_runtime.get()
         telemetry = obs_runtime.activate(clock=None)
         try:
-            fleet.poll_scheduler.poll_batch()
+            fleet.poll_all()
             span = telemetry.tracer.last_trace()
             assert span.name == "fleet.poll_batch"
             assert span.attributes["skipped"] == 1
@@ -249,7 +248,7 @@ class TestSharedVerdictCache:
                 obs_runtime.activate(previous)
             else:
                 obs_runtime.deactivate()
-        record = fleet.poll_scheduler.accounting.records[-1]
+        record = fleet.accounting.records[-1]
         assert record.skipped == 1
         assert record.registered == len(fleet)
         assert record.polled == len(fleet) - 1

@@ -38,12 +38,12 @@ class TestFleetScenario:
                 result.ok for result in verifier.results_of(node.agent.agent_id)
             )
 
-    def test_heartbeat_events_emitted(self, plain_run):
-        beats = plain_run.fleet.events.by_kind("fleet.heartbeat")
-        assert beats
-        assert beats[-1].details["healthy"] == 2
-        assert beats[-1].details["attesting"] == 2
-        assert beats[-1].details["failed"] == 0
+    def test_polled_events_carry_state_counts(self, plain_run):
+        ticks = plain_run.fleet.events.by_kind("fleet.polled")
+        assert ticks
+        assert ticks[-1].details["healthy"] == 2
+        assert ticks[-1].details["attesting"] == 2
+        assert ticks[-1].details["failed"] == 0
 
 
 class TestP2Injection:

@@ -10,6 +10,9 @@ unsharded fleet attaches no ring and takes no checkpoint.
 
 from __future__ import annotations
 
+import os
+import sys
+
 import pytest
 
 from repro.common.errors import StateError
@@ -17,6 +20,13 @@ from repro.common.rng import SeededRng
 from repro.experiments.shardfleet import build_shard_fleet, build_shard_rig
 from repro.keylime import fleet as fleet_module
 from repro.obs import runtime as obs_runtime
+
+sys.path.insert(0, os.path.dirname(__file__))
+
+from resume_helpers import (  # noqa: E402
+    assert_fingerprints_equal,
+    vfleet_fingerprint,
+)
 
 INTERVAL = 1800.0
 
@@ -69,16 +79,56 @@ def test_unsharded_fleet_attaches_no_ring_and_takes_no_checkpoint():
 
 def test_sharded_fleet_has_no_single_verifier():
     fleet, _ = build_shard_fleet("no-sole", 4, 2)
-    for accessor in ("verifier", "poll_scheduler", "audit"):
+    for accessor in ("verifier", "accounting", "audit"):
         with pytest.raises(StateError):
             getattr(fleet, accessor)
-    with pytest.raises(StateError):
-        fleet.start_polling(INTERVAL)
     # Per-agent access still answers for every node.
     for agent_id in fleet.agent_ids:
         assert fleet.verifier_for(agent_id) is fleet.shards[
             fleet.shard_of(agent_id)
         ].verifier
+
+
+def _checkpoints(fleet) -> dict:
+    """Each shard's checkpoint and host.  The policy uid is a
+    process-wide counter, so two rigs built in one process differ
+    there and nowhere else; it is blanked."""
+    return {
+        shard_id: (host.host, {**host.checkpoint, "agents": [
+            {**agent, "policy": {**agent["policy"], "uid": None}}
+            for agent in host.checkpoint["agents"]
+        ]})
+        for shard_id, host in fleet.shards.items()
+    }
+
+
+@pytest.mark.parametrize("push_mode", (False, True), ids=("pull", "push"))
+def test_start_polling_ticks_a_sharded_fleet_like_poll_all(push_mode):
+    """The scheduled tick is ``poll_all``: a sharded fleet driven by
+    ``start_polling`` (with a member killed between ticks) ends exactly
+    where the same rig driven tick by tick ends."""
+    timed, _ = build_shard_fleet("timer", 6, 3, push_mode=push_mode)
+    timed.start_polling(INTERVAL)
+    timed.scheduler.run_until(2.5 * INTERVAL)
+    timed.kill("verifier-0")
+    timed.scheduler.run_until(5 * INTERVAL)
+    timed.stop_polling()
+
+    stepped, _ = build_shard_fleet("timer", 6, 3, push_mode=push_mode)
+    for round_index in range(5):
+        if round_index == 2:
+            stepped.kill("verifier-0")
+        _tick(stepped)
+
+    assert timed.shards["verifier-0"].host != "verifier-0"  # failed over
+    assert_fingerprints_equal(
+        vfleet_fingerprint(timed), vfleet_fingerprint(stepped)
+    )
+    assert _checkpoints(timed) == _checkpoints(stepped)
+    assert all(
+        len(timed.verifier_for(agent_id).results_of(agent_id)) == 5
+        for agent_id in timed.agent_ids
+    )
 
 
 def test_shard_runs_before_the_first_round_only():

@@ -329,7 +329,12 @@ class TestPushPullEquivalence:
 
 
 class TestFleetPushMode:
-    """The scheduler side: agents on their own timers, reap-only ticks."""
+    """The scheduler side: ``start_polling`` ticks push-mode fleets too.
+
+    Each tick runs every agent's negotiate -> submit -> verdict exchange
+    in batch order, then the verifier's reap -- the same batch the
+    sharded push fleet and ``state save --push`` use.
+    """
 
     @staticmethod
     def _scenario(push_mode: bool):

@@ -218,6 +218,20 @@ class TestTransportAgent:
         assert proxy.bytes_transferred == request_bytes + response_bytes
         assert proxy.bytes_transferred > response_bytes
 
+    def test_push_bytes_counted_once_per_round(self, testbed):
+        """Each push round adds only its own bytes, so after N rounds the
+        ``push`` counter equals the client's running total."""
+        with obs_runtime.session() as telemetry:
+            for _ in range(3):
+                testbed.scheduler.clock.advance_by(60.0)
+                assert testbed.verifier.push_round(testbed.agent_id).ok
+            pushed = telemetry.registry.get(
+                "transport_bytes_total"
+            ).labels(direction="push").value
+        client = testbed.verifier.push_client(testbed.agent_id)
+        assert client.rounds_completed == 3
+        assert pushed == client.bytes_transferred > 0
+
 
 class TestDecodeRobustnessSweep:
     """Exhaustive corruption sweep over the wire decoders.
