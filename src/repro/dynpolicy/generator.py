@@ -297,14 +297,25 @@ class DynamicPolicyGenerator:
         """Drop superseded digests once the update has settled.
 
         For every path shipped by the currently installed package set,
-        keep only the installed version's digest.  Returns the number
-        of digests removed.
+        keep only the installed version's digest (when two packages
+        ship a path, the later one in *installed* order wins).  Only a
+        contested path -- one holding more than one digest -- can lose
+        a digest, so only the installed files at those paths are
+        hashed.  The hashing follows the update; the pass over the
+        policy's buckets and the installed file lists still grows with
+        the installed system.  Returns the number of digests removed.
         """
-        keep: dict[str, str] = {}
+        contested = policy.contested_paths()
+        if not contested:
+            return 0
+        owners: dict[str, Package] = {}
         for package in installed.values():
-            for pf in package.executables:
-                keep[pf.path] = package.sha256_of(pf.path)
-        return policy.dedupe_for_paths(keep)
+            for pf in package.files:
+                if pf.path in contested and pf.executable:
+                    owners[pf.path] = package
+        return policy.dedupe_for_paths(
+            {path: package.sha256_of(path) for path, package in owners.items()}
+        )
 
     # -- SNAP handling ---------------------------------------------------------
 

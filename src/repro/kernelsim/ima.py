@@ -173,6 +173,8 @@ class ImaEngine:
         self.policy = policy
         self._tpm = tpm
         self._log: list[ImaLogEntry] = []
+        # Each entry's ascii line, serialised once when it is appended.
+        self._lines: list[str] = []
         self._cache: dict[tuple[str, int], _CacheRecord] = {}
 
     # -- introspection ---------------------------------------------------
@@ -183,8 +185,12 @@ class ImaEngine:
         return list(self._log)
 
     def log_lines(self) -> list[str]:
-        """Serialised measurement list, as the agent ships it."""
-        return [entry.to_line() for entry in self._log]
+        """Serialised measurement list, as the agent ships it (a copy).
+
+        Each line is stored when its entry is appended, so shipping the
+        list costs no serialisation.
+        """
+        return list(self._lines)
 
     def measured_paths(self) -> set[str]:
         """All recorded paths (test helper)."""
@@ -274,6 +280,7 @@ class ImaEngine:
             path=f"{recorded_path} ({kind})" if kind else recorded_path,
         )
         self._log.append(entry)
+        self._lines.append(entry.to_line())
         self._tpm.extend(IMA_PCR_INDEX, VIOLATION_EXTEND_VALUE, algorithm="sha256")
         obs.get().registry.counter(
             "ima_violations_total", "IMA measurement violations recorded", ("kind",),
@@ -289,6 +296,7 @@ class ImaEngine:
             path=path,
         )
         self._log.append(entry)
+        self._lines.append(entry.to_line())
         self._tpm.extend(IMA_PCR_INDEX, entry.template_hash, algorithm="sha256")
         obs.get().registry.counter(
             "ima_measurements_total", "Entries appended to the measurement list",

@@ -100,7 +100,7 @@ class KeylimeAgent:
         ima = self.machine.require_booted()
         return PushCapabilities(
             hash_algorithms=tuple(sorted(self.machine.tpm.banks)),
-            log_length=len(ima.log_lines()),
+            log_length=len(ima.log),
             boot_count=self.machine.tpm.reset_count,
         )
 

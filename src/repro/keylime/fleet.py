@@ -139,7 +139,9 @@ class ShardHost:
         (a ``fleet.push_batch`` span), and the verifier then reaps any
         session left to expire.  Agents whose exchange never produced a
         result (abandoned delivery, protocol rejection) are absent from
-        the returned mapping -- the reaper accounts for their silence.
+        the returned mapping -- their unanswered session becomes a
+        degraded round when the agent's next negotiation supersedes it
+        or the reaper expires it.
         """
         telemetry = obs.get()
         run_round = self.verifier.push_round if push else self.verifier.poll

@@ -36,6 +36,9 @@ from repro.kernelsim.kernel import Machine
 #: without holding a reference to it.
 _POLICY_UIDS = itertools.count(1)
 
+#: Bytes of one ``'<sha256>  <path>\n'`` policy line, not counting the path.
+_LINE_OVERHEAD = 64 + 2 + 1
+
 #: Characters that disqualify an exclude body from the literal fast path.
 _REGEX_METACHARS = frozenset(".^$*+?{}[]|()\\")
 
@@ -191,6 +194,10 @@ class RuntimePolicy:
         self.generation = 0
         self._digests: dict[str, list[str]] = {}
         self._digest_sets: dict[str, set[str]] = {}
+        # Running totals behind line_count()/size_bytes(), kept by the
+        # two mutators (add_digest, dedupe_for_paths).
+        self._line_count = 0
+        self._size_bytes = 0
         for path, values in (digests or {}).items():
             for value in values:
                 self.add_digest(path, value)
@@ -225,6 +232,8 @@ class RuntimePolicy:
         else:
             bucket.add(digest)
             self._digests[path].append(digest)
+        self._line_count += 1
+        self._size_bytes += _LINE_OVERHEAD + len(path)
         self.bump_generation()
         return True
 
@@ -271,11 +280,13 @@ class RuntimePolicy:
             bucket = self._digest_sets.get(path)
             if bucket is None or digest not in bucket:
                 continue
-            before = len(bucket)
+            dropped = len(bucket) - 1
             self._digests[path] = [digest]
             self._digest_sets[path] = {digest}
-            removed += before - 1
+            self._size_bytes -= dropped * (_LINE_OVERHEAD + len(path))
+            removed += dropped
         if removed:
+            self._line_count -= removed
             self.bump_generation()
         return removed
 
@@ -289,6 +300,14 @@ class RuntimePolicy:
     def digests_for(self, path: str) -> tuple[str, ...]:
         """Accepted digests for *path* (empty when absent)."""
         return tuple(self._digests.get(path, ()))
+
+    def contested_paths(self) -> set[str]:
+        """Paths holding more than one accepted digest.
+
+        Only these can lose a digest in :meth:`dedupe_for_paths`; a
+        single-digest path already holds exactly what it keeps.
+        """
+        return {path for path, bucket in self._digest_sets.items() if len(bucket) > 1}
 
     def covers_path(self, path: str) -> bool:
         """True when the policy has an allowlist entry for *path*."""
@@ -309,14 +328,11 @@ class RuntimePolicy:
 
     def line_count(self) -> int:
         """Number of (path, digest) lines -- the unit of Fig 5 / E9."""
-        return sum(len(values) for values in self._digests.values())
+        return self._line_count
 
     def size_bytes(self) -> int:
         """Approximate on-disk size: one '<sha256>  <path>' line per digest."""
-        total = 0
-        for path, values in self._digests.items():
-            total += len(values) * (64 + 2 + len(path) + 1)
-        return total
+        return self._size_bytes
 
     # -- evaluation -----------------------------------------------------------
 

@@ -145,10 +145,7 @@ def export_agent_state(verifier: KeylimeVerifier, agent_id: str) -> dict[str, An
         "last_reset_count": slot.last_reset_count,
         "suspect_since": slot.suspect_since,
         "suspect_windows": slot.suspect_windows,
-        "policy": {
-            "uid": slot.policy.uid,
-            "generation": slot.policy.generation,
-        },
+        "policy": {"generation": slot.policy.generation},
         "failures": [
             _failure_to_record(failure) for failure in slot.failures
         ],

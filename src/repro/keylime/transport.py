@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable
+from typing import Any, Callable, TypeVar
 
 from repro.common.errors import IntegrityError, StateError
 from repro.keylime.agent import AttestationEvidence, KeylimeAgent, PushCapabilities
@@ -33,6 +33,8 @@ from repro.keylime.retrypolicy import RetryBudgetExceeded
 from repro.obs import runtime as obs
 from repro.obs.tracing import format_traceparent
 from repro.tpm.quote import Quote
+
+T = TypeVar("T")
 
 
 #: Everything a hostile or fault-corrupted payload can raise out of the
@@ -641,11 +643,12 @@ class PushAgentClient:
     with or refuse) the raw request JSON of each leg, mirroring
     :class:`JsonTransportAgent`'s man-in-the-middle model.
 
-    A *retry_policy* retries transiently failed legs with backoff; an
-    exhausted budget abandons the round and returns ``None`` -- the
-    verifier's session reaper then turns the silence into a *degraded*
-    round, so push mode shares the pull path's SUSPECT machinery
-    instead of opening a silent coverage gap.
+    A *retry_policy* retries every transiently failed leg (negotiate,
+    attest, submit) with backoff; an exhausted budget abandons the
+    round and returns ``None``.  Its session stays open until the
+    agent's next negotiation supersedes it or the verifier's reaper
+    expires it; either way the verifier records a *degraded* round,
+    which feeds the pull path's SUSPECT machinery.
     """
 
     def __init__(
@@ -674,14 +677,8 @@ class PushAgentClient:
         """The driven agent's identity."""
         return self._agent.agent_id
 
-    def _deliver(self, endpoint, blob: str, channel) -> str:
-        """One leg across the (possibly hostile, possibly flaky) wire."""
-        def attempt() -> str:
-            request = channel(blob) if channel is not None else blob
-            reply = endpoint(request)
-            self.bytes_transferred += len(request) + len(reply)
-            return reply
-
+    def _retrying(self, attempt: Callable[[], T]) -> T:
+        """Run one leg under the client's retry policy (if any)."""
         if self.retry_policy is None:
             return attempt()
         telemetry = obs.get()
@@ -691,6 +688,16 @@ class PushAgentClient:
             tracer=telemetry.tracer,
             registry=telemetry.registry,
         )
+
+    def _deliver(self, endpoint, blob: str, channel) -> str:
+        """One leg across the (possibly hostile, possibly flaky) wire."""
+        def attempt() -> str:
+            request = channel(blob) if channel is not None else blob
+            reply = endpoint(request)
+            self.bytes_transferred += len(request) + len(reply)
+            return reply
+
+        return self._retrying(attempt)
 
     def run_round(self) -> PushVerdict | None:
         """One full push exchange; ``None`` when delivery failed.
@@ -714,11 +721,11 @@ class PushAgentClient:
                 reply = negotiation_reply_from_json(
                     self._deliver(self._negotiate, request, self._negotiate_channel)
                 )
-                evidence = self._agent.attest(
+                evidence = self._retrying(lambda: self._agent.attest(
                     reply.nonce,
                     offset=reply.offset,
                     pcr_selection=list(reply.pcr_selection),
-                )
+                ))
                 verdict = verdict_from_json(
                     self._deliver(
                         self._submit,
@@ -728,7 +735,8 @@ class PushAgentClient:
                 )
             except RetryBudgetExceeded:
                 # The wire never delivered: no submission, no verdict.
-                # The session is left open for the verifier's reaper.
+                # The session is left open; the next negotiation or the
+                # verifier's reaper turns it into a degraded round.
                 self.rounds_abandoned += 1
                 span.set_attribute("abandoned", True)
                 telemetry.registry.counter(
@@ -736,12 +744,14 @@ class PushAgentClient:
                     "Push rounds abandoned after exhausting delivery retries",
                 ).inc()
                 return None
-            except IntegrityError as exc:
+            except (IntegrityError, StateError) as exc:
                 # The verifier rejected the exchange at the protocol
-                # layer (corrupt frame, replayed/expired session, ...).
-                # The agent cannot conclude anything -- it records the
-                # rejection and negotiates fresh next round; any session
-                # left open is the reaper's to account for.
+                # layer (corrupt frame, replayed/expired session, ...)
+                # or refused to negotiate (superseding this agent's
+                # unanswered session quarantined it).  The agent cannot
+                # conclude anything -- it records the rejection and
+                # negotiates fresh next round; any session left open is
+                # accounted for as a degraded round.
                 self.rounds_abandoned += 1
                 span.set_attribute("rejected", str(exc))
                 telemetry.registry.counter(

@@ -498,9 +498,10 @@ class KeylimeVerifier:
 
         Decodes the capability announcement (strictly -- any malformed
         frame is an :class:`IntegrityError`), validates the agent with
-        the registrar, supersedes any session the agent left dangling,
-        mints the round's nonce, and returns the serialised
-        :class:`~repro.keylime.transport.NegotiationReply`.
+        the registrar, supersedes any session the agent left dangling
+        (a degraded round; if that round quarantines the agent, the
+        negotiation is refused), mints the round's nonce, and returns
+        the serialised :class:`~repro.keylime.transport.NegotiationReply`.
 
         The delta offset is chosen here, from the announced boot count:
         a boot count matching the verifier's last seen reset count
@@ -532,8 +533,12 @@ class KeylimeVerifier:
                     )
                 previous = self.open_push_session_of(agent_id)
                 if previous is not None:
-                    previous.close("superseded")
-                    self._count_session_outcome("superseded")
+                    self._close_unanswered(previous, "superseded", now)
+                    if slot.state not in POLLABLE_STATES:
+                        raise StateError(
+                            f"agent {agent_id} is {slot.state.value}; "
+                            "push negotiation refused"
+                        )
                 offset = slot.verified_entries
                 if (
                     slot.last_reset_count is not None
@@ -663,45 +668,57 @@ class KeylimeVerifier:
         """Expire overdue push sessions; the verifier tick's only push job.
 
         Every open session past its ``expires_at`` closes as
-        ``expired`` and -- when the agent is still attestable -- records
-        a *degraded* round, feeding the same SUSPECT/quarantine
-        machinery a pull-mode transport failure would.  The silence of
-        a dead push agent therefore surfaces exactly like a dead wire
-        did before: loudly, and without a silent attestation-log gap.
+        ``expired`` (see :meth:`_close_unanswered`).  A session the
+        agent abandons inside its TTL is accounted the same way when
+        the agent's next negotiation supersedes it.
         """
         if now is None:
             now = self.scheduler.clock.now
-        registry = obs.get().registry
         reaped: list[str] = []
         for session in list(self._push_sessions.values()):
             if not session.is_open or now <= session.expires_at:
                 continue
-            session.close("expired")
-            self._count_session_outcome("expired")
+            self._close_unanswered(session, "expired", now)
             reaped.append(session.session_id)
-            self.events.emit(
-                now, "keylime.verifier", "push.session.expired",
-                agent=session.agent_id, session=session.session_id,
-                negotiated_at=session.created_at,
-            )
-            slot = self._slots.get(session.agent_id)
-            if slot is None or slot.state not in POLLABLE_STATES:
-                continue
-            result = AttestationResult(
-                time=now,
-                ok=False,
-                entries_processed=0,
-                entries_skipped=0,
-                failures=(),
-                transient=True,
-                transport_error=(
-                    f"push session {session.session_id} expired unanswered "
-                    f"(negotiated at t={session.created_at})"
-                ),
-            )
-            self._record_degraded_round(slot, result)
-            self._observe_round(session.agent_id, result, registry)
         return reaped
+
+    def _close_unanswered(
+        self, session: PushSession, outcome: str, now: float
+    ) -> None:
+        """Close an open session that never received a submission.
+
+        *outcome* is ``expired`` (the reaper) or ``superseded`` (the
+        agent negotiated again).  When the agent is still attestable
+        the unanswered round is recorded as a *degraded* round, feeding
+        the same SUSPECT/quarantine machinery a pull-mode transport
+        failure would.  An abandoned push round therefore surfaces
+        exactly like a jammed pull round: loudly, and without a silent
+        attestation-log gap.
+        """
+        session.close(outcome)
+        self._count_session_outcome(outcome)
+        self.events.emit(
+            now, "keylime.verifier", f"push.session.{outcome}",
+            agent=session.agent_id, session=session.session_id,
+            negotiated_at=session.created_at,
+        )
+        slot = self._slots.get(session.agent_id)
+        if slot is None or slot.state not in POLLABLE_STATES:
+            return
+        result = AttestationResult(
+            time=now,
+            ok=False,
+            entries_processed=0,
+            entries_skipped=0,
+            failures=(),
+            transient=True,
+            transport_error=(
+                f"push session {session.session_id} {outcome} unanswered "
+                f"(negotiated at t={session.created_at})"
+            ),
+        )
+        self._record_degraded_round(slot, result)
+        self._observe_round(session.agent_id, result, obs.get().registry)
 
     def push_client(
         self,
@@ -735,8 +752,9 @@ class KeylimeVerifier:
         The push analogue of :meth:`poll`: returns the round's
         :class:`AttestationResult`, or ``None`` when the exchange never
         produced one (delivery abandoned or the submission was rejected
-        at the protocol layer) -- in which case the session is left for
-        :meth:`reap_push_sessions` to account for.
+        at the protocol layer) -- in which case the open session becomes
+        a degraded round when the agent's next negotiation supersedes it
+        or :meth:`reap_push_sessions` expires it.
         """
         self._last_push_result = None
         verdict = self.push_client(agent_id).run_round()

@@ -166,6 +166,70 @@ class TestGenerator:
         assert removed == 1
         assert policy.digests_for("/usr/bin/a") == (new_a.sha256_of("/usr/bin/a"),)
 
+    def test_dedupe_matches_hashing_every_installed_executable(self):
+        """Deduping only the contested paths gives exactly what keeping
+        every installed executable's digest gives: the same digests in
+        the same order, the same count removed, the same generation."""
+
+        def shipping(name, version, *paths):
+            return Package(
+                name=name, version=version, priority=Priority.OPTIONAL,
+                files=tuple(PackageFile(path, True) for path in paths),
+            )
+
+        def full_keep_dedupe(policy, installed):
+            keep = {}
+            for package in installed.values():
+                for pf in package.executables:
+                    keep[pf.path] = package.sha256_of(pf.path)
+            return policy.dedupe_for_paths(keep)
+
+        history = [
+            shipping("a", "1", "/usr/bin/a", "/usr/lib/liba.so"),
+            shipping("b", "1", "/usr/bin/b"),
+            # c and d both ship /usr/bin/shared; d is later in installed order.
+            shipping("c", "1", "/usr/bin/c", "/usr/bin/shared"),
+            shipping("d", "1", "/usr/bin/d", "/usr/bin/shared"),
+            shipping("e", "1", "/usr/bin/e"),
+            shipping("gone", "1", "/usr/bin/gone"),
+            shipping("a", "2", "/usr/bin/a", "/usr/lib/liba.so"),
+            shipping("c", "2", "/usr/bin/c", "/usr/bin/shared"),
+            shipping("e", "2", "/usr/bin/e"),
+            shipping("gone", "2", "/usr/bin/gone"),
+        ]
+        installed = {
+            "a": history[6],
+            "b": history[1],
+            "c": history[7],
+            "d": history[3],
+            # e=3 was never measured: /usr/bin/e must stay contested.
+            "e": shipping("e", "3", "/usr/bin/e"),
+        }
+
+        def build():
+            policy = RuntimePolicy()
+            for package in history:
+                policy.merge_measurements(package.measurements())
+            return policy
+
+        expected, actual = build(), build()
+        removed = full_keep_dedupe(expected, installed)
+        assert DynamicPolicyGenerator(mirror=None).dedupe(actual, installed) == removed
+        assert list(actual.digests.items()) == list(expected.digests.items())
+        assert actual.generation == expected.generation
+        assert (actual.line_count(), actual.size_bytes()) == (
+            expected.line_count(), expected.size_bytes()
+        )
+        assert removed == 5  # a, liba.so, c, shared (2 of 3); not e, not gone
+        assert actual.digests_for("/usr/bin/shared") == (
+            history[3].sha256_of("/usr/bin/shared"),
+        )
+        assert actual.contested_paths() == {"/usr/bin/e", "/usr/bin/gone"}
+        # Nothing left to settle: a second pass removes nothing.
+        generation = actual.generation
+        assert DynamicPolicyGenerator(mirror=None).dedupe(actual, installed) == 0
+        assert actual.generation == generation
+
     def test_scrub_snap_prefixes(self):
         policy = RuntimePolicy()
         digest = "ab" * 32

@@ -173,3 +173,35 @@ class TestLogAndPcr:
         log = engine.log
         log.clear()
         assert len(engine.log) == 1
+
+    def test_stored_lines_are_the_serialised_log(self, machine):
+        """The lines stored when entries are appended are exactly the
+        serialised log -- after boot, measurements, a violation and a
+        reboot -- the agent announces the log's length, and a caller
+        mutating the returned list cannot change the engine's."""
+        from repro.keylime.agent import KeylimeAgent
+
+        agent = KeylimeAgent("ima-lines", machine)
+
+        def check() -> None:
+            ima = machine.require_booted()
+            assert ima.log_lines() == [entry.to_line() for entry in ima.log]
+            assert agent.capabilities().log_length == len(ima.log)
+
+        check()
+        machine.install_file("/usr/bin/a", b"a", executable=True)
+        machine.install_file("/usr/bin/b", b"b", executable=True)
+        machine.exec_file("/usr/bin/a")
+        machine.exec_file("/usr/bin/b")
+        check()
+        assert machine.open_for_write("/usr/bin/a", b"a2")
+        check()
+        machine.reboot()
+        check()
+        machine.exec_file("/usr/bin/a")
+        check()
+        assert len(machine.require_booted().log) == 2
+        lines = machine.require_booted().log_lines()
+        lines.append("10 " + "0" * 64 + " ima-ng sha256:00 /forged")
+        lines[0] = "tampered"
+        check()

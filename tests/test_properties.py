@@ -14,6 +14,10 @@ from repro.tpm.pcr import PcrBank, replay_extends
 
 digests = st.binary(min_size=0, max_size=64).map(sha256_hex)
 paths = st.from_regex(r"/[a-z]{1,8}(/[a-z0-9._-]{1,12}){0,4}", fullmatch=True)
+#: A small universe (paths of different lengths) so operations collide:
+#: repeated adds, multi-digest paths, dedupes that hit and miss.
+_few_paths = st.sampled_from(["/a", "/bin/bb", "/usr/lib/x/ccc.so", "/sbin/dddd"])
+_few_digests = st.integers(0, 4).map(lambda i: sha256_hex(bytes([i])))
 
 
 class TestPcrProperties:
@@ -108,6 +112,34 @@ class TestPolicyProperties:
         assert policy.line_count() == sum(
             len(values) for values in policy.digests.values()
         )
+
+    @given(st.lists(st.one_of(
+        st.tuples(st.just("add"), _few_paths, _few_digests),
+        st.tuples(st.just("merge"), st.dictionaries(_few_paths, _few_digests, max_size=4)),
+        st.tuples(st.just("dedupe"), st.dictionaries(_few_paths, _few_digests, max_size=4)),
+        st.tuples(st.just("copy")),
+        st.tuples(st.just("json")),
+    ), max_size=30))
+    def test_running_totals_match_a_recount(self, operations):
+        """line_count()/size_bytes() are running totals; after any
+        sequence of mutations and round trips they equal a recount."""
+        policy = RuntimePolicy()
+        for name, *args in operations:
+            if name == "add":
+                policy.add_digest(*args)
+            elif name == "merge":
+                policy.merge_measurements(*args)
+            elif name == "dedupe":
+                policy.dedupe_for_paths(*args)
+            elif name == "copy":
+                policy = policy.copy()
+            else:
+                policy = RuntimePolicy.from_json(policy.to_json())
+            recount = policy.digests
+            assert policy.line_count() == sum(len(v) for v in recount.values())
+            assert policy.size_bytes() == sum(
+                len(v) * (64 + 2 + len(path) + 1) for path, v in recount.items()
+            )
 
     @given(st.dictionaries(paths, digests, min_size=1, max_size=10))
     def test_dedupe_never_grows(self, measurements):

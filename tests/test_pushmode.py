@@ -124,10 +124,18 @@ class TestPushSessionLifecycle:
         )
         with pytest.raises(IntegrityError):
             testbed.verifier.submit_push(stale_blob)
-        # The superseding session still works.
+        # The unanswered first session is a degraded round, not a gap.
+        first_session = testbed.verifier.push_sessions_of(testbed.agent_id)[0]
+        assert first_session.outcome == "superseded"
+        results = testbed.verifier.results_of(testbed.agent_id)
+        assert len(results) == 1 and results[0].transient
+        assert "superseded unanswered" in results[0].transport_error
+        assert testbed.verifier.state_of(testbed.agent_id) is AgentState.SUSPECT
+        # The superseding session still works, and recovers the node.
         assert verdict_from_json(
             testbed.verifier.submit_push(_submit_blob(testbed, second))
         ).ok
+        assert testbed.verifier.state_of(testbed.agent_id) is AgentState.ATTESTING
 
     def test_negotiation_for_halted_agent_refused(self, testbed):
         testbed.machine.install_file("/usr/bin/evil", b"x", executable=True)
@@ -229,6 +237,22 @@ class TestPushReaper:
             testbed.verifier.state_of(testbed.agent_id)
             is AgentState.QUARANTINED
         )
+
+    def test_superseding_into_quarantine_refuses_the_negotiation(self, testbed):
+        """Superseded sessions burn the same suspect-window budget; the
+        negotiation that quarantines the node opens no new session."""
+        for _ in range(testbed.verifier.quarantine_after - 1):
+            _negotiate(testbed)
+            assert testbed.push_round().ok
+        _negotiate(testbed)
+        assert testbed.push_round() is None
+        assert (
+            testbed.verifier.state_of(testbed.agent_id)
+            is AgentState.QUARANTINED
+        )
+        assert testbed.verifier.open_push_session_of(testbed.agent_id) is None
+        client = testbed.verifier.push_client(testbed.agent_id)
+        assert client.rounds_abandoned == 1
 
     def test_reap_is_idempotent(self, testbed):
         _negotiate(testbed)
@@ -356,6 +380,38 @@ class TestFleetPushMode:
                 push.fleet.verifier.results_of(agent_id)
                 == pull.fleet.verifier.results_of(agent_id)
             )
+
+    def test_flaky_wire_never_escapes_the_retry_policy(self):
+        """Every push leg -- the attest leg included -- runs under the
+        client's retry policy, so an injected transient is retried (or
+        abandons the round) instead of escaping and killing the run, and
+        every abandoned round lands on the verifier's record as a
+        degraded round once the next negotiation supersedes it."""
+        from repro.experiments.fleet_run import ChaosInjection, run_fleet_scenario
+
+        result = run_fleet_scenario(
+            seed="equiv", n_nodes=3, n_days=1, n_filler_packages=5,
+            push_mode=True, chaos=ChaosInjection("flaky"),
+        )
+        verifier = result.fleet.verifier
+        abandoned = 0
+        for node in result.fleet.nodes:
+            agent_id = node.agent.agent_id
+            client = verifier.push_client(agent_id)
+            rounds = verifier.results_of(agent_id)
+            awaiting = 1 if verifier.open_push_session_of(agent_id) else 0
+            assert all(r.ok or r.transient for r in rounds)
+            # No coverage gap: every round the agent ran is a result or
+            # the one session still inside its TTL at the end.
+            assert (
+                len(rounds) + awaiting
+                == client.rounds_completed + client.rounds_abandoned
+            )
+            degraded = sum(1 for r in rounds if r.transient)
+            assert degraded == client.rounds_abandoned - awaiting
+            abandoned += client.rounds_abandoned
+        assert abandoned > 0
+        assert "failed" not in result.status.values()
 
     def test_push_fleet_leaves_no_dangling_sessions(self):
         push = self._scenario(push_mode=True)

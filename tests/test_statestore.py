@@ -151,6 +151,20 @@ class TestSnapshotRoundTrip:
         # No temp droppings left behind.
         assert os.listdir(tmp_path) == ["verifier.snap"]
 
+    def test_snapshot_does_not_depend_on_process_history(self):
+        """Two identical rigs built one after the other in one process
+        snapshot byte-identically: no process-wide counter (such as a
+        policy's cache uid) leaks into the durable record."""
+        from repro.experiments.shardfleet import build_shard_rig
+
+        blobs = []
+        for _ in range(2):
+            fleet = build_shard_rig("uid-check", 2, 20)
+            fleet.scheduler.clock.advance_by(1800.0)
+            fleet.poll_all()
+            blobs.append(json.dumps(snapshot_verifier(fleet.verifier), sort_keys=True))
+        assert blobs[0] == blobs[1]
+
 
 class TestSnapshotIntegrity:
     def _snap(self, testbed, tmp_path):
