@@ -271,12 +271,7 @@ class DynamicPolicyGenerator:
 
     # -- kernel lifecycle -------------------------------------------------
 
-    def prepare_for_reboot(
-        self,
-        policy: RuntimePolicy,
-        new_kernel: str,
-        old_kernel: str | None = None,
-    ) -> int:
+    def prepare_for_reboot(self, policy: RuntimePolicy, new_kernel: str) -> int:
         """Admit *new_kernel* to the policy just before the reboot.
 
         Measures the kernel package from the mirror with the new kernel

@@ -122,7 +122,7 @@ class UpdateOrchestrator:
             # Pre-reboot policy refresh admits the new kernel, then the
             # machine reboots into it.
             added = self.generator.prepare_for_reboot(
-                self.policy, self.machine.pending_kernel, self.machine.current_kernel
+                self.policy, self.machine.pending_kernel
             )
             self.tenant.push_policy(self.agent_id, self.policy)
             self.events.emit(

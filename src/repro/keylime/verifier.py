@@ -95,10 +95,6 @@ DEFAULT_PUSH_SESSION_TTL = 30.0
 #: replay-of-session rejection before the oldest are forgotten.
 PUSH_SESSION_RETENTION = 4096
 
-#: Backwards-compatible alias; the slot dataclass moved to the pipeline
-#: module alongside the stages that mutate it.
-_AgentSlot = AgentSlot
-
 
 class KeylimeVerifier:
     """The trusted verifier service."""
@@ -332,9 +328,10 @@ class KeylimeVerifier:
         With telemetry active (:mod:`repro.obs`), the round is traced as
         a ``verifier.poll`` root span with one child per pipeline stage
         (``verifier.challenge``, ``verifier.quote_verify``,
-        ``verifier.log_replay``, ``verifier.policy_eval``), updates the
-        poll-latency histogram and outcome counters, and records the
-        per-stage ``verifier_stage_wall_seconds{stage}`` breakdown.
+        ``verifier.log_replay``, ``verifier.policy_eval``) and records
+        the per-stage ``verifier_stage_wall_seconds{stage}`` breakdown.
+        :meth:`_observe_round` records the round, timed over the whole
+        challenge round.
         """
         telemetry = obs.get()
         wall_start = perf_counter()
@@ -342,26 +339,38 @@ class KeylimeVerifier:
             result = self._poll_once(agent_id, telemetry)
             span.set_attribute("ok", result.ok)
             span.set_attribute("entries", result.entries_processed)
-        registry = telemetry.registry
-        registry.histogram(
-            "verifier_poll_wall_seconds", "Wall-clock latency of one verifier poll",
-        ).observe(perf_counter() - wall_start, exemplar=exemplar_of(span))
+        self._observe_round(
+            agent_id, result, telemetry.registry, perf_counter() - wall_start, span
+        )
+        return result
+
+    def _observe_round(
+        self, agent_id: str, result: AttestationResult, registry,
+        wall_seconds: float | None = None, span=None,
+    ) -> None:
+        """The one record of an attestation round, pull or push.
+
+        Every round -- a pull poll, a push submission, an unanswered
+        push session -- counts once in ``verifier_polls_total{result}``
+        (``ok`` / ``failed`` / ``degraded``).  A round that ran
+        verification passes its *wall_seconds* and ``verifier.poll``
+        *span*, observed into ``verifier_poll_wall_seconds`` with the
+        span as exemplar.  The heartbeat gauges say when each agent was
+        last attested and last verified clean, on the simulated clock;
+        the coverage-gap detector (obs.health) alarms on their age.
+        Because both delivery modes report here, every reader of the
+        round record -- the health detectors, the recording rules,
+        ``obs top``, the incident critical path -- is mode-blind.
+        """
+        if wall_seconds is not None:
+            registry.histogram(
+                "verifier_poll_wall_seconds",
+                "Wall-clock latency of one verifier poll",
+            ).observe(wall_seconds, exemplar=exemplar_of(span))
         outcome = "ok" if result.ok else ("degraded" if result.transient else "failed")
         registry.counter(
             "verifier_polls_total", "Attestation rounds executed", ("result",),
         ).labels(result=outcome).inc()
-        self._observe_round(agent_id, result, registry)
-        return result
-
-    def _observe_round(self, agent_id: str, result: AttestationResult, registry) -> None:
-        """Round telemetry shared by the pull and push paths.
-
-        Heartbeat signals for the health layer: when each agent was
-        last attested and last verified clean, on the simulated clock.
-        The coverage-gap detector (obs.health) alarms on their age --
-        and because *both* delivery modes update the same gauges, the
-        anti-P2 alarm is mode-blind.
-        """
         now = self.scheduler.clock.now
         registry.gauge(
             "verifier_agent_last_poll_sim_seconds",
@@ -582,8 +591,11 @@ class KeylimeVerifier:
         attestation record: an attacker replaying captured evidence must
         not be able to fail (or pass) the agent on its behalf.  A
         well-formed submission against a live session consumes the
-        session and runs the shared verification pipeline; its result
-        flows through exactly the side-effect path a pull round uses.
+        session and runs the shared verification pipeline under a
+        ``verifier.poll`` span, the pull round's name.  Its result flows
+        through exactly the side-effect path a pull round uses, and
+        :meth:`_observe_round` records the round, timed over the
+        verifier's side only (decoding and verifying the submission).
         """
         telemetry = obs.get()
         wall_start = perf_counter()
@@ -603,8 +615,7 @@ class KeylimeVerifier:
         session.advance(PushSessionState.SUBMITTED)
         slot = self._slot(session.agent_id)
         with telemetry.tracer.span(
-            "verifier.push_verify", agent=session.agent_id,
-            session=session.session_id,
+            "verifier.poll", agent=session.agent_id, session=session.session_id,
         ) as span:
             result = self._ingest_push(slot, session, submission.evidence, telemetry)
             span.set_attribute("ok", result.ok)
@@ -617,17 +628,10 @@ class KeylimeVerifier:
             session.advance(PushSessionState.FAILED)
             session.outcome = "degraded" if result.transient else "failed"
             self._count_session_outcome(session.outcome)
-        registry = telemetry.registry
-        registry.histogram(
-            "verifier_push_round_wall_seconds",
-            "Wall-clock latency of one push submission verification",
-        ).observe(perf_counter() - wall_start, exemplar=exemplar_of(span))
-        outcome = "ok" if result.ok else ("degraded" if result.transient else "failed")
-        registry.counter(
-            "verifier_push_rounds_total",
-            "Push attestation rounds verified", ("result",),
-        ).labels(result=outcome).inc()
-        self._observe_round(session.agent_id, result, registry)
+        self._observe_round(
+            session.agent_id, result, telemetry.registry,
+            perf_counter() - wall_start, span,
+        )
         self._last_push_result = result
         return verdict_to_json(
             PushVerdict(

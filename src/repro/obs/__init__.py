@@ -4,235 +4,3 @@ See :mod:`repro.obs.runtime` for the activation model,
 :mod:`repro.obs.health` for the monitoring layer on top of it, and
 ``docs/OBSERVABILITY.md`` for the tour.
 """
-
-from repro.obs.alerts import (
-    Alert,
-    AlertEngine,
-    BurnRateRule,
-    SloSet,
-    SloTracker,
-    standard_burn_rules,
-    standard_slos,
-)
-from repro.obs.capacity import (
-    CapacityModel,
-    CapacityPlan,
-    SaturationDetector,
-    TickBudgetAccountant,
-    TickRecord,
-    capacity_pairs_from_store,
-    fit_capacity,
-    model_from_store,
-    plan_capacity,
-    render_capacity_plan,
-    saturation_summary,
-)
-from repro.obs.dashboard import (
-    heat_row,
-    render_top,
-    slo_burn,
-    sparkline,
-    top_frame_record,
-)
-from repro.obs.exporters import (
-    console_summary,
-    jsonl_dump,
-    jsonl_records,
-    load_jsonl,
-    parse_prometheus_text,
-    prometheus_text,
-    write_jsonl_atomic,
-    write_text_atomic,
-)
-from repro.obs.federation import (
-    FederationHub,
-    SourceState,
-    registry_snapshot,
-    snapshot_from_json,
-    snapshot_to_json,
-)
-from repro.obs.health import (
-    CoverageGapDetector,
-    Ewma,
-    FailureRateDetector,
-    HealthMonitor,
-    HealthWatch,
-    LatencyAnomalyDetector,
-    SlidingWindow,
-    render_dashboard,
-)
-from repro.obs.incidents import (
-    IncidentCorrelator,
-    IncidentReport,
-    reports_from_export,
-    split_export,
-)
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    DEFAULT_MAX_LABEL_SETS,
-    MetricFamily,
-    MetricsRegistry,
-    NULL_REGISTRY,
-    NullRegistry,
-)
-from repro.obs.profiling import (
-    ProfileDelta,
-    ProfileEntry,
-    attribution,
-    collapsed_stacks,
-    collapsed_text,
-    coverage,
-    critical_path,
-    diff_profiles,
-    profile,
-    render_critical_path,
-    render_diff,
-    render_profile,
-    self_wall,
-)
-from repro.obs.rules import (
-    AggregateRule,
-    IncreaseRule,
-    QuantileOverTimeRule,
-    RateRule,
-    RatioRule,
-    RuleEngine,
-    ShareRule,
-    histogram_quantile,
-    standard_recording_rules,
-)
-from repro.obs.runtime import (
-    NULL_TELEMETRY,
-    Telemetry,
-    activate,
-    deactivate,
-    get,
-    session,
-)
-from repro.obs.tracestore import (
-    SpanStore,
-    TraceEntry,
-    build_spans,
-    perfetto_trace,
-    span_from_record,
-    span_record,
-)
-from repro.obs.tsdb import (
-    Frame,
-    Series,
-    TsdbStore,
-    label_key,
-)
-from repro.obs.tracing import (
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    SpanStats,
-    SpanTracer,
-    exemplar_of,
-    format_traceparent,
-    parse_traceparent,
-)
-
-__all__ = [
-    "AggregateRule",
-    "Alert",
-    "AlertEngine",
-    "BurnRateRule",
-    "CapacityModel",
-    "CapacityPlan",
-    "CoverageGapDetector",
-    "FederationHub",
-    "Frame",
-    "IncreaseRule",
-    "QuantileOverTimeRule",
-    "RateRule",
-    "RatioRule",
-    "RuleEngine",
-    "SaturationDetector",
-    "Series",
-    "ShareRule",
-    "SourceState",
-    "TsdbStore",
-    "DEFAULT_BUCKETS",
-    "DEFAULT_MAX_LABEL_SETS",
-    "Ewma",
-    "FailureRateDetector",
-    "HealthMonitor",
-    "HealthWatch",
-    "IncidentCorrelator",
-    "IncidentReport",
-    "LatencyAnomalyDetector",
-    "MetricFamily",
-    "MetricsRegistry",
-    "NULL_REGISTRY",
-    "NULL_TELEMETRY",
-    "NULL_TRACER",
-    "NullRegistry",
-    "NullTracer",
-    "ProfileDelta",
-    "ProfileEntry",
-    "SlidingWindow",
-    "SloSet",
-    "SloTracker",
-    "Span",
-    "SpanStats",
-    "SpanStore",
-    "SpanTracer",
-    "Telemetry",
-    "TickBudgetAccountant",
-    "TickRecord",
-    "TraceEntry",
-    "activate",
-    "attribution",
-    "build_spans",
-    "capacity_pairs_from_store",
-    "collapsed_stacks",
-    "collapsed_text",
-    "console_summary",
-    "coverage",
-    "critical_path",
-    "deactivate",
-    "diff_profiles",
-    "exemplar_of",
-    "fit_capacity",
-    "format_traceparent",
-    "get",
-    "heat_row",
-    "histogram_quantile",
-    "jsonl_dump",
-    "jsonl_records",
-    "label_key",
-    "load_jsonl",
-    "model_from_store",
-    "parse_prometheus_text",
-    "parse_traceparent",
-    "perfetto_trace",
-    "plan_capacity",
-    "profile",
-    "prometheus_text",
-    "registry_snapshot",
-    "render_capacity_plan",
-    "render_critical_path",
-    "render_dashboard",
-    "render_diff",
-    "render_profile",
-    "render_top",
-    "reports_from_export",
-    "saturation_summary",
-    "self_wall",
-    "session",
-    "slo_burn",
-    "snapshot_from_json",
-    "snapshot_to_json",
-    "span_from_record",
-    "span_record",
-    "sparkline",
-    "split_export",
-    "standard_burn_rules",
-    "standard_recording_rules",
-    "standard_slos",
-    "top_frame_record",
-    "write_jsonl_atomic",
-    "write_text_atomic",
-]

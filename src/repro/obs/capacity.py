@@ -418,45 +418,6 @@ class CapacityModel:
             return math.inf
         return (capacity - current_nodes) / growth_per_day
 
-    # -- sharded what-ifs --------------------------------------------------
-
-    def sharded_tick_cost(self, shard_sizes: Iterable[float]) -> float:
-        """One sharded tick's critical path: the largest shard's cost.
-
-        Shard verifiers run concurrently, so the tick is as slow as its
-        biggest shard -- the quantity ``fleet:shard_balance`` discounts.
-        Accepts either bare sizes or a ``{shard: size}`` mapping (the
-        shape :meth:`repro.keylime.fleet.Fleet.shard_sizes`
-        returns).
-        """
-        if hasattr(shard_sizes, "values"):
-            shard_sizes = shard_sizes.values()
-        sizes = list(shard_sizes)
-        if not sizes:
-            return 0.0
-        return self.tick_cost(max(sizes))
-
-    def sharded_max_nodes(
-        self, budget: float, verifiers: int, balance: float = 1.0
-    ) -> float:
-        """Max fleet size *verifiers* shards sustain inside *budget*.
-
-        *balance* is the ring's mean-over-max occupancy (from
-        :func:`repro.keylime.sharding.shard_balance` or the
-        ``fleet:shard_balance`` series): with balance ``b`` the largest
-        shard holds ``nodes / (verifiers * b)``, so capacity scales by
-        ``verifiers * b``, not ``verifiers``.
-        """
-        if verifiers < 1 or balance <= 0:
-            return 0.0
-        return self.max_nodes(budget) * verifiers * min(1.0, balance)
-
-    def sharded_speedup(self, verifiers: int, balance: float = 1.0) -> float:
-        """Projected throughput multiple over a single verifier."""
-        if verifiers < 1 or balance <= 0:
-            return 0.0
-        return verifiers * min(1.0, balance)
-
 
 def fit_capacity(
     pairs: Iterable[tuple[float, float]]

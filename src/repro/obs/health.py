@@ -1,14 +1,12 @@
 """Streaming health detectors over the attestation telemetry.
 
-PR 1 made the system *emit* telemetry; this module *watches* it.  Three
-detector families run on every monitor tick:
+The instrumented hot paths *emit* telemetry; this module *watches* it.
+Three detector families run on every monitor tick.  The gap and
+failure-rate detectors read the simulated timeline and round counts,
+so a seed raises the same alerts on any host; only the saturation
+detector reads wall time, and only against a tick budget the operator
+configured:
 
-* :class:`LatencyAnomalyDetector` -- sliding-window z-score over the
-  per-tick mean verifier poll latency, sampled as deltas from the
-  ``verifier_poll_wall_seconds`` histogram in the metrics registry.
-* :class:`FailureRateDetector` -- EWMA of the per-tick quote-verify /
-  policy failure fraction, sampled as deltas from the
-  ``verifier_polls_total`` counter family.
 * :class:`CoverageGapDetector` -- the anti-P2 detector.  The paper's
   worst observability failure is a verifier that halts polling after a
   self-induced false positive, leaving a *silent gap* in the
@@ -17,6 +15,13 @@ detector families run on every monitor tick:
   and fires when an agent has gone ``gap_polls`` expected poll
   intervals without one -- detecting the silence itself, not any
   particular failure.
+* :class:`FailureRateDetector` -- EWMA of the per-tick quote-verify /
+  policy failure fraction, sampled as deltas from the
+  ``verifier_polls_total`` counter family (pull and push rounds alike).
+* :class:`repro.obs.capacity.SaturationDetector` -- fires while batch
+  ticks keep overrunning that budget: a verifier that falls behind its
+  polling interval shows up here, and as a coverage gap once its rounds
+  go missing.
 
 :class:`HealthMonitor` wires the detectors to a run: it subscribes to
 the :class:`repro.common.events.EventLog` for per-agent attestation
@@ -31,9 +36,6 @@ engine + incident correlator + periodic tick.
 
 from __future__ import annotations
 
-import math
-import sys
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -78,125 +80,6 @@ class Ewma:
             self.value = self.alpha * observation + (1.0 - self.alpha) * self.value
         self.samples += 1
         return self.value
-
-
-class SlidingWindow:
-    """Bounded window with O(1) mean/std via running sums.
-
-    The running-sums variance ``E[x^2] - E[x]^2`` cancels
-    catastrophically on near-constant large samples: both terms are
-    ~1e18 for 1e9-scale latencies, their true difference is ~0, and
-    the float subtraction leaves pure rounding noise.  Clamping at
-    zero is not enough -- *positive* noise yields a tiny bogus sigma
-    that turns nanoseconds of jitter into huge z-scores.  Two guards:
-    a relative noise floor (variance below the cancellation error of
-    the inputs is reported as exactly 0.0), and a periodic recompute
-    of the running sums from the retained window so drift from
-    evicted samples cannot accumulate over a long run.
-    """
-
-    #: Pushes between full recomputations of the running sums.
-    RESYNC_EVERY = 4096
-
-    def __init__(self, size: int) -> None:
-        self._window: deque[float] = deque(maxlen=size)
-        self._sum = 0.0
-        self._sum_sq = 0.0
-        self._pushes = 0
-
-    def __len__(self) -> int:
-        return len(self._window)
-
-    def push(self, value: float) -> None:
-        """Add a value, evicting the oldest when full."""
-        if len(self._window) == self._window.maxlen:
-            evicted = self._window[0]
-            self._sum -= evicted
-            self._sum_sq -= evicted * evicted
-        self._window.append(value)
-        self._sum += value
-        self._sum_sq += value * value
-        self._pushes += 1
-        if self._pushes % self.RESYNC_EVERY == 0:
-            self._sum = sum(self._window)
-            self._sum_sq = sum(v * v for v in self._window)
-
-    @property
-    def mean(self) -> float:
-        """Window mean (0.0 when empty)."""
-        return self._sum / len(self._window) if self._window else 0.0
-
-    @property
-    def std(self) -> float:
-        """Population standard deviation of the window."""
-        n = len(self._window)
-        if n < 2:
-            return 0.0
-        mean_sq = self.mean**2
-        variance = self._sum_sq / n - mean_sq
-        # Anything below the cancellation error of the two ~equal terms
-        # is numerical noise, not spread.
-        noise_floor = 16.0 * sys.float_info.epsilon * max(
-            self._sum_sq / n, mean_sq
-        )
-        if variance <= noise_floor:
-            return 0.0
-        return math.sqrt(variance)
-
-    def zscore(self, value: float) -> float:
-        """How many window standard deviations *value* sits from the mean."""
-        sigma = self.std
-        if sigma == 0.0:
-            return 0.0
-        return (value - self.mean) / sigma
-
-
-class LatencyAnomalyDetector:
-    """Z-score anomaly detection on a latency stream.
-
-    Each observation is compared against the sliding window *before*
-    being folded in, so a spike is judged against history rather than
-    against itself.
-    """
-
-    def __init__(
-        self,
-        window: int = 32,
-        threshold: float = 3.0,
-        min_samples: int = 8,
-        min_ratio: float = 1.5,
-    ) -> None:
-        self.window = SlidingWindow(window)
-        self.threshold = threshold
-        self.min_samples = min_samples
-        # A z-score alone over-fires on a quiet stream (tiny sigma makes
-        # microsecond jitter look like many sigmas); require the value
-        # to also exceed the mean by a real margin.
-        self.min_ratio = min_ratio
-
-    def observe(self, now: float, value: float) -> Alert | None:
-        """Feed one observation; returns an alert when it is anomalous."""
-        anomaly = None
-        if len(self.window) >= self.min_samples:
-            z = self.window.zscore(value)
-            if z >= self.threshold and value >= self.window.mean * self.min_ratio:
-                anomaly = Alert(
-                    time=now,
-                    rule="health.poll_latency_anomaly",
-                    severity="warning",
-                    message=(
-                        f"poll latency {value * 1000:.2f}ms is {z:.1f} sigma above "
-                        f"the trailing mean {self.window.mean * 1000:.2f}ms"
-                    ),
-                    detail={
-                        "value_seconds": value,
-                        "zscore": round(z, 2),
-                        "window_mean_seconds": self.window.mean,
-                        "window_std_seconds": self.window.std,
-                    },
-                )
-        self.window.push(value)
-        return anomaly
 
 
 class FailureRateDetector:
@@ -420,7 +303,6 @@ class HealthMonitor:
         self.registry = registry
         self.slos = standard_slos(registry=registry)
         self.gaps = CoverageGapDetector(gap_polls=gap_polls)
-        self.latency = LatencyAnomalyDetector()
         self.failure_rate = FailureRateDetector()
         self.saturation = SaturationDetector()
         self.last_check: float | None = None
@@ -502,29 +384,11 @@ class HealthMonitor:
         self._sampled[key] = current
         return delta
 
-    def _histogram_delta(self, name: str) -> tuple[float, float]:
-        child = self._child(name)
-        if child is None:
-            return 0.0, 0.0
-        count, total = child.count, child.sum
-        d_count = count - self._sampled.get(name + "|count", 0.0)
-        d_sum = total - self._sampled.get(name + "|sum", 0.0)
-        self._sampled[name + "|count"] = count
-        self._sampled[name + "|sum"] = total
-        return d_count, d_sum
-
     # -- the tick ----------------------------------------------------------
 
     def check(self, now: float) -> list[Alert]:
         """One monitor tick: sample, detect, record SLOs, gauge health."""
         alerts: list[Alert] = []
-
-        # Poll-latency stream: per-tick mean from the histogram deltas.
-        d_count, d_sum = self._histogram_delta("verifier_poll_wall_seconds")
-        if d_count > 0:
-            anomaly = self.latency.observe(now, d_sum / d_count)
-            if anomaly is not None:
-                alerts.append(anomaly)
 
         # Failure-rate stream: per-tick fractions from the counters.
         failed = self._counter_delta("verifier_polls_total", result="failed")

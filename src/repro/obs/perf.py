@@ -22,12 +22,12 @@ the instrument every scale-out PR reports through:
 * **Noise-aware regression detection.**  :func:`compare_trajectory`
   scores the newest run of each ``(bench, mode)`` against the median
   of the last N same-mode runs per metric, with a noise floor derived
-  from the baseline's MAD (median absolute deviation, the robust
-  sibling of the :class:`repro.obs.health.SlidingWindow` z-score) so a
-  wall-clock metric's ordinary jitter never flags while a genuine 2x
-  slowdown always does.  Each metric classifies as ``ok`` /
-  ``improved`` / ``regressed`` / ``noisy`` and every verdict is a
-  machine-readable record.
+  from the baseline's MAD (median absolute deviation, a spread
+  estimate one outlier cannot inflate) so a wall-clock metric's
+  ordinary jitter never flags while a genuine 2x slowdown always
+  does.  Each metric classifies as ``ok`` / ``improved`` /
+  ``regressed`` / ``noisy`` and every verdict is a machine-readable
+  record.
 * **Continuous profiling (opt-in).**  The harness wraps a bench's hot
   section in :class:`repro.obs.profiling.SamplingProfiler`; a
   regression verdict then links the candidate's collapsed flamegraph

@@ -298,6 +298,20 @@ class TestObsTop:
         ]) == 0
         assert "max sustainable nodes/verifier" in capsys.readouterr().out
 
+    def test_push_run_reports_poll_rate_and_latency(self, capsys):
+        """Push rounds land in the same round record as pull polls, so
+        the ``fleet:poll_*`` trend lines carry numbers in push mode."""
+        import re
+
+        assert main([
+            "--fillers", "2", "--seed", "cli-top",
+            "obs", "top", "--verifiers", "3", "--nodes", "9",
+            "--rounds", "5", "--once", "--push",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^  poll rate .* \d+\.\d+/h$", out, re.MULTILINE)
+        assert re.search(r"^  poll latency .* \d+\.\d+ms$", out, re.MULTILINE)
+
     def test_replay_of_tsdb_free_export_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
         path.write_text('{"type": "metric", "name": "x"}\n')

@@ -8,10 +8,9 @@ an embedded TSDB.  Both paths recorded the same history, and two
 recordings in fresh interpreters matched each other, so this file is
 the behaviour the one remaining path must keep.
 
-Pinned per run: every alert record except ``health.poll_latency_anomaly``
-(its z-score rides on wall-clock poll latency), the keys of the alerts
-still active at the end, each SLO tracker's ``window_counts`` at four
-trailing windows, and each incident's rule, agent and window.
+Pinned per run: every alert record, the keys of the alerts still active
+at the end, each SLO tracker's ``window_counts`` at four trailing
+windows, and each incident's rule, agent and window.
 
 Run this module as a script to print the observed history as JSON.
 """
@@ -41,8 +40,6 @@ WINDOWS = (POLL, 6 * POLL, 86400.0, 7 * 86400.0)
 CHAOS = ChaosInjection(
     profile="partition", chaos_seed="eq-chaos", node_indices=(0,),
 )
-#: Rules whose firing depends on wall-clock timings, not the simulation.
-WALL_CLOCK_RULES = frozenset({"health.poll_latency_anomaly"})
 
 
 def run_watch() -> tuple[HealthWatch, float]:
@@ -78,14 +75,8 @@ def run_watch() -> tuple[HealthWatch, float]:
 def history(watch: HealthWatch, end: float) -> dict:
     """The pinned, simulation-determined fields of one watched run."""
     return {
-        "alerts": [
-            alert.to_record() for alert in watch.engine.history
-            if alert.rule not in WALL_CLOCK_RULES
-        ],
-        "active": [
-            list(alert.key) for alert in watch.engine.active()
-            if alert.rule not in WALL_CLOCK_RULES
-        ],
+        "alerts": [alert.to_record() for alert in watch.engine.history],
+        "active": [list(alert.key) for alert in watch.engine.active()],
         "window_counts": {
             tracker.name: [
                 list(tracker.window_counts(window, end)) for window in WINDOWS
@@ -99,7 +90,6 @@ def history(watch: HealthWatch, end: float) -> dict:
                 "window": list(incident.window),
             }
             for incident in watch.incidents
-            if incident.alert["rule"] not in WALL_CLOCK_RULES
         ],
     }
 

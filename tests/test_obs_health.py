@@ -18,8 +18,6 @@ from repro.obs.health import (
     FailureRateDetector,
     HealthMonitor,
     HealthWatch,
-    LatencyAnomalyDetector,
-    SlidingWindow,
     render_dashboard,
 )
 from repro.obs.metrics import MetricsRegistry
@@ -39,99 +37,6 @@ class TestEwma:
         ewma.update(0.0)
         assert ewma.update(1.0) == 0.5
         assert ewma.update(1.0) == 0.75
-
-
-class TestSlidingWindow:
-    def test_mean_and_std(self):
-        window = SlidingWindow(8)
-        for value in (2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0):
-            window.push(value)
-        assert window.mean == pytest.approx(5.0)
-        assert window.std == pytest.approx(2.0)
-
-    def test_eviction_keeps_running_sums_consistent(self):
-        window = SlidingWindow(3)
-        for value in (100.0, 1.0, 2.0, 3.0):
-            window.push(value)  # the 100 is evicted
-        assert len(window) == 3
-        assert window.mean == pytest.approx(2.0)
-
-    def test_zscore_zero_when_flat(self):
-        window = SlidingWindow(4)
-        for _ in range(4):
-            window.push(5.0)
-        assert window.zscore(100.0) == 0.0
-
-    def test_zscore_measures_deviation(self):
-        window = SlidingWindow(8)
-        for value in (2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0):
-            window.push(value)
-        assert window.zscore(9.0) == pytest.approx(2.0)
-
-    def test_no_catastrophic_cancellation_on_large_constants(self):
-        """Regression: E[x^2] - E[x]^2 on ~1e9-scale near-constant
-        samples leaves positive rounding noise that used to produce a
-        tiny bogus sigma -- turning nanoseconds of jitter into huge
-        z-scores.  The noise floor must report std == 0.0 here."""
-        window = SlidingWindow(32)
-        base = 1.0e9
-        for i in range(32):
-            # Jitter far below the cancellation error of the sums.
-            window.push(base + (i % 2) * 1e-3)
-        assert window.std == 0.0
-        assert window.zscore(base + 1.0) == 0.0
-
-    def test_real_spread_on_large_values_still_measured(self):
-        window = SlidingWindow(32)
-        for i in range(32):
-            window.push(1.0e9 + (i % 2) * 1e6)
-        assert window.std == pytest.approx(5e5)
-
-    def test_resync_repairs_running_sum_drift(self):
-        window = SlidingWindow(16)
-        pushes = SlidingWindow.RESYNC_EVERY + 8
-        for i in range(pushes):
-            window.push(1.0e9 if i % 2 else 1.0e-9)
-        # After many evictions of mixed-magnitude values the running
-        # sums have been resynced from the retained window at least
-        # once; mean/std must match a from-scratch computation.
-        values = list(window._window)
-        mean = sum(values) / len(values)
-        assert window.mean == pytest.approx(mean)
-        variance = sum((v - mean) ** 2 for v in values) / len(values)
-        assert window.std == pytest.approx(variance**0.5, rel=1e-6)
-
-
-class TestLatencyAnomalyDetector:
-    def test_quiet_stream_never_alerts(self):
-        detector = LatencyAnomalyDetector(min_samples=4)
-        for tick in range(20):
-            assert detector.observe(float(tick), 0.005) is None
-
-    def test_spike_alerts_after_warmup(self):
-        detector = LatencyAnomalyDetector(min_samples=4, threshold=3.0)
-        for tick in range(8):
-            detector.observe(float(tick), 0.005 + 0.0001 * (tick % 3))
-        alert = detector.observe(8.0, 0.050)
-        assert alert is not None
-        assert alert.rule == "health.poll_latency_anomaly"
-        assert alert.severity == "warning"
-        assert alert.detail["zscore"] >= 3.0
-
-    def test_no_alert_before_min_samples(self):
-        detector = LatencyAnomalyDetector(min_samples=10)
-        for tick in range(9):
-            assert detector.observe(float(tick), 0.005) is None
-        # Even a huge spike is withheld until the window is warm.
-        assert detector.observe(9.0, 10.0) is None
-
-    def test_min_ratio_suppresses_jitter_on_tight_streams(self):
-        # Sigma is microscopic, so the z-score is huge -- but the value
-        # is only 1.1x the mean and must not page.
-        detector = LatencyAnomalyDetector(min_samples=4, min_ratio=1.5)
-        for tick in range(8):
-            detector.observe(float(tick), 0.005 + 1e-9 * tick)
-        assert detector.observe(8.0, 0.0055) is None
 
 
 class TestFailureRateDetector:

@@ -7,10 +7,12 @@ modes share the verification pipeline and the nonce stream.  These
 tests pin the session state machine, the protocol-level rejection
 semantics (replay, expiry, mismatch: loud, and never charged to the
 agent's attestation record), the reaper's anti-P2 accounting, and the
-equivalence property itself.
+equivalence property itself, down to the round telemetry and the
+health alerts.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -46,6 +48,14 @@ def _submit_blob(testbed, reply):
         pcr_selection=list(reply.pcr_selection),
     )
     return submission_to_json(reply.session_id, testbed.agent_id, evidence)
+
+
+def _round_counts(registry) -> dict[str, int] | None:
+    """``verifier_polls_total`` by result (``None`` when never recorded)."""
+    family = registry.get("verifier_polls_total")
+    if family is None:
+        return None
+    return {labels["result"]: int(child.value) for labels, child in family.samples()}
 
 
 class TestPushSessionLifecycle:
@@ -288,6 +298,27 @@ class TestPushObservability:
         assert ok_seen == seen
         assert sessions == 1
 
+    def test_push_round_is_recorded_as_a_poll(self, testbed):
+        """One round record for both modes: a push submission counts in
+        ``verifier_polls_total``, is timed in ``verifier_poll_wall_seconds``
+        and is verified under a ``verifier.poll`` span, which the
+        histogram's exemplar points at."""
+        with obs_runtime.session() as telemetry:
+            assert testbed.push_round().ok
+            polls = _round_counts(telemetry.registry)
+            [(_, latency)] = telemetry.registry.get(
+                "verifier_poll_wall_seconds"
+            ).samples()
+            [trace] = telemetry.store.query(name="verifier.poll")
+        assert polls == {"ok": 1}
+        assert latency.count == 1
+        span = trace.find("verifier.poll")
+        assert span.attributes["agent"] == testbed.agent_id
+        [exemplar] = latency.exemplars.values()
+        assert (exemplar["trace_id"], exemplar["span_id"]) == (
+            span.trace_id, span.span_id,
+        )
+
 
 class TestPushPullEquivalence:
     """The tentpole property: same seed, same verdicts, either mode."""
@@ -381,18 +412,54 @@ class TestFleetPushMode:
                 == pull.fleet.verifier.results_of(agent_id)
             )
 
-    def test_flaky_wire_never_escapes_the_retry_policy(self):
+    @pytest.fixture(scope="class")
+    def flaky_runs(self):
+        """The flaky-wire scenario in each mode: ``{push: (result, registry)}``."""
+        from repro.experiments.fleet_run import ChaosInjection, run_fleet_scenario
+
+        runs = {}
+        for push_mode in (False, True):
+            with obs_runtime.session() as telemetry:
+                result = run_fleet_scenario(
+                    seed="equiv", n_nodes=3, n_days=1, n_filler_packages=5,
+                    push_mode=push_mode, chaos=ChaosInjection("flaky"),
+                )
+            runs[push_mode] = result, telemetry.registry
+        return runs
+
+    @pytest.mark.parametrize(
+        ("push_mode", "expected"),
+        [
+            (False, {"ok": 282, "degraded": 6}),
+            # One fewer: node-002's last abandoned session is still
+            # inside its TTL when the run ends.
+            (True, {"ok": 282, "degraded": 5}),
+        ],
+        ids=["pull", "push"],
+    )
+    def test_round_counter_equals_the_verifier_results(
+        self, flaky_runs, push_mode, expected
+    ):
+        """Every round the verifier records -- a push submission or an
+        unanswered push session included -- counts once in
+        ``verifier_polls_total``, under its outcome."""
+        result, registry = flaky_runs[push_mode]
+        verifier = result.fleet.verifier
+        outcomes = Counter(
+            "ok" if r.ok else ("degraded" if r.transient else "failed")
+            for node in result.fleet.nodes
+            for r in verifier.results_of(node.agent.agent_id)
+        )
+        assert outcomes == expected
+        assert _round_counts(registry) == expected
+
+    def test_flaky_wire_never_escapes_the_retry_policy(self, flaky_runs):
         """Every push leg -- the attest leg included -- runs under the
         client's retry policy, so an injected transient is retried (or
         abandons the round) instead of escaping and killing the run, and
         every abandoned round lands on the verifier's record as a
         degraded round once the next negotiation supersedes it."""
-        from repro.experiments.fleet_run import ChaosInjection, run_fleet_scenario
-
-        result = run_fleet_scenario(
-            seed="equiv", n_nodes=3, n_days=1, n_filler_packages=5,
-            push_mode=True, chaos=ChaosInjection("flaky"),
-        )
+        result, _ = flaky_runs[True]
         verifier = result.fleet.verifier
         abandoned = 0
         for node in result.fleet.nodes:
@@ -420,3 +487,69 @@ class TestFleetPushMode:
             assert (
                 push.fleet.verifier.open_push_session_of(agent_id) is None
             )
+
+
+class TestHealthWatchEquivalence:
+    """The P2 scenario watched in each mode raises the same alerts.
+
+    Every consumer of the round record -- the failure-rate detector,
+    the SLO trackers, the incident correlator -- reads one counter, one
+    histogram and one span name, so none of them can tell the modes
+    apart.
+    """
+
+    @pytest.fixture(scope="class")
+    def watched(self):
+        """``{push: (registry, watch)}`` for the P2 scenario."""
+        from repro.experiments.fleet_run import P2Injection, run_fleet_scenario
+        from repro.obs.health import HealthWatch
+
+        runs = {}
+        for push_mode in (False, True):
+            with obs_runtime.session() as telemetry:
+                watch = HealthWatch(tick_interval=1800.0)
+                run_fleet_scenario(
+                    seed="equiv", n_nodes=3, n_days=2, p2=P2Injection(),
+                    watch=watch, push_mode=push_mode,
+                )
+            runs[push_mode] = telemetry.registry, watch
+        return runs
+
+    def test_round_counts_identical(self, watched):
+        for registry, _ in watched.values():
+            assert _round_counts(registry) == {"ok": 348, "failed": 1}
+
+    def test_alerts_slos_and_incidents_identical(self, watched):
+        def history(watch):
+            end = watch.monitor.last_check
+            return {
+                "alerts": [alert.to_record() for alert in watch.engine.history],
+                "window_counts": {
+                    tracker.name: [
+                        tracker.window_counts(window, end)
+                        for window in (1800.0, 10800.0, 86400.0)
+                    ]
+                    for tracker in watch.monitor.slos.all()
+                },
+                "incidents": [
+                    (report.alert["rule"], report.agent_id, report.window)
+                    for report in watch.incidents
+                ],
+            }
+
+        pull, push = (history(watch) for _, watch in watched.values())
+        assert pull["alerts"], "the P2 scenario must raise alerts"
+        assert pull == push
+
+    def test_freshness_incidents_carry_the_push_round_path(self, watched):
+        """A push incident's critical path decomposes the last
+        ``verifier.poll`` span, as a pull incident's does."""
+        _, watch = watched[True]
+        freshness = [
+            report for report in watch.incidents
+            if report.alert["rule"].startswith("slo.freshness.")
+        ]
+        assert freshness
+        for report in freshness:
+            assert report.critical_path
+            assert report.critical_path[0]["name"] == "verifier.poll"

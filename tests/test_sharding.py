@@ -33,7 +33,6 @@ from repro.keylime.sharding import (
     ConsistentHashRing,
     shard_balance,
 )
-from repro.obs.capacity import CapacityModel
 
 seeds = st.text(
     alphabet="abcdefghijklmnopqrstuvwxyz0123456789", min_size=1, max_size=12
@@ -185,28 +184,6 @@ class TestShardBalance:
     def test_bounded_in_unit_interval(self, sizes):
         value = shard_balance(sizes)
         assert 0.0 <= value <= 1.0
-
-
-class TestCapacityIntegration:
-    MODEL = CapacityModel(
-        fixed_seconds=0.5, per_node_seconds=0.1, samples=10, r_squared=0.99
-    )
-
-    def test_sharded_tick_cost_is_the_largest_shard(self):
-        cost = self.MODEL.sharded_tick_cost({"a": 10, "b": 4})
-        assert cost == pytest.approx(self.MODEL.tick_cost(10))
-
-    def test_sharded_max_nodes_scales_by_balance(self):
-        base = self.MODEL.max_nodes(60.0)
-        assert self.MODEL.sharded_max_nodes(60.0, 4) == pytest.approx(4 * base)
-        assert self.MODEL.sharded_max_nodes(60.0, 4, balance=0.5) == (
-            pytest.approx(2 * base)
-        )
-        assert self.MODEL.sharded_max_nodes(60.0, 0) == 0.0
-
-    def test_sharded_speedup_caps_balance_at_one(self):
-        assert self.MODEL.sharded_speedup(4, balance=2.0) == 4.0
-        assert self.MODEL.sharded_speedup(3, balance=0.5) == 1.5
 
 
 @pytest.fixture(scope="module")
