@@ -4,8 +4,8 @@ Not a paper artifact -- these keep an eye on the cost of the operations
 the long-run experiments execute tens of thousands of times: TPM
 quoting, quote verification, the full verifier poll, IMA measurement,
 policy evaluation, the RSA signing and key generation beneath the
-simulated TPM, and the VFS walk over ``/usr`` that the benign workload
-runs every simulated day.
+simulated TPM, the VFS walk over ``/usr``, and the executables query
+over it that the benign workload runs every simulated day.
 """
 
 from __future__ import annotations
@@ -108,3 +108,10 @@ def test_micro_vfs_walk(benchmark, longrun_testbed):
     vfs = longrun_testbed.machine.vfs
     stats = benchmark(lambda: list(vfs.walk("/usr")))
     assert len(stats) > 40_000
+
+
+def test_micro_vfs_executables(benchmark, longrun_testbed):
+    vfs = longrun_testbed.machine.vfs
+    paths = benchmark(lambda: vfs.executables("/usr"))
+    assert len(paths) > 40_000
+    assert paths == [stat.path for stat in vfs.walk("/usr") if stat.executable]

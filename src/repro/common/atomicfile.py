@@ -1,11 +1,13 @@
 """Crash-consistent file replacement.
 
-Every durable artefact the reproduction writes -- metric and trace
-exports, verifier snapshots, the bench trajectory, ``report --out`` --
-goes through :func:`write_atomic`: the content is written to a temp
-file in the destination directory, fsynced, and renamed over the
-target.  A crash at any step leaves either the old file or the
-complete new one, never a truncated hybrid, and no temp file behind.
+The metric and trace exports, verifier snapshots and ``report --out``
+go through :func:`write_atomic`: the content is written to a temp file
+in the destination directory, fsynced, renamed over the target, and
+the directory is fsynced so the rename itself is durable.  A crash at
+any step leaves either the old file or the complete new one, never a
+truncated hybrid, and no temp file behind.  (The bench trajectory is
+not rewritten but appended to, with its own fsync:
+:meth:`repro.obs.perf.TrajectoryStore.append`.)
 """
 
 from __future__ import annotations
@@ -19,16 +21,19 @@ def write_atomic(
     path: str | os.PathLike, write: Callable[[IO[Any]], None], binary: bool = False
 ) -> None:
     """Run *write(handle)* against a same-directory temp file, then
-    fsync + rename it over *path*.
+    fsync + rename it over *path* and fsync the directory.
 
-    The handle is text (UTF-8) unless *binary*.  On any failure the temp
-    file is removed and the exception propagates; *path* is untouched.
+    The handle is text (UTF-8) unless *binary*.  On a failure before the
+    rename the temp file is removed and the exception propagates; *path*
+    is untouched.  A failure of the directory fsync propagates too, with
+    *path* already holding the new content.
     """
     path = os.fspath(path)
+    directory = os.path.dirname(os.path.abspath(path))
     handle = tempfile.NamedTemporaryFile(
         "wb" if binary else "w",
         encoding=None if binary else "utf-8",
-        dir=os.path.dirname(os.path.abspath(path)),
+        dir=directory,
         prefix=os.path.basename(path) + ".", suffix=".tmp", delete=False,
     )
     try:
@@ -43,3 +48,10 @@ def write_atomic(
         except OSError:
             pass
         raise
+    # The rename lives in the directory entry: until the directory is
+    # flushed, a crash can still bring back the old file.
+    descriptor = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(descriptor)
+    finally:
+        os.close(descriptor)

@@ -340,12 +340,8 @@ class BenignWorkload:
         self._snaps.append(snap)
 
     def _executables(self) -> list[str]:
-        return [
-            stat.path
-            for prefix in ("/bin", "/usr")
-            for stat in self.machine.vfs.walk(prefix)
-            if stat.executable
-        ]
+        vfs = self.machine.vfs
+        return vfs.executables("/bin") + vfs.executables("/usr")
 
     def run_session(self, n_execs: int = 25) -> list[ExecResult]:
         """One interactive session: execute a sample of system binaries."""

@@ -119,13 +119,10 @@ def sign_all_executables(
     vfs: Vfs, keypair: RsaKeyPair, signer: str, prefix: str = "/"
 ) -> int:
     """Sign every executable under *prefix*; returns the count."""
-    signed = 0
-    for stat in list(vfs.walk(prefix)):
-        if not stat.executable:
-            continue
-        sign_file(vfs, stat.path, keypair, signer)
-        signed += 1
-    return signed
+    paths = vfs.executables(prefix)
+    for path in paths:
+        sign_file(vfs, path, keypair, signer)
+    return len(paths)
 
 
 def get_signature(vfs: Vfs, path: str) -> ImaSignature | None:

@@ -30,7 +30,7 @@ import posixpath
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.common.errors import ReproError
 
@@ -367,9 +367,10 @@ class Vfs:
     def walk(self, prefix: str = "/") -> Iterator[FileStat]:
         """Every file at or below *prefix*.
 
-        Used by the static policy builder (the paper's "bash script that
-        recursively hashes every executable under /") and the benign
-        workload's daily pick of executables.  The contract:
+        Used where a :class:`FileStat` is needed (the reboot ``/tmp``
+        sweep, tests); callers that only need the executables' paths use
+        :meth:`executables`, which visits the same files in the same
+        order.  The contract both share:
 
         * *prefix* is matched per path component, so ``/usr`` does not
           match ``/usr2``.
@@ -383,6 +384,39 @@ class Vfs:
 
         Only the prefix's range is visited: mounts that cannot overlap
         it are skipped, and each filesystem bisects its sorted names.
+        """
+        for point, filesystem, pairs in self._scan(prefix):
+            base = _base(point)
+            fs_id, fstype = filesystem.fs_id, filesystem.fstype
+            for rel, inode in pairs:
+                # Mount points and stored names both come from normalised
+                # paths, so the joined path needs no second _normalize().
+                yield FileStat(
+                    base + rel if rel else point, fs_id, fstype, inode.ino,
+                    inode.size, inode.executable, inode.iversion,
+                )
+
+    def executables(self, prefix: str = "/") -> list[str]:
+        """Paths of the executables :meth:`walk` would yield, in its order.
+
+        The static policy builder (the paper's "bash script that
+        recursively hashes every executable under /"), ``evmctl``-style
+        signing and the benign workload's daily sample only need the
+        paths, so no :class:`FileStat` is built per entry.  Same
+        contract as :meth:`walk`; the list is taken when this is called.
+        """
+        paths: list[str] = []
+        for point, _filesystem, pairs in self._scan(prefix):
+            base = _base(point)
+            paths += [base + rel if rel else point for rel, inode in pairs if inode.executable]
+        return paths
+
+    def _scan(self, prefix: str) -> Iterator[tuple[str, Filesystem, Iterable[tuple[str, Inode]]]]:
+        """The range scan behind :meth:`walk` and :meth:`executables`.
+
+        For each mount that can overlap *prefix*, in mount-point order:
+        its point, its filesystem and the (relative path, inode) pairs
+        at or below the prefix that no mount nested in it hides.
         """
         prefix = _normalize(prefix)
         mounts = sorted(self._mounts, key=lambda m: m.point)
@@ -403,20 +437,15 @@ class Vfs:
                 and _within(other.point, point)
                 and (_within(other.point, prefix) or _within(prefix, other.point))
             ]
-            hidden = set(nested)
-            hidden_below = tuple(rel + "/" for rel in nested)
-            base = _base(point)
-            filesystem = mount.filesystem
-            fs_id, fstype = filesystem.fs_id, filesystem.fstype
-            for rel, inode in filesystem.entries(under):
-                if nested and (rel in hidden or rel.startswith(hidden_below)):
-                    continue
-                # Mount points and stored names both come from normalised
-                # paths, so the joined path needs no second _normalize().
-                yield FileStat(
-                    base + rel if rel else point, fs_id, fstype, inode.ino,
-                    inode.size, inode.executable, inode.iversion,
+            pairs: Iterable[tuple[str, Inode]] = mount.filesystem.entries(under)
+            if nested:
+                hidden = set(nested)
+                hidden_below = tuple(rel + "/" for rel in nested)
+                pairs = (
+                    (rel, inode) for rel, inode in pairs
+                    if not (rel in hidden or rel.startswith(hidden_below))
                 )
+            yield point, mount.filesystem, pairs
 
     def files_under(self, prefix: str = "/") -> list[str]:
         """Sorted absolute paths under *prefix* (test helper)."""

@@ -527,11 +527,9 @@ def build_policy_from_machine(
     trusted, and excluded directories are never listed.
     """
     policy = RuntimePolicy(excludes=list(excludes), name=name)
-    for stat in machine.vfs.walk(root):
-        if not stat.executable:
+    for path in machine.vfs.executables(root):
+        if policy.is_excluded(path):
             continue
-        if policy.is_excluded(stat.path):
-            continue
-        content = machine.vfs.read_file(stat.path)
-        policy.add_digest(stat.path, sha256_hex(content))
+        content = machine.vfs.read_file(path)
+        policy.add_digest(path, sha256_hex(content))
     return policy

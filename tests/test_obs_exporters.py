@@ -1,5 +1,10 @@
 """Round-trip tests for the Prometheus, JSONL and console exporters."""
 
+import os
+
+import pytest
+
+from repro.common.atomicfile import write_atomic
 from repro.obs.exporters import (
     console_summary,
     jsonl_dump,
@@ -189,12 +194,59 @@ class TestAtomicWrite:
         assert [p.name for p in target.parent.iterdir()] == ["metrics.prom"]
 
     def test_failed_write_leaves_no_temp(self, tmp_path):
-        import pytest
-
         target = tmp_path / "metrics.prom"
         with pytest.raises(TypeError):
             write_text_atomic(str(target), None)
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "step", ["write", "flush", "fsync_file", "replace", "fsync_dir"]
+    )
+    def test_crash_at_each_step_leaves_old_or_new(self, tmp_path, monkeypatch, step):
+        """A crash before the rename keeps the old bytes; one at the
+        directory fsync already has the new bytes; no temp file stays."""
+        target = tmp_path / "state.json"
+        target.write_text("old\n")
+
+        def crash(*_args):
+            raise OSError(f"crash at {step}")
+
+        real_fsync = os.fsync
+        fsyncs = []
+
+        def fsync(descriptor):
+            fsyncs.append(descriptor)
+            if (step, len(fsyncs)) in (("fsync_file", 1), ("fsync_dir", 2)):
+                crash()
+            real_fsync(descriptor)
+
+        def write(handle):
+            handle.write("new\n")
+            if step == "write":
+                crash()
+            if step == "flush":
+                handle.flush = crash
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        if step == "replace":
+            monkeypatch.setattr(os, "replace", crash)
+        with pytest.raises(OSError, match=f"crash at {step}"):
+            write_atomic(target, write)
+        assert target.read_text() == ("new\n" if step == "fsync_dir" else "old\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
+
+    def test_fsyncs_the_directory_after_the_rename(self, tmp_path, monkeypatch):
+        target = tmp_path / "state.json"
+        real_fsync = os.fsync
+        synced = []
+
+        def fsync(descriptor):
+            synced.append(os.path.samestat(os.fstat(descriptor), os.stat(tmp_path)))
+            real_fsync(descriptor)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        write_atomic(target, lambda handle: handle.write("new\n"))
+        assert synced == [False, True]
 
 
 class TestEventAndAuditExport:

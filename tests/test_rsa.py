@@ -1,9 +1,13 @@
 """Tests for the from-scratch RSA implementation."""
 
 import hashlib
+import importlib
+import pkgutil
+import sys
 
 import pytest
 
+import repro
 from repro.common.rng import SeededRng
 from repro.crypto.rsa import (
     RsaKeyPair,
@@ -11,6 +15,7 @@ from repro.crypto.rsa import (
     generate_keypair,
     is_probable_prime,
 )
+from tests.conftest import KEYGEN_SITES, memoized_keygen
 
 
 @pytest.fixture(scope="module")
@@ -174,3 +179,33 @@ class TestBytePin:
         assert keypair.public.fingerprint() == self.FINGERPRINT
         for message, digest in self.SIGNATURE_SHA256.items():
             assert hashlib.sha256(keypair.sign(message)).hexdigest() == digest
+
+
+class TestKeygenMemo:
+    """The suite's keygen memo (``tests/conftest.py``) hands out exactly
+    the keys the library generates, at every name the library calls."""
+
+    def test_site_list_names_every_binding_module(self, keygen_memo):
+        for module in pkgutil.walk_packages(repro.__path__, "repro."):
+            importlib.import_module(module.name)
+        binding = {
+            name for name, module in list(sys.modules.items())
+            if name.startswith("repro.") and "generate_keypair" in vars(module)
+        }
+        # The defining module and its package re-export stay uncached.
+        assert binding - {"repro.crypto", "repro.crypto.rsa"} == set(KEYGEN_SITES)
+        for site in KEYGEN_SITES:
+            assert sys.modules[site].generate_keypair is keygen_memo
+
+    def test_memo_returns_the_generated_key(self):
+        memo = memoized_keygen(generate_keypair)
+        for seed, bits in [("memo-a", 512), ("memo-a", 1024), ("memo-b", 512), (7, 1024)]:
+            rng = SeededRng(seed)
+            state = rng.getstate()
+            fresh = generate_keypair(rng.fork("key"), bits=bits)
+            cached = memo(rng.fork("key"), bits=bits)
+            assert rng.getstate() == state  # keygen only forks the stream
+            assert memo(rng.fork("key"), bits=bits) is cached
+            assert (
+                cached.public.n, cached.public.e, cached.d, cached.p, cached.q
+            ) == (fresh.public.n, fresh.public.e, fresh.d, fresh.p, fresh.q)

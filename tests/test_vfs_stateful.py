@@ -8,7 +8,8 @@ test that guards the inode semantics P4 rests on.
 It also pins ``Vfs.walk`` to :func:`reference_walk`, a plain full scan
 with one ``resolve()`` per entry: every ``FileStat`` field, in yield
 order, for prefixes that sit on mount boundaries and next to sibling
-names that sort at the edges of the bisected range.
+names that sort at the edges of the bisected range.  ``Vfs.executables``
+must list exactly the reference's executable paths, in the same order.
 """
 
 from __future__ import annotations
@@ -143,7 +144,11 @@ class VfsModel(RuleBasedStateMachine):
     @invariant()
     def walk_matches_reference(self) -> None:
         for prefix in _WALK_PREFIXES:
-            assert list(self.vfs.walk(prefix)) == list(reference_walk(self.vfs, prefix)), prefix
+            reference = list(reference_walk(self.vfs, prefix))
+            assert list(self.vfs.walk(prefix)) == reference, prefix
+            assert self.vfs.executables(prefix) == [
+                stat.path for stat in reference if stat.executable
+            ], prefix
 
     @invariant()
     def contents_match_model(self) -> None:

@@ -13,6 +13,7 @@ from repro.distro.workload import (
     build_base_system,
     essential_packages,
 )
+from repro.kernelsim.vfs import FilesystemType
 
 
 class TestBaseSystem:
@@ -139,6 +140,38 @@ class TestBenignWorkload:
         candidates = workload._executables()
         assert len(candidates) == len(before) + len(extra)
         assert sorted(candidates) == sorted(before + extra)
+
+    def test_sample_is_drawn_from_the_walk_order(self, small_testbed):
+        """The population is the walk's executables, element for element,
+        so the seeded sample draws the same paths."""
+        machine, workload = small_testbed.machine, small_testbed.workload
+        vfs = machine.vfs
+
+        def walked() -> list[str]:
+            return [
+                stat.path
+                for prefix in ("/bin", "/usr")
+                for stat in vfs.walk(prefix)
+                if stat.executable
+            ]
+
+        cleared = walked()[0]
+        vfs.chmod(cleared, False)
+        machine.install_file("/usr/x/hidden", b"\x7fELF", executable=True)
+        vfs.mount("/usr/x", FilesystemType.TMPFS)
+        machine.install_file("/usr/x/tool", b"\x7fELF", executable=True)
+        # Walked before the /usr/x mount's entries, though it sorts after.
+        machine.install_file("/usr/y/tool", b"\x7fELF", executable=True)
+
+        oracle = walked()
+        assert cleared not in oracle and "/usr/x/hidden" not in oracle
+        assert oracle[-2:] == ["/usr/y/tool", "/usr/x/tool"]
+        assert workload._executables() == oracle
+
+        probe = SeededRng()
+        probe.setstate(workload.rng.getstate())
+        expected = probe.sample(oracle, 5)
+        assert [result.path for result in workload.run_session(5)] == expected
 
     def test_run_session_executes_existing_binaries(self, small_testbed):
         results = small_testbed.workload.run_session(3)
