@@ -3,12 +3,15 @@
 Not a paper artifact -- these keep an eye on the cost of the operations
 the long-run experiments execute tens of thousands of times: TPM
 quoting, quote verification, the full verifier poll, IMA measurement,
-policy evaluation, the RSA signing and key generation beneath the
-simulated TPM, the VFS walk over ``/usr``, and the executables query
-over it that the benign workload runs every simulated day.
+the verifier's replay of a whole shipped log, policy evaluation, the
+RSA signing and key generation beneath the simulated TPM, the VFS walk
+over ``/usr``, and the executables query over it that the benign
+workload runs every simulated day.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,6 +20,9 @@ from repro.common.rng import SeededRng
 from repro.crypto.rsa import generate_keypair
 from repro.experiments.testbed import build_testbed, TestbedConfig
 from repro.kernelsim.ima import ImaLogEntry, template_hash
+from repro.keylime.pipeline import AgentSlot, LogReplayStage, RoundContext
+from repro.obs.tracing import NULL_TRACER
+from repro.tpm.pcr import IMA_PCR_INDEX, replay_extends
 from repro.tpm.quote import verify_quote
 
 
@@ -90,6 +96,35 @@ def test_micro_ima_measurement(benchmark, rig):
 
     result = benchmark.pedantic(measure_fresh_file, rounds=200, iterations=1)
     assert result.measured
+
+
+def test_micro_log_replay(benchmark):
+    """Replay a whole 601-entry log, as every ``reattest_fleet`` poll does."""
+    lines = []
+    for index in range(601):
+        filedata = "sha256:" + sha256_hex(b"file-%d" % index)
+        path = f"/usr/bin/tool-{index}"
+        lines.append(ImaLogEntry(
+            pcr=IMA_PCR_INDEX, template_hash=template_hash(filedata, path),
+            template="ima-ng", filedata_hash=filedata, path=path,
+        ).to_line())
+    quoted = replay_extends("sha256", [line.split(" ")[1] for line in lines])
+    evidence = SimpleNamespace(
+        ima_log_lines=tuple(lines), offset=0,
+        quote=SimpleNamespace(pcr_values={IMA_PCR_INDEX: quoted}),
+    )
+    stage = LogReplayStage()
+
+    def replay():
+        slot = AgentSlot(agent=None, policy=None)
+        stage.run(RoundContext(
+            agent_id="micro", slot=slot, record=None, now=0.0, rng=None,
+            tracer=NULL_TRACER, evidence=evidence,
+        ))
+        return slot
+
+    slot = benchmark(replay)
+    assert (slot.replay_aggregate, slot.verified_entries) == (quoted, 601)
 
 
 def test_micro_policy_evaluation(benchmark, rig):

@@ -7,7 +7,8 @@ the directory is fsynced so the rename itself is durable.  A crash at
 any step leaves either the old file or the complete new one, never a
 truncated hybrid, and no temp file behind.  (The bench trajectory is
 not rewritten but appended to, with its own fsync:
-:meth:`repro.obs.perf.TrajectoryStore.append`.)
+:meth:`repro.obs.perf.TrajectoryStore.append`, which also calls
+:func:`fsync_directory` when its append creates the file.)
 """
 
 from __future__ import annotations
@@ -50,6 +51,11 @@ def write_atomic(
         raise
     # The rename lives in the directory entry: until the directory is
     # flushed, a crash can still bring back the old file.
+    fsync_directory(directory)
+
+
+def fsync_directory(directory: str) -> None:
+    """Flush *directory*'s entries: a new or renamed name survives a crash."""
     descriptor = os.open(directory, os.O_RDONLY)
     try:
         os.fsync(descriptor)

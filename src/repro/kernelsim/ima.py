@@ -29,6 +29,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from repro.common.hexutil import sha256_hex
 from repro.kernelsim.vfs import FilesystemType, FileStat
@@ -69,13 +70,14 @@ class ImaHook(Enum):
     MODULE_CHECK = "MODULE_CHECK"  # kernel module load
 
 
-@dataclass(frozen=True)
-class ImaLogEntry:
+class ImaLogEntry(NamedTuple):
     """One line of the ascii measurement list (ima-ng template).
 
     ``template_hash`` is what gets extended into PCR 10; it covers the
     file digest *and* the recorded path, so the verifier's replay breaks
-    if either is tampered with in transit.
+    if either is tampered with in transit.  A named tuple: the verifier
+    builds one per shipped line every round, and a tuple costs about a
+    third of a frozen dataclass to build.
     """
 
     pcr: int
@@ -90,18 +92,16 @@ class ImaLogEntry:
 
     @classmethod
     def from_line(cls, line: str) -> "ImaLogEntry":
-        """Parse a serialised entry (the verifier-side operation)."""
+        """Parse a serialised entry (the verifier-side operation).
+
+        Raises ``ValueError`` on a line without five fields or with a
+        non-integer PCR; the replay stage reports its text verbatim.
+        """
         parts = line.split(" ", 4)
         if len(parts) != 5:
             raise ValueError(f"malformed IMA log line: {line!r}")
-        pcr, template_hash, template, filedata_hash, path = parts
-        return cls(
-            pcr=int(pcr),
-            template_hash=template_hash,
-            template=template,
-            filedata_hash=filedata_hash,
-            path=path,
-        )
+        parts[0] = int(parts[0])
+        return cls._make(parts)
 
 
 def template_hash(filedata_hash: str, path: str) -> str:

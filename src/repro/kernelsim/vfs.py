@@ -106,9 +106,14 @@ class Filesystem:
         self.fs_id = fs_id
         self.fstype = fstype
         self._entries: dict[str, Inode] = {}
-        # Sorted entry names; ``None`` once the name set changes, and
-        # rebuilt by the next entries() call.  Content writes keep it.
-        self._names: list[str] | None = []
+        # The entry names as last sorted (``None`` until the first
+        # entries() call sorts them all), and the names created and
+        # unlinked since: the names are ``_names`` minus ``_unlinked``
+        # plus ``_created``, which the next entries() call merges into
+        # a new sorted list.  Content writes touch none of it.
+        self._names: list[str] | None = None
+        self._created: set[str] = set()
+        self._unlinked: set[str] = set()
         self._next_ino = 2  # inode 1 is the root directory, by convention
 
     def __contains__(self, relpath: str) -> bool:
@@ -119,8 +124,8 @@ class Filesystem:
         return self._entries.get(relpath)
 
     def _set(self, relpath: str, inode: Inode) -> None:
-        if relpath not in self._entries:
-            self._names = None
+        if relpath not in self._entries and self._names is not None:
+            self._created.add(relpath)
         self._entries[relpath] = inode
 
     def create(self, relpath: str, content: bytes, executable: bool) -> Inode:
@@ -141,7 +146,9 @@ class Filesystem:
             inode = self._entries.pop(relpath)
         except KeyError:
             raise VfsError(f"unlink: no such file: {relpath!r} on {self.fs_id}") from None
-        self._names = None
+        if self._names is not None:
+            self._created.discard(relpath)
+            self._unlinked.add(relpath)
         inode.nlink -= 1
         return inode
 
@@ -156,6 +163,16 @@ class Filesystem:
         names = self._names
         if names is None:
             names = self._names = sorted(self._entries)
+        elif self._created or self._unlinked:
+            unlinked = self._unlinked
+            if unlinked:
+                names = [name for name in names if name not in unlinked]
+            # A new list, so the old one stays a snapshot; it holds two
+            # sorted runs, which list.sort() merges in one pass.
+            names = self._names = names + sorted(self._created)
+            names.sort()
+            self._created.clear()
+            unlinked.clear()
         entries = self._entries
         if under:
             # Names below ``under/`` sort between it and ``under0``: "0"
@@ -171,7 +188,9 @@ class Filesystem:
     def clear(self) -> None:
         """Drop every entry (volatile filesystems lose content on reboot)."""
         self._entries.clear()
-        self._names = []
+        self._names = None
+        self._created.clear()
+        self._unlinked.clear()
 
 
 def _normalize(path: str) -> str:

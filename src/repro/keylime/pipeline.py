@@ -34,10 +34,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from time import perf_counter
-from typing import Callable
+from typing import Callable, NoReturn
 
 from repro.common.errors import IntegrityError, StateError, TransientTransportError
-from repro.common.hexutil import extend_digest, zero_digest
+from repro.common.hexutil import extend_bytes, zero_digest
 from repro.kernelsim.ima import (
     ImaLogEntry,
     VIOLATION_EXTEND_VALUE,
@@ -52,13 +52,8 @@ from repro.obs.tracing import exemplar_of
 from repro.tpm.pcr import IMA_PCR_INDEX
 from repro.tpm.quote import QuoteVerificationError, verify_quote
 
-
-def is_violation_entry(entry: ImaLogEntry) -> bool:
-    """True for IMA violation entries (zero template + zero filedata)."""
-    return (
-        entry.template_hash == VIOLATION_TEMPLATE_HASH
-        and entry.filedata_hash == VIOLATION_FILEDATA_HASH
-    )
+#: What a violation entry extends into PCR 10, as raw bytes.
+_VIOLATION_EXTEND = bytes.fromhex(VIOLATION_EXTEND_VALUE)
 
 
 class AgentState(Enum):
@@ -383,45 +378,50 @@ class MeasuredBootStage(Stage):
 
 
 class LogReplayStage(Stage):
-    """Step 3: parse the new entries and replay them against PCR 10."""
+    """Step 3: parse the new entries and replay them against PCR 10.
+
+    One pass over the shipped lines: each line is split once and its
+    template hash checked, and the aggregate is extended on raw digests
+    and hex-encoded once, for the quoted-PCR comparison.  The parse is
+    :meth:`ImaLogEntry.from_line` inlined, with the same error text.
+    """
 
     name = "log_replay"
 
     def run(self, ctx: RoundContext) -> None:
         slot = ctx.slot
-        with ctx.tracer.span(
-            "verifier.log_replay", lines=len(ctx.evidence.ima_log_lines)
-        ):
-            entries: list[ImaLogEntry] = []
-            for line in ctx.evidence.ima_log_lines:
-                try:
-                    entry = ImaLogEntry.from_line(line)
-                except ValueError as exc:
-                    ctx.abort(
-                        FailureKind.LOG_TAMPERED, str(exc),
-                        processed=len(entries),
-                        skipped=len(ctx.evidence.ima_log_lines) - len(entries),
-                    )
-                if not is_violation_entry(entry):
-                    expected = template_hash(entry.filedata_hash, entry.path)
-                    if entry.template_hash != expected:
-                        ctx.abort(
-                            FailureKind.LOG_TAMPERED,
-                            f"template hash mismatch at {entry.path}",
-                            processed=len(entries),
-                            skipped=len(ctx.evidence.ima_log_lines) - len(entries),
-                        )
-                entries.append(entry)
+        lines = ctx.evidence.ima_log_lines
+        entries: list[ImaLogEntry] = []
 
-            aggregate = slot.replay_aggregate
-            for entry in entries:
-                if is_violation_entry(entry):
+        def tampered(detail: str) -> NoReturn:
+            ctx.abort(
+                FailureKind.LOG_TAMPERED, detail,
+                processed=len(entries), skipped=len(lines) - len(entries),
+            )
+
+        with ctx.tracer.span("verifier.log_replay", lines=len(lines)):
+            append = entries.append
+            new_tuple = tuple.__new__  # ImaLogEntry._make minus its length check
+            aggregate = bytes.fromhex(slot.replay_aggregate)
+            for line in lines:
+                parts = line.split(" ", 4)
+                if len(parts) != 5:
+                    tampered(f"malformed IMA log line: {line!r}")
+                try:
+                    parts[0] = int(parts[0])
+                except ValueError as exc:
+                    tampered(str(exc))
+                _, logged, _, filedata, path = parts
+                if logged == VIOLATION_TEMPLATE_HASH and filedata == VIOLATION_FILEDATA_HASH:
                     # Violations log zeros but extend 0xFF (kernel rule).
-                    aggregate = extend_digest(
-                        "sha256", aggregate, VIOLATION_EXTEND_VALUE
-                    )
+                    value = _VIOLATION_EXTEND
+                elif logged == template_hash(filedata, path):
+                    value = bytes.fromhex(logged)
                 else:
-                    aggregate = extend_digest("sha256", aggregate, entry.template_hash)
+                    tampered(f"template hash mismatch at {path}")
+                aggregate = extend_bytes("sha256", aggregate, value)
+                append(new_tuple(ImaLogEntry, parts))
+            aggregate = aggregate.hex()
             quoted = ctx.evidence.quote.pcr_values[IMA_PCR_INDEX]
             if aggregate != quoted:
                 ctx.abort(

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from typing import Any
 
 from repro.common.atomicfile import write_atomic
@@ -49,6 +50,8 @@ from repro.obs import runtime as obs
 
 SNAPSHOT_MAGIC = "repro-verifier-snapshot"
 SNAPSHOT_VERSION = 1
+
+_SHA256_HEX = re.compile("[0-9a-f]{64}")
 
 
 # -- record serialisation ---------------------------------------------------
@@ -126,6 +129,19 @@ def _rng_state(rng) -> list:
     return [version, list(internal), gauss_next]
 
 
+def _replay_aggregate_from_record(value: Any) -> str:
+    """*value* when it is a lowercase hex SHA-256 digest.
+
+    The next log replay extends it as raw bytes, so a malformed value
+    must fail the import, not a later poll.
+    """
+    if not isinstance(value, str) or _SHA256_HEX.fullmatch(value) is None:
+        raise ValueError(
+            f"replay_aggregate {value!r} is not a lowercase hex SHA-256 digest"
+        )
+    return value
+
+
 # -- per-agent state handoff -------------------------------------------------
 
 def export_agent_state(verifier: KeylimeVerifier, agent_id: str) -> dict[str, Any]:
@@ -181,7 +197,9 @@ def import_agent_state(
         slot = verifier._slots[agent_id]
         slot.state = AgentState(record["state"])
         slot.verified_entries = int(record["verified_entries"])
-        slot.replay_aggregate = str(record["replay_aggregate"])
+        slot.replay_aggregate = _replay_aggregate_from_record(
+            record["replay_aggregate"]
+        )
         reset_count = record["last_reset_count"]
         slot.last_reset_count = (
             int(reset_count) if reset_count is not None else None

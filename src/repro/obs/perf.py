@@ -54,6 +54,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
+from repro.common.atomicfile import fsync_directory
 from repro.common.errors import ConfigurationError
 from repro.obs.exporters import write_jsonl_atomic
 
@@ -361,9 +362,10 @@ class TrajectoryStore:
     """Durable append-only JSONL store of :class:`BenchRecord` lines.
 
     Appends write one complete serialized line per record with an
-    ``fsync`` before returning, so a crash never interleaves partial
-    records mid-file -- at worst the final line is torn, which
-    :meth:`load` tolerates (and counts in :attr:`torn_lines`).
+    ``fsync`` before returning (and the directory's too when the append
+    creates the file), so a crash never interleaves partial records
+    mid-file -- at worst the final line is torn, which :meth:`load`
+    tolerates (and counts in :attr:`torn_lines`).
     """
 
     def __init__(self, path: str = TRAJECTORY_PATH) -> None:
@@ -415,13 +417,17 @@ class TrajectoryStore:
         if self._count is None:
             self.load()
         record.seq = self._count or 0
+        # Until this append succeeds the count on disk is unknown (a
+        # failed one may have left the line): the next append reloads.
+        self._count = None
         directory = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(directory, exist_ok=True)
         # A crash mid-append leaves a torn tail with no newline; repair
         # it first so this record starts a fresh line instead of fusing
         # with the fragment (load() skips the fragment either way).
+        created = not os.path.exists(self.path)
         needs_newline = False
-        if os.path.exists(self.path) and os.path.getsize(self.path) > 0:
+        if not created and os.path.getsize(self.path) > 0:
             with open(self.path, "rb") as tail:
                 tail.seek(-1, os.SEEK_END)
                 needs_newline = tail.read(1) != b"\n"
@@ -432,6 +438,10 @@ class TrajectoryStore:
             handle.write(line)
             handle.flush()
             os.fsync(handle.fileno())
+        if created:
+            # The new file's name lives in the directory: flush it too,
+            # or a crash can lose the file with its fsynced records.
+            fsync_directory(directory)
         self._count = record.seq + 1
         return record
 

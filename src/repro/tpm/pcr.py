@@ -10,7 +10,7 @@ even though the log itself travels over an untrusted channel.
 from __future__ import annotations
 
 from repro.common.errors import StateError
-from repro.common.hexutil import digest_size, extend_digest, zero_digest
+from repro.common.hexutil import digest_size, extend_bytes, extend_digest, zero_digest
 
 NUM_PCRS = 24
 
@@ -64,10 +64,14 @@ class PcrBank:
 def replay_extends(algorithm: str, values_hex: list[str]) -> str:
     """Replay a sequence of extends from the zero digest.
 
-    This is the verifier-side computation: given the template hashes of
-    an IMA log, compute what PCR 10 *should* contain.
+    Given the template hashes of an IMA log, compute what PCR 10
+    *should* contain.  The verifier's own replay is the pipeline stage
+    (:class:`repro.keylime.pipeline.LogReplayStage`), which picks up at
+    the last verified entry; this whole-log form is the reference the
+    tests hold the TPM's bank to.  Both extend with
+    :func:`~repro.common.hexutil.extend_bytes`.
     """
-    current = zero_digest(algorithm)
+    current = bytes(digest_size(algorithm))
     for value in values_hex:
-        current = extend_digest(algorithm, current, value)
-    return current
+        current = extend_bytes(algorithm, current, bytes.fromhex(value))
+    return current.hex()

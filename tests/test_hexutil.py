@@ -3,10 +3,13 @@
 import hashlib
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.common.hexutil import (
     digest_hex,
     digest_size,
+    extend_bytes,
     extend_digest,
     is_hex_digest,
     sha1_hex,
@@ -80,12 +83,38 @@ class TestExtend:
         assert ab != ba
 
     def test_rejects_wrong_current_length(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="current value has 1 bytes, expected 32"):
             extend_digest("sha256", "00", sha256_hex(b"x"))
 
     def test_rejects_wrong_value_length(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="extend value has 1 bytes, expected 32"):
             extend_digest("sha256", zero_digest("sha256"), "00")
+
+    def test_extend_bytes_rejects_wrong_lengths(self):
+        with pytest.raises(ValueError, match="current value has 20 bytes, expected 32"):
+            extend_bytes("sha256", bytes(20), bytes(32))
+        with pytest.raises(ValueError, match="extend value has 32 bytes, expected 20"):
+            extend_bytes("sha1", bytes(20), bytes(32))
+
+    def test_extend_bytes_rejects_unknown_algorithm(self):
+        with pytest.raises(ValueError, match="unsupported digest algorithm: 'md5'"):
+            extend_bytes("md5", bytes(16), bytes(16))
+
+    @pytest.mark.parametrize("algorithm", ["sha1", "sha256"])
+    def test_extend_digest_is_extend_bytes_in_hex(self, algorithm):
+        size = digest_size(algorithm)
+
+        @given(st.binary(min_size=size, max_size=size),
+               st.binary(min_size=size, max_size=size))
+        def check(current, new):
+            assert extend_digest(algorithm, current.hex(), new.hex()) == extend_bytes(
+                algorithm, current, new
+            ).hex()
+            assert extend_bytes(algorithm, current, new) == hashlib.new(
+                algorithm, current + new
+            ).digest()
+
+        check()
 
     def test_sha1_extend(self):
         result = extend_digest("sha1", zero_digest("sha1"), sha1_hex(b"x"))

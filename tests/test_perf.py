@@ -253,6 +253,97 @@ class TestTrajectoryStore:
         assert [r.metrics["wall_s"] for r in records][-1] == 9.0
         assert [r.seq for r in records] == list(range(len(records)))
 
+    @pytest.mark.parametrize("step, earlier", [
+        ("write", 2), ("flush", 2), ("fsync_file", 2),
+        ("write", 0), ("flush", 0), ("fsync_file", 0), ("fsync_dir", 0),
+    ])
+    def test_crash_at_each_append_step(self, tmp_path, monkeypatch, step, earlier):
+        """A crash mid-append keeps every earlier record and zero or
+        one copy of the new one, and the next append repairs the tail.
+        The directory fsync only happens when the append creates the
+        file, so that step is crashed on a fresh store."""
+        path = str(tmp_path / "perf" / "t.jsonl")
+        store = TrajectoryStore(path)
+        for index in range(earlier):
+            store.append(make_record(metrics={"wall_s": float(index)}))
+
+        def crash():
+            raise OSError(f"crash at {step}")
+
+        class CrashingHandle:
+            """The append handle, failing at *step*: a crash at the
+            write still lands the first half of the line."""
+
+            def __init__(self, handle):
+                self._handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self._handle.close()
+
+            def write(self, text):
+                if step == "write" and text != "\n":
+                    self._handle.write(text[: len(text) // 2])
+                    self._handle.flush()
+                    crash()
+                return self._handle.write(text)
+
+            def flush(self):
+                if step == "flush":
+                    crash()
+                self._handle.flush()
+
+            def fileno(self):
+                return self._handle.fileno()
+
+        def crashing_open(file, mode="r", *args, **kwargs):
+            handle = open(file, mode, *args, **kwargs)
+            return CrashingHandle(handle) if mode == "a" else handle
+
+        real_fsync = os.fsync
+        fsyncs = []
+
+        def fsync(descriptor):
+            fsyncs.append(descriptor)
+            if (step, len(fsyncs)) in (("fsync_file", 1), ("fsync_dir", 2)):
+                crash()
+            real_fsync(descriptor)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(perf, "open", crashing_open, raising=False)
+            patch.setattr(os, "fsync", fsync)
+            with pytest.raises(OSError, match=f"crash at {step}"):
+                store.append(make_record(metrics={"wall_s": 7.0}))
+        walls = [r.metrics["wall_s"] for r in TrajectoryStore(path).load()]
+        assert walls[:earlier] == [float(index) for index in range(earlier)]
+        assert walls[earlier:] in ([], [7.0])
+
+        appended = store.append(make_record(metrics={"wall_s": 9.0}))
+        final = TrajectoryStore(path)
+        records = final.load()
+        assert [r.metrics["wall_s"] for r in records] == walls + [9.0]
+        assert appended.seq == records[-1].seq == len(records) - 1
+        assert final.torn_lines == (1 if step == "write" else 0)
+
+    def test_append_fsyncs_the_directory_when_it_creates_the_file(
+        self, tmp_path, monkeypatch
+    ):
+        path = str(tmp_path / "t.jsonl")
+        real_fsync = os.fsync
+        synced = []
+
+        def fsync(descriptor):
+            synced.append(os.path.samestat(os.fstat(descriptor), os.stat(tmp_path)))
+            real_fsync(descriptor)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        store = TrajectoryStore(path)
+        store.append(make_record())
+        store.append(make_record())
+        assert synced == [False, True, False]
+
     def test_non_record_lines_are_ignored(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
         with open(path, "w", encoding="utf-8") as handle:

@@ -266,6 +266,21 @@ class TestSnapshotIntegrity:
         with pytest.raises(IntegrityError, match="malformed agent record"):
             restore_verifier(twin, body)
 
+    @pytest.mark.parametrize(
+        "aggregate", ["not-a-digest", "A" * 64, "0" * 63, "0" * 62 + " 0", None],
+    )
+    def test_malformed_replay_aggregate_rejected(self, testbed, tmp_path, aggregate):
+        """The next replay extends the aggregate as raw bytes: a value
+        that is not a lowercase hex SHA-256 digest fails the import."""
+        path = self._snap(testbed, tmp_path)
+        body = read_snapshot(path)
+        body["agents"][0]["replay_aggregate"] = aggregate
+        twin = _fresh_twin(testbed)
+        with pytest.raises(
+            IntegrityError, match="malformed agent record.*replay_aggregate"
+        ):
+            restore_verifier(twin, body)
+
 
 class TestInspect:
     def test_summary_fields(self, testbed, tmp_path):

@@ -10,6 +10,11 @@ with one ``resolve()`` per entry: every ``FileStat`` field, in yield
 order, for prefixes that sit on mount boundaries and next to sibling
 names that sort at the edges of the bisected range.  ``Vfs.executables``
 must list exactly the reference's executable paths, in the same order.
+
+``Filesystem.entries`` merges the names created and unlinked since its
+last listing into the sorted list it kept; every listing must equal a
+full sort, and a listing handed out earlier must not change under later
+creates and unlinks.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.kernelsim.vfs import FileStat, FilesystemType, Vfs
+from repro.kernelsim.vfs import FileStat, Filesystem, FilesystemType, Vfs
 
 _SQUASHFS_POINT = "/usr/sq"
 _NAMES = st.sampled_from(
@@ -88,6 +93,9 @@ class VfsModel(RuleBasedStateMachine):
         self.vfs.mount(_SQUASHFS_POINT, FilesystemType.SQUASHFS)
         self.model: dict[str, bytes] = {}
         self.exec_bits: dict[str, bool] = {}
+        # Unconsumed listings from the previous step, with the names
+        # they held then: later steps must not change them.
+        self.listings: list[tuple[object, list[str]]] = []
 
     @rule(target=paths, path=_NAMES, content=_CONTENT, executable=st.booleans())
     def write(self, path: str, content: bytes, executable: bool) -> str:
@@ -116,6 +124,25 @@ class VfsModel(RuleBasedStateMachine):
         self.vfs.unlink(path)
         del self.model[path]
         del self.exec_bits[path]
+
+    @rule(path=paths, content=_CONTENT)
+    def unlink_and_recreate(self, path: str, content: bytes) -> None:
+        if path not in self.model:
+            return
+        before = self.vfs.stat(path)
+        self.vfs.unlink(path)
+        stat = self.vfs.write_file(path, content, executable=True)
+        assert stat.ino != before.ino, "re-created file gets a fresh inode"
+        self.model[path] = content
+        self.exec_bits[path] = True
+
+    @rule(path=_NAMES)
+    def create_and_unlink(self, path: str) -> None:
+        """A name that comes and goes between two listings."""
+        if path in self.model:
+            return
+        self.vfs.write_file(path, b"transient", executable=True)
+        self.vfs.unlink(path)
 
     @rule(target=paths, src=paths, dst=_NAMES)
     def rename(self, src: str, dst: str) -> str:
@@ -151,6 +178,16 @@ class VfsModel(RuleBasedStateMachine):
             ], prefix
 
     @invariant()
+    def entries_are_sorted_snapshots(self) -> None:
+        for pairs, names in self.listings:
+            assert [name for name, _ in pairs] == names
+        self.listings = []
+        for _, filesystem in self.vfs.mounts():
+            names = sorted(filesystem._entries)
+            assert [name for name, _ in filesystem.entries()] == names
+            self.listings.append((filesystem.entries(), names))
+
+    @invariant()
     def contents_match_model(self) -> None:
         for path, content in self.model.items():
             assert self.vfs.read_file(path) == content
@@ -169,6 +206,30 @@ class VfsModel(RuleBasedStateMachine):
             key = (stat.fs_id, stat.ino)
             assert key not in seen, f"inode {key} aliased by {path}"
             seen.add(key)
+
+
+def test_entries_merge_created_and_unlinked_names():
+    """List, create, unlink, unlink and re-create, then list again."""
+    filesystem = Filesystem("root", FilesystemType.EXT4)
+    for name in ("usr/bin/b", "usr/bin/d", "usr/bin/f", "usr2/x"):
+        filesystem.create(name, b"old", executable=True)
+    before = filesystem.entries()
+    filesystem.create("usr/bin/c", b"new", executable=True)
+    filesystem.create("usr/bin/a", b"new", executable=True)
+    filesystem.unlink("usr/bin/d")
+    filesystem.unlink("usr/bin/f")
+    filesystem.create("usr/bin/f", b"new", executable=False)
+    filesystem.create("usr/bin/e", b"new", executable=True)
+    filesystem.unlink("usr/bin/e")  # created and gone between listings
+    after = list(filesystem.entries("usr"))
+    assert [name for name, _ in after] == [
+        "usr/bin/a", "usr/bin/b", "usr/bin/c", "usr/bin/f",
+    ]
+    assert after[-1][1].content == b"new"
+    assert [name for name, _ in before] == [
+        "usr/bin/b", "usr/bin/d", "usr/bin/f", "usr2/x",
+    ]
+    assert [name for name, _ in filesystem.entries()] == sorted(filesystem._entries)
 
 
 TestVfsStateful = VfsModel.TestCase
