@@ -394,61 +394,6 @@ def _cmd_obs_top(args: argparse.Namespace) -> int:
     return 1 if gaps else 0
 
 
-def _cmd_obs_capacity(args: argparse.Namespace) -> int:
-    import json as json_module
-
-    from repro.obs.capacity import plan_capacity, render_capacity_plan
-
-    if args.replay:
-        from repro.obs.capacity import model_from_store
-        from repro.obs.exporters import load_jsonl
-        from repro.obs.tsdb import TsdbStore
-
-        with open(args.replay, "r", encoding="utf-8") as handle:
-            records = load_jsonl(handle.read())
-        store = TsdbStore.from_records(records)
-        model = model_from_store(store)
-        if model is None or model.samples == 0:
-            print(f"no fleet tick accounting series in {args.replay} "
-                  "(need fleet_ticks_total / fleet_polled_agents_total / "
-                  "fleet_tick_busy_seconds_total)")
-            return 1
-        interval = args.interval if args.interval is not None else 1800.0
-    else:
-        from repro.experiments.saturation import (
-            render_sweep,
-            run_saturation_sweep,
-        )
-
-        sizes = tuple(
-            int(part) for part in args.sizes.split(",") if part.strip()
-        )
-        sweep = run_saturation_sweep(
-            sizes=sizes,
-            ticks=args.ticks,
-            budget=args.budget,
-            seed=str(args.seed),
-            n_filler_packages=args.fillers,
-        )
-        print(render_sweep(sweep))
-        print()
-        model = sweep.model
-        interval = args.interval if args.interval is not None else sweep.budget
-
-    plan = plan_capacity(
-        model,
-        interval,
-        verifiers=args.verifiers,
-        current_nodes=args.current_nodes,
-        growth_per_day=args.growth_per_day,
-        target_nodes=args.target_nodes,
-    )
-    print(render_capacity_plan(plan))
-    if args.json_summary:
-        print(json_module.dumps(plan.to_record(), sort_keys=True))
-    return 0
-
-
 def _cmd_obs_report(args: argparse.Namespace) -> int:
     from repro.obs.exporters import load_jsonl
     from repro.obs.incidents import reports_from_export, split_export
@@ -991,57 +936,6 @@ def build_parser() -> argparse.ArgumentParser:
              "instead of running a fleet",
     )
     top.set_defaults(func=_cmd_obs_top)
-
-    capacity = obs_commands.add_parser(
-        "capacity",
-        help="what-if capacity planner: fit per-node round cost from a "
-             "live saturation sweep (or a TSDB export) and answer "
-             "max-nodes / throughput / time-to-saturation questions",
-    )
-    capacity.add_argument(
-        "--replay", default=None, metavar="EXPORT",
-        help="fit the model from an obs top/watch --jsonl TSDB export "
-             "instead of running a live sweep",
-    )
-    capacity.add_argument(
-        "--sizes", default="4,8,16,28",
-        help="live sweep fleet sizes, comma-separated",
-    )
-    capacity.add_argument(
-        "--ticks", type=int, default=6,
-        help="measured batch ticks per sweep size",
-    )
-    capacity.add_argument(
-        "--budget", type=float, default=None,
-        help="tick budget, wall seconds (default: calibrated so the "
-             "knee lands at the sweep midpoint)",
-    )
-    capacity.add_argument(
-        "--interval", type=float, default=None,
-        help="what-if per-tick budget for the plan, seconds (default: "
-             "the sweep budget live, 1800 on --replay)",
-    )
-    capacity.add_argument(
-        "--verifiers", type=int, default=1,
-        help="what-if verifier count",
-    )
-    capacity.add_argument(
-        "--current-nodes", type=float, default=0.0,
-        help="current fleet size for utilization / time-to-saturation",
-    )
-    capacity.add_argument(
-        "--growth-per-day", type=float, default=0.0,
-        help="fleet growth rate for time-to-saturation",
-    )
-    capacity.add_argument(
-        "--target-nodes", type=float, default=None,
-        help="target fleet size: how many verifiers would it need?",
-    )
-    capacity.add_argument(
-        "--json-summary", action="store_true",
-        help="also print the plan as one JSON line (CI assertions)",
-    )
-    capacity.set_defaults(func=_cmd_obs_capacity)
 
     obs_report = obs_commands.add_parser(
         "report", help="post-hoc incident reports from an obs watch JSONL export"

@@ -67,7 +67,11 @@ from repro.keylime.verifier import (
 )
 from repro.kernelsim.kernel import Machine
 from repro.obs import runtime as obs
-from repro.obs.capacity import TickBudgetAccountant
+from repro.obs.capacity import (
+    POLL_TIMER,
+    TickBudgetAccountant,
+    injected_delay_total,
+)
 from repro.tpm.device import TpmManufacturer
 
 #: The kernel every fleet node boots unless the caller picks another.
@@ -147,6 +151,8 @@ class ShardHost:
         run_round = self.verifier.push_round if push else self.verifier.poll
         results: dict[str, AttestationResult] = {}
         skipped = 0
+        # The tick is charged only the chaos delay of its own batch.
+        delay_before = injected_delay_total(telemetry.registry)
         wall_start = perf_counter()
         with telemetry.tracer.span(
             "fleet.push_batch" if push else "fleet.poll_batch",
@@ -181,6 +187,9 @@ class ShardHost:
             polled=len(results),
             skipped=skipped,
             registry=telemetry.registry,
+            injected_delay_seconds=(
+                injected_delay_total(telemetry.registry) - delay_before
+            ),
         )
         return results
 
@@ -248,7 +257,6 @@ class Fleet:
         fault_plan: FaultPlan | None = None,
         retry_policy: RetryPolicy | None = None,
         quarantine_after: int = 3,
-        tick_budget: float | None = None,
         push_mode: bool = False,
     ) -> None:
         """Provision, register and onboard *size* identical nodes.
@@ -266,12 +274,6 @@ class Fleet:
         to SUSPECT instead of crashing a batch tick.  A plan with no
         matching fault specs is bit-identical to no plan at all.
         ``quarantine_after`` is the verifier's suspect-window budget.
-
-        ``tick_budget`` seeds every shard's
-        :class:`repro.obs.capacity.TickBudgetAccountant`: the busy
-        seconds one batch tick may spend before it counts as an
-        overrun.  Left ``None`` it defaults to the polling interval
-        when :meth:`start_polling` runs.
 
         With ``push_mode`` the attestation direction inverts: within
         each tick every node's agent drives its own negotiate -> submit
@@ -310,7 +312,6 @@ class Fleet:
         self.checkpoint_every = 0
         self._shard_rng: SeededRng | None = None
         self._round = 0
-        self.tick_budget = tick_budget
         self._poll_timer = None
 
         settings = {
@@ -361,7 +362,7 @@ class Fleet:
             notifier=self.notifier, audit=audit,
             verdict_cache=self.verdict_cache, **settings,
         )
-        accounting = TickBudgetAccountant(budget=self.tick_budget, events=self.events)
+        accounting = TickBudgetAccountant(events=self.events)
         if self._poll_timer is not None:
             accounting.configure(interval=self._poll_timer.interval)
         return ShardHost(
@@ -537,12 +538,12 @@ class Fleet:
         the members, runs every shard's batch back-to-back against the
         shared verdict cache, checkpoints a sharded fleet and refreshes
         the state roll-up (gauges and the ``fleet.polled`` event).  Each
-        shard's tick accountant takes *interval* as its cadence and, for
-        a fleet built without a ``tick_budget``, as its budget.
+        shard's tick accountant takes *interval* as its cadence and, unless
+        its budget was configured explicitly, as its budget.
         """
         self.stop_polling()
         self._poll_timer = self.scheduler.every(
-            interval, self.poll_all, label="fleet-poll-batch"
+            interval, self.poll_all, label=POLL_TIMER
         )
         for host in self.shards.values():
             host.accounting.configure(interval=interval)

@@ -236,8 +236,8 @@ def shard_balance(sizes: dict[str, int] | Sequence[int]) -> float:
     The critical path of one sharded attestation tick is its largest
     shard, so the parallel speedup over N verifiers is ``N * balance``
     -- which is why this number is also a recording rule
-    (``fleet:shard_balance``) and a capacity-planner input.  Empty
-    rings (or all-empty shards) report 0.0.
+    (``fleet:shard_balance``).  Empty rings (or all-empty shards)
+    report 0.0.
     """
     values = list(sizes.values()) if isinstance(sizes, dict) else list(sizes)
     if not values:

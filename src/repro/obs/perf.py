@@ -311,8 +311,7 @@ def record_from_run(
 
     Only declared metrics are kept (a runner may compute extras for its
     own assertions); a declared metric a runner legitimately cannot
-    produce in some mode (e.g. a knee that needs a full sweep) is
-    simply absent from the record.  Non-finite values are rejected --
+    produce in some mode is simply absent from the record.  Non-finite values are rejected --
     an ``inf`` entries/sec from a zero-duration loop is a measurement
     bug, not a data point.
     """

@@ -386,7 +386,7 @@ def standard_recording_rules(
         IncreaseRule(
             "fleet:degraded_rounds", "verifier_degraded_rounds_total", window,
         ),
-        # Saturation / capacity set (repro.obs.capacity): windowed
+        # Saturation set (repro.obs.capacity): windowed
         # busy-over-budget utilization, the overrun fraction, and the
         # per-stage share of attestation cost.
         RatioRule(

@@ -1,6 +1,4 @@
-"""Tests for tick-budget accounting, saturation detection and the planner."""
-
-import math
+"""Tests for tick-budget accounting and saturation detection."""
 
 import pytest
 from hypothesis import given, settings
@@ -13,19 +11,11 @@ from repro.distro.archive import UbuntuArchive
 from repro.distro.mirror import LocalMirror
 from repro.distro.workload import build_base_system
 from repro.dynpolicy.generator import DynamicPolicyGenerator
-from repro.keylime.faults import chaos_profile
+from repro.keylime.faults import FaultKind, chaos_profile
 from repro.keylime.fleet import Fleet
 from repro.keylime.policy import IBM_STYLE_EXCLUDES
 from repro.obs import runtime as obs_runtime
-from repro.obs.capacity import (
-    SaturationDetector,
-    TickBudgetAccountant,
-    capacity_pairs_from_store,
-    fit_capacity,
-    model_from_store,
-    plan_capacity,
-    render_capacity_plan,
-)
+from repro.obs.capacity import SaturationDetector, TickBudgetAccountant
 from repro.obs.health import HealthWatch
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.rules import ShareRule
@@ -46,17 +36,23 @@ def fresh_runtime():
         obs_runtime.deactivate()
 
 
+def _accountant(budget, events=None):
+    acct = TickBudgetAccountant(events=events)
+    acct.configure(budget=budget)
+    return acct
+
+
 class TestTickBudgetAccountant:
     def _tick(self, acct, registry, now, busy, n=3):
         return acct.observe_tick(
             now, wall_seconds=busy, registered=n, polled=n,
-            registry=registry, injected_delay_seconds=0.0,
+            registry=registry,
         )
 
     def test_budget_must_be_positive(self):
-        with pytest.raises(ValueError):
-            TickBudgetAccountant(budget=0.0)
         acct = TickBudgetAccountant()
+        with pytest.raises(ValueError):
+            acct.configure(budget=0.0)
         with pytest.raises(ValueError):
             acct.configure(budget=-1.0)
 
@@ -65,7 +61,7 @@ class TestTickBudgetAccountant:
         acct.configure(interval=1800.0)
         assert acct.budget == 1800.0
         # An explicit budget is not overwritten by a later interval.
-        acct2 = TickBudgetAccountant(budget=2.0)
+        acct2 = _accountant(2.0)
         acct2.configure(interval=1800.0)
         assert acct2.budget == 2.0
 
@@ -79,7 +75,7 @@ class TestTickBudgetAccountant:
     def test_saturation_fires_on_third_consecutive_overrun(self):
         events = EventLog()
         registry = MetricsRegistry()
-        acct = TickBudgetAccountant(budget=1.0, events=events)
+        acct = _accountant(1.0, events)
         acct.configure(interval=POLL)
         self._tick(acct, registry, 600.0, busy=0.5)
         for at in (1200.0, 1800.0, 2400.0):
@@ -109,7 +105,7 @@ class TestTickBudgetAccountant:
     def test_interrupted_overrun_run_never_saturates(self):
         events = EventLog()
         registry = MetricsRegistry()
-        acct = TickBudgetAccountant(budget=1.0, events=events)
+        acct = _accountant(1.0, events)
         for index, busy in enumerate((2.0, 2.0, 0.5, 2.0, 2.0, 0.5)):
             self._tick(acct, registry, 600.0 * (index + 1), busy=busy)
         assert acct.overruns == 4
@@ -121,7 +117,7 @@ class TestTickBudgetAccountant:
 
     def test_metric_families_written(self):
         registry = MetricsRegistry()
-        acct = TickBudgetAccountant(budget=1.0, timer="my-timer")
+        acct = _accountant(1.0)
         acct.configure(interval=POLL)
         acct.observe_tick(
             600.0, wall_seconds=2.0, registered=5, polled=4, skipped=1,
@@ -129,58 +125,31 @@ class TestTickBudgetAccountant:
         )
         assert registry.get("fleet_ticks_total").value == 1.0
         assert registry.get("fleet_tick_busy_seconds_total").value == 2.5
-        assert registry.get("fleet_polled_agents_total").value == 4.0
         assert registry.get("fleet_tick_budget_seconds_total").value == 1.0
         assert registry.get("fleet_tick_utilization").value == 2.5
         depth = registry.get("fleet_tick_queue_depth")
         assert {
             labels["phase"]: child.value for labels, child in depth.samples()
         } == {"registered": 5.0, "polled": 4.0, "skipped": 1.0}
-        timers = registry.get("fleet_timer_overruns_total")
-        assert {
-            labels["timer"]: child.value for labels, child in timers.samples()
-        } == {"my-timer": 1.0}
+        assert registry.get("fleet_tick_overruns_total").value == 1.0
 
     def test_lag_measured_against_interval(self):
         registry = MetricsRegistry()
-        acct = TickBudgetAccountant(budget=10.0)
+        acct = _accountant(10.0)
         acct.configure(interval=POLL)
         self._tick(acct, registry, 600.0, busy=0.1)
         record = self._tick(acct, registry, 1500.0, busy=0.1)
         assert record.lag_seconds == pytest.approx(300.0)
 
     def test_chaos_delay_folds_into_busy_time(self):
-        registry = MetricsRegistry()
-        registry.histogram(
-            "transport_injected_delay_seconds", "injected",
-        ).observe(3.0)
-        acct = TickBudgetAccountant(budget=1.0)
+        acct = _accountant(1.0)
         record = acct.observe_tick(
             600.0, wall_seconds=0.25, registered=2, polled=2,
-            registry=registry,
+            registry=MetricsRegistry(), injected_delay_seconds=3.0,
         )
         assert record.delay_seconds == 3.0
         assert record.busy_seconds == 3.25
         assert record.overrun
-        # Only the *delta* counts on the next tick.
-        follow = acct.observe_tick(
-            1200.0, wall_seconds=0.25, registered=2, polled=2,
-            registry=registry,
-        )
-        assert follow.delay_seconds == 0.0
-
-    def test_model_and_pairs_from_records(self):
-        acct = TickBudgetAccountant(budget=10.0)
-        registry = MetricsRegistry()
-        for index, n in enumerate((2, 4, 8)):
-            acct.observe_tick(
-                600.0 * (index + 1), wall_seconds=0.01 * n,
-                registered=n, polled=n, registry=registry,
-                injected_delay_seconds=0.0,
-            )
-        assert acct.pairs() == [(2.0, 0.02), (4.0, 0.04), (8.0, 0.08)]
-        model = acct.model()
-        assert model.per_node_seconds == pytest.approx(0.01, rel=1e-6)
 
 
 @given(
@@ -191,7 +160,7 @@ class TestTickBudgetAccountant:
 @settings(max_examples=200, deadline=None)
 def test_utilization_in_unit_interval_iff_no_overrun(wall, delay, budget):
     """The accounting invariant: overrun <=> utilization > 1."""
-    acct = TickBudgetAccountant(budget=budget)
+    acct = _accountant(budget)
     record = acct.observe_tick(
         0.0, wall_seconds=wall, registered=1, polled=1,
         registry=MetricsRegistry(), injected_delay_seconds=delay,
@@ -219,113 +188,6 @@ class TestSaturationDetector:
         assert alert.detail["utilization"] == 1.8
         assert alert.detail["overruns_in_window"] == 3
         assert alert.detail["budget_seconds"] == 2.0
-
-
-class TestCapacityModel:
-    def test_fit_recovers_a_linear_cost(self):
-        model = fit_capacity(
-            (n, 0.005 + 0.002 * n) for n in (2, 4, 8, 16, 32)
-        )
-        assert model.fixed_seconds == pytest.approx(0.005, rel=1e-6)
-        assert model.per_node_seconds == pytest.approx(0.002, rel=1e-6)
-        assert model.r_squared == pytest.approx(1.0)
-        assert model.max_nodes(0.025) == pytest.approx(10.0)
-
-    def test_no_samples_yields_no_model(self):
-        assert fit_capacity([]) is None
-
-    def test_single_node_count_attributes_everything_marginal(self):
-        model = fit_capacity([(4, 0.04), (4, 0.044), (4, 0.036)])
-        assert model.fixed_seconds == 0.0
-        assert model.per_node_seconds == pytest.approx(0.01)
-
-    def test_negative_intercept_refits_through_origin(self):
-        # Noisy measurements whose naive fit has fixed cost < 0.
-        model = fit_capacity([(1, 0.0005), (2, 0.004), (3, 0.0075)])
-        assert model.fixed_seconds == 0.0
-        assert model.per_node_seconds > 0.0
-
-    def test_what_if_answers(self):
-        model = fit_capacity((n, 0.01 * n) for n in (1, 2, 4))
-        assert model.max_nodes(1.0) == pytest.approx(100.0)
-        assert model.max_nodes(0.0) == 0.0
-        assert model.nodes_per_second(1.0, verifiers=2) == pytest.approx(200.0)
-        assert model.verifiers_needed(400, 1.0) == 5  # 80 nodes/verifier @ 80%
-        assert model.time_to_saturation(50.0, 10.0, 1.0) == pytest.approx(5.0)
-        assert model.time_to_saturation(150.0, 10.0, 1.0) == 0.0
-        assert math.isinf(model.time_to_saturation(50.0, 0.0, 1.0))
-
-    def test_zero_marginal_cost_is_unbounded(self):
-        model = fit_capacity((n, 0.01) for n in (1, 2, 4))
-        assert math.isinf(model.max_nodes(1.0))
-        assert model.verifiers_needed(10_000, 1.0) == 1
-
-    def test_plan_record_is_json_shaped(self):
-        import json
-
-        model = fit_capacity((n, 0.01 * n) for n in (1, 2, 4))
-        plan = plan_capacity(
-            model, 1.0, verifiers=2, current_nodes=50.0,
-            growth_per_day=10.0, target_nodes=400.0,
-        )
-        record = plan.to_record()
-        assert record["type"] == "capacity_plan"
-        assert record["fleet_capacity"] == pytest.approx(200.0)
-        json.dumps(record)
-        text = render_capacity_plan(plan)
-        assert "max sustainable nodes/verifier" in text
-        assert "time to saturation" in text
-
-
-class TestStoreFit:
-    def _store_with_ticks(self, per_node=0.01, source=None):
-        """Scrape-shaped counters: 1 tick per scrape, n nodes per tick."""
-        store = TsdbStore()
-        labels = {"source": source} if source else None
-        ticks = busy = polled = 0.0
-        at = 0.0
-        for n in (2, 4, 8, 4, 2):
-            at += 600.0
-            ticks += 1
-            polled += n
-            busy += per_node * n
-            store.append("fleet_ticks_total", labels, ticks, at, kind="counter")
-            store.append(
-                "fleet_polled_agents_total", labels, polled, at, kind="counter"
-            )
-            store.append(
-                "fleet_tick_busy_seconds_total", labels, busy, at,
-                kind="counter",
-            )
-        return store
-
-    def test_pairs_walk_scrape_increases(self):
-        store = self._store_with_ticks()
-        pairs = capacity_pairs_from_store(store)
-        assert [n for n, _ in pairs] == [4.0, 8.0, 4.0, 2.0]
-        assert [busy for _, busy in pairs] == pytest.approx(
-            [0.04, 0.08, 0.04, 0.02]
-        )
-
-    def test_model_from_store(self):
-        model = model_from_store(self._store_with_ticks(per_node=0.02))
-        assert model.per_node_seconds == pytest.approx(0.02, rel=1e-6)
-        assert model.max_nodes(1.0) == pytest.approx(50.0)
-
-    def test_sources_fit_independently_then_pool(self):
-        store = self._store_with_ticks(source="shard-0")
-        other = self._store_with_ticks(source="shard-1")
-        for series in other.series():
-            for at, value in series.raw:
-                store.append(
-                    series.name, dict(series.labels), value, at,
-                    kind=series.kind,
-                )
-        pairs = capacity_pairs_from_store(store)
-        assert len(pairs) == 8  # 4 per federated source
-
-    def test_store_without_tick_series_has_no_pairs(self):
-        assert capacity_pairs_from_store(TsdbStore()) == []
 
 
 class TestShareRule:
@@ -362,8 +224,8 @@ class TestShareRule:
         assert store.select("fleet:stage_cost_share") == []
 
 
-def _delay_saturated_fleet(n_nodes=3, tick_budget=2.0):
-    """A small fleet whose every batch tick overruns its budget.
+def _delay_saturated_fleet(n_nodes=3):
+    """A small fleet whose every batch tick overruns its 2s budget.
 
     The ``delay`` chaos profile injects 0.6-1.8s per wire leg with
     probability 1 (always under the 2s attempt timeout, so every
@@ -391,9 +253,37 @@ def _delay_saturated_fleet(n_nodes=3, tick_budget=2.0):
     fleet = Fleet(
         n_nodes, mirror, TpmManufacturer("Sat", rng.fork("tpm")),
         scheduler, rng.fork("fleet"), policy,
-        events=events, fault_plan=plan, tick_budget=tick_budget,
+        events=events, fault_plan=plan,
     )
+    fleet.accounting.configure(budget=2.0)
     return fleet, scheduler
+
+
+def test_each_shard_is_charged_only_its_own_batch_delay(fresh_runtime):
+    """In every tick of a sharded ``delay`` fleet -- one member killed
+    mid-run, so an adopted shard starts a fresh accountant -- the
+    shards' accounted delays sum to the delay the chaos layer injected
+    in that tick (its ground-truth log, rounded to the millisecond)."""
+    fleet, scheduler = _delay_saturated_fleet(n_nodes=6)
+    fleet.shard(3, SeededRng("saturation-e2e").fork("shards"))
+    for tick in range(5):
+        if tick == 3:
+            fleet.kill("verifier-1")
+        scheduler.clock.advance_by(POLL)
+        fleet.poll_all()
+        now = scheduler.clock.now
+        delays = [
+            float(record.detail.rstrip("s"))
+            for record in fleet.fault_plan.injections
+            if record.kind is FaultKind.DELAY and record.time == now
+        ]
+        assert delays
+        charged = [host.accounting.records[-1] for host in fleet.shards.values()]
+        assert [record.at for record in charged] == [now] * len(charged)
+        assert sum(record.delay_seconds for record in charged) == pytest.approx(
+            sum(delays), abs=5e-4 * len(delays)
+        )
+    assert fleet.shards["verifier-1"].adoptions == 1
 
 
 class TestChaosDelaySaturation:

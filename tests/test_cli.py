@@ -289,15 +289,6 @@ class TestObsTop:
         assert "run: scenario=observatory seed=cli-top agents=9\n" in out
         assert "tsdb:" in out and "series" in out
 
-    def test_capacity_fits_from_the_export(self, top_export, capsys):
-        _, path, _ = top_export
-        capsys.readouterr()
-        assert main([
-            "obs", "capacity", "--replay", str(path), "--interval", "0.01",
-            "--current-nodes", "2", "--growth-per-day", "0.5",
-        ]) == 0
-        assert "max sustainable nodes/verifier" in capsys.readouterr().out
-
     def test_push_run_reports_poll_rate_and_latency(self, capsys):
         """Push rounds land in the same round record as pull polls, so
         the ``fleet:poll_*`` trend lines carry numbers in push mode."""
@@ -317,60 +308,6 @@ class TestObsTop:
         path.write_text('{"type": "metric", "name": "x"}\n')
         assert main(["obs", "top", "--replay", str(path)]) == 1
         assert "no TSDB series" in capsys.readouterr().out
-
-
-class TestObsCapacity:
-    def test_parser_accepts_capacity_options(self):
-        args = build_parser().parse_args([
-            "obs", "capacity", "--sizes", "3,6", "--ticks", "2",
-            "--budget", "0.05", "--interval", "0.1", "--verifiers", "2",
-            "--current-nodes", "4", "--growth-per-day", "1",
-            "--target-nodes", "40", "--json-summary",
-        ])
-        assert args.sizes == "3,6" and args.ticks == 2
-        assert args.verifiers == 2 and args.target_nodes == 40.0
-
-    def test_replay_fits_model_from_export(self, tmp_path, capsys):
-        import json
-
-        from repro.obs.exporters import write_jsonl_atomic
-        from repro.obs.tsdb import TsdbStore
-
-        store = TsdbStore()
-        ticks = polled = busy = at = 0.0
-        for n in (2, 4, 8):
-            at += 600.0
-            ticks += 1
-            polled += n
-            busy += 0.01 * n
-            store.append("fleet_ticks_total", None, ticks, at, kind="counter")
-            store.append(
-                "fleet_polled_agents_total", None, polled, at, kind="counter"
-            )
-            store.append(
-                "fleet_tick_busy_seconds_total", None, busy, at,
-                kind="counter",
-            )
-        path = tmp_path / "tsdb.jsonl"
-        write_jsonl_atomic(str(path), store.export_records())
-        assert main([
-            "obs", "capacity", "--replay", str(path),
-            "--interval", "0.1", "--json-summary",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "max sustainable nodes/verifier" in out
-        summary = json.loads(out.strip().splitlines()[-1])
-        assert summary["type"] == "capacity_plan"
-        # busy(n) = 0.01s/node => 10 nodes inside a 0.1s budget.
-        assert abs(summary["max_nodes_per_verifier"] - 10.0) < 0.5
-
-    def test_replay_without_tick_series_fails_cleanly(
-        self, tmp_path, capsys
-    ):
-        path = tmp_path / "empty.jsonl"
-        path.write_text('{"type": "metric", "name": "x"}\n')
-        assert main(["obs", "capacity", "--replay", str(path)]) == 1
-        assert "no fleet tick accounting" in capsys.readouterr().out
 
 
 class TestObsWatchTsdb:
