@@ -4,9 +4,9 @@ Not a paper artifact -- these keep an eye on the cost of the operations
 the long-run experiments execute tens of thousands of times: TPM
 quoting, quote verification, the full verifier poll, IMA measurement,
 the verifier's replay of a whole shipped log, policy evaluation, the
-RSA signing and key generation beneath the simulated TPM, the VFS walk
-over ``/usr``, and the executables query over it that the benign
-workload runs every simulated day.
+RSA signing, key generation and prime search beneath the simulated
+TPM, the VFS walk over ``/usr``, and the executables query over it that
+the benign workload runs every simulated day.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import pytest
 
 from repro.common.hexutil import extend_digest, sha256_hex, zero_digest
 from repro.common.rng import SeededRng
-from repro.crypto.rsa import generate_keypair
+from repro.crypto.rsa import _generate_prime, generate_keypair
 from repro.experiments.testbed import build_testbed, TestbedConfig
 from repro.kernelsim.ima import ImaLogEntry, template_hash
 from repro.keylime.pipeline import AgentSlot, LogReplayStage, RoundContext
@@ -77,6 +77,15 @@ def test_micro_rsa_keygen(benchmark):
         rounds=5, iterations=1,
     )
     assert keypair.public.n.bit_length() == 1024
+
+
+def test_micro_prime_search(benchmark):
+    # The prime search alone, without keygen's modulus-size retries.
+    prime = benchmark.pedantic(
+        lambda: _generate_prime(SeededRng("micro-prime-search"), 512),
+        rounds=5, iterations=1,
+    )
+    assert prime.bit_length() == 512
 
 
 def test_micro_verifier_poll_steady_state(benchmark, rig):

@@ -5,8 +5,8 @@ certificate chains; this reproduction implements the minimal equivalents
 in pure Python so the repository has no dependencies beyond the standard
 library and the scientific stack:
 
-* :mod:`repro.crypto.rsa` -- RSA key generation (Miller-Rabin primes)
-  and PKCS#1 v1.5 signatures over SHA-256.
+* :mod:`repro.crypto.rsa` -- RSA key generation (a sieved Miller-Rabin
+  prime search) and PKCS#1 v1.5 signatures over SHA-256.
 * :mod:`repro.crypto.certs` -- a minimal certificate structure with
   issuer signatures and chain verification, enough to model the TPM
   manufacturer CA -> endorsement key -> attestation key trust chain.

@@ -1,13 +1,13 @@
 """RSA signatures implemented from scratch.
 
 This module implements exactly the subset of RSA the attestation stack
-needs: key generation with Miller-Rabin primality testing, and PKCS#1
-v1.5 signatures over SHA-256 (the scheme TPM 2.0 uses for RSASSA
-quotes), computed through the Chinese Remainder Theorem because every
-attestation round signs a quote.  It is deliberately deterministic --
-keys are derived from a :class:`repro.common.rng.SeededRng` stream --
-so that an experiment seed fully determines every signature byte in a
-run.
+needs: key generation by a sieved prime search with Miller-Rabin
+primality testing, and PKCS#1 v1.5 signatures over SHA-256 (the scheme
+TPM 2.0 uses for RSASSA quotes), computed through the Chinese Remainder
+Theorem because every attestation round signs a quote.  It is
+deliberately deterministic -- keys are derived from a
+:class:`repro.common.rng.SeededRng` stream -- so that an experiment
+seed fully determines every signature byte in a run.
 
 The implementation favours clarity over constant-time hygiene; it is a
 simulation substrate, not a production cryptography library.
@@ -16,7 +16,10 @@ simulation substrate, not a production cryptography library.
 from __future__ import annotations
 
 import hashlib
+from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import compress
 
 from repro.common.errors import IntegrityError
 from repro.common.rng import SeededRng
@@ -26,13 +29,38 @@ _SHA256_DIGEST_INFO_PREFIX = bytes.fromhex(
     "3031300d060960864801650304020105000420"
 )
 
-# Deterministic first line of defence before the probabilistic rounds;
-# these witnesses alone are exact for n < 3.3 * 10^24.
+# Trial division: the cheap first line of defence before the
+# Miller-Rabin rounds.
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
     67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137,
     139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199,
 )
+
+# Fixed Miller-Rabin bases.  Together they are exact -- no composite is a
+# strong pseudoprime to all twelve -- below
+# psi_12 = 318,665,857,834,031,151,167,461 (about 3.19 * 10^23, 2^78;
+# Sorenson and Webster, 2017).
+_FIXED_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# The prime search sieves each span of _SIEVE_SPAN odd candidates by
+# every odd prime below _SIEVE_LIMIT before testing the survivors.
+_SIEVE_LIMIT = 8192
+_SIEVE_SPAN = 256
+
+
+def _odd_primes_below(limit: int) -> array:
+    """The odd primes below *limit*, by the sieve of Eratosthenes."""
+    composite = bytearray(limit)
+    for factor in range(3, int(limit**0.5) + 1, 2):
+        if not composite[factor]:
+            composite[factor * factor::2 * factor] = b"\x01" * len(
+                range(factor * factor, limit, 2 * factor)
+            )
+    return array("H", (n for n in range(3, limit, 2) if not composite[n]))
+
+
+_SIEVE_PRIMES = _odd_primes_below(_SIEVE_LIMIT)
 
 
 def _miller_rabin_witness(candidate: int, witness: int) -> bool:
@@ -57,10 +85,11 @@ def _miller_rabin_witness(candidate: int, witness: int) -> bool:
 def is_probable_prime(candidate: int, rng: SeededRng | None = None, rounds: int = 16) -> bool:
     """Miller-Rabin primality test.
 
-    Small-prime trial division first, then fixed witnesses 2..199, then
-    *rounds* random witnesses drawn from *rng* (or skipped when no rng is
-    supplied; the fixed witnesses are already overwhelming for the key
-    sizes used here).
+    Trial division by the primes up to 199 first, then the fixed
+    witnesses 2..37, then *rounds* random witnesses drawn from *rng* (or
+    skipped when no rng is supplied; the fixed witnesses are already
+    overwhelming for the key sizes used here).  The rng is drawn from
+    only once every fixed witness has passed.
     """
     if candidate < 2:
         return False
@@ -69,7 +98,7 @@ def is_probable_prime(candidate: int, rng: SeededRng | None = None, rounds: int 
             return True
         if candidate % prime == 0:
             return False
-    for witness in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for witness in _FIXED_WITNESSES:
         if _miller_rabin_witness(candidate, witness):
             return False
     if rng is not None:
@@ -80,8 +109,40 @@ def is_probable_prime(candidate: int, rng: SeededRng | None = None, rounds: int 
     return True
 
 
+def _sieve_survivors(base: int, count: int) -> Iterator[int]:
+    """Indices *i* < *count* whose odd value ``base + 2*i`` no odd prime
+    below :data:`_SIEVE_LIMIT` divides, except by being that prime."""
+    alive = bytearray(b"\x01") * count
+    dead = bytes(count)
+    for prime in _SIEVE_PRIMES:
+        # The first multiple of prime is at i = -base / 2 (mod prime):
+        # (prime + 1) // 2 is the inverse of 2.
+        first = (prime - base % prime) * ((prime + 1) // 2) % prime
+        if first < count:
+            if base <= prime and base + 2 * first == prime:
+                first += prime  # prime itself survives
+            alive[first::prime] = dead[first::prime]
+    return compress(range(count), alive)
+
+
 def _generate_prime(rng: SeededRng, bits: int) -> int:
-    """Generate a prime of exactly *bits* bits from the rng stream."""
+    """Generate a prime of exactly *bits* bits from the rng stream.
+
+    A token from *rng* picks an odd *bits*-bit start, and the odd values
+    from it up to ``min(start + 4096, 2**bits)`` are tried in order; a
+    window without a prime draws a new token.  Each span of
+    :data:`_SIEVE_SPAN` odd values is first sieved by every odd prime
+    below :data:`_SIEVE_LIMIT`, and only the survivors go through
+    :func:`is_probable_prime`.
+
+    The keys are the ones an unsieved scan finds.  The sieve drops only
+    composites.  A composite costs :func:`is_probable_prime` an rng draw
+    only if it is a strong pseudoprime to every fixed witness, and none
+    is below 2^78; so below it the sieve changes neither the prime
+    returned nor the rng position, and above it such a composite with a
+    factor below the limit is vanishingly rare (the test suite pins the
+    keys it and the benchmark use).
+    """
     if bits < 8:
         raise ValueError(f"prime size too small: {bits} bits")
     while True:
@@ -90,12 +151,13 @@ def _generate_prime(rng: SeededRng, bits: int) -> int:
         candidate &= (1 << bits) - 1
         candidate |= 1 << (bits - 1)
         # Scan forward over odd numbers; much cheaper than fresh draws.
-        for offset in range(0, 4096, 2):
-            value = candidate + offset
-            if value.bit_length() != bits:
-                break
-            if is_probable_prime(value, rng):
-                return value
+        end = min(candidate + 4096, 1 << bits)
+        for base in range(candidate, end, 2 * _SIEVE_SPAN):
+            count = min(_SIEVE_SPAN, (end - base + 1) // 2)
+            for index in _sieve_survivors(base, count):
+                value = base + 2 * index
+                if is_probable_prime(value, rng):
+                    return value
 
 
 @dataclass(frozen=True)

@@ -71,6 +71,7 @@ from repro.obs.capacity import (
     POLL_TIMER,
     TickBudgetAccountant,
     injected_delay_total,
+    publish_fleet_load,
 )
 from repro.tpm.device import TpmManufacturer
 
@@ -476,6 +477,9 @@ class Fleet:
         results: dict[str, AttestationResult] = {}
         for shard_id in self.shard_ids:
             results.update(self.shards[shard_id].poll_batch(self.push_mode))
+        publish_fleet_load(
+            obs.get().registry, [host.accounting for host in self.shards.values()]
+        )
         self._round += 1
         if self.checkpoint_every and self._round % self.checkpoint_every == 0:
             self.checkpoint()

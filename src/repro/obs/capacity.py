@@ -27,7 +27,8 @@ Utilization is ``busy / budget`` and an overrun is ``busy > budget``,
 so by construction a tick without an overrun has utilization in
 ``[0, 1]`` -- the invariant the property suite pins down.
 
-Metric families written by the accountant (all under the active
+Metric families written by the accountants, the last three once per
+fleet tick by :func:`publish_fleet_load` (all under the active
 registry, so they scrape into the TSDB and federate like everything
 else):
 
@@ -38,10 +39,10 @@ else):
 ``fleet_tick_budget_seconds_total``       cumulative budget seconds
 ``fleet_tick_wall_seconds``               per-tick wall histogram
 ``fleet_tick_lag_seconds``                inter-tick lag beyond the interval
-``fleet_tick_utilization``                busy/budget gauge (last tick)
-``fleet_tick_budget_seconds``             configured budget gauge
 ``fleet_tick_queue_depth{phase}``         registered / polled / skipped gauges
-``fleet_saturated``                       1 while consecutive overruns persist
+``fleet_tick_utilization``                busy/budget of the most utilized shard
+``fleet_tick_budget_seconds``             that shard's budget
+``fleet_saturated``                       1 while any shard's overruns persist
 ========================================  =======================================
 """
 
@@ -207,13 +208,6 @@ class TickBudgetAccountant:
                 "fleet_tick_budget_seconds_total",
                 "Cumulative tick budget granted across batch ticks",
             ).inc(budget)
-            registry.gauge(
-                "fleet_tick_budget_seconds", "Configured tick budget",
-            ).set(budget)
-            registry.gauge(
-                "fleet_tick_utilization",
-                "busy/budget utilization of the last batch tick",
-            ).set(utilization)
         if overrun:
             self.overruns += 1
             self.consecutive_overruns += 1
@@ -226,10 +220,6 @@ class TickBudgetAccountant:
                 and self.saturated_since is None
             ):
                 self.saturated_since = now
-                registry.gauge(
-                    "fleet_saturated",
-                    "1 while the consecutive-overrun saturation detector fires",
-                ).set(1)
                 if self.events is not None:
                     self.events.emit(
                         now, CAPACITY_EVENT_SOURCE, "fleet.saturated",
@@ -245,10 +235,6 @@ class TickBudgetAccountant:
             if self.saturated_since is not None:
                 since = self.saturated_since
                 self.saturated_since = None
-                registry.gauge(
-                    "fleet_saturated",
-                    "1 while the consecutive-overrun saturation detector fires",
-                ).set(0)
                 if self.events is not None:
                     self.events.emit(
                         now, CAPACITY_EVENT_SOURCE, "fleet.saturation_cleared",
@@ -256,6 +242,39 @@ class TickBudgetAccountant:
                     )
         self.self_wall_seconds += perf_counter() - self_start
         return record
+
+
+def publish_fleet_load(registry, accountants) -> None:
+    """Write the fleet-wide load gauges from every shard's accountant.
+
+    Called once per fleet tick, after every shard's batch.
+    ``fleet_saturated`` is 1 while any accountant is saturated (it
+    appears once one first is, and reads 0 again when none is);
+    ``fleet_tick_utilization`` and ``fleet_tick_budget_seconds`` are
+    those of the latest tick record with the highest utilization.  The
+    gauges are unlabeled, so per-shard writes would leave whichever
+    shard ticked last and hide a saturated one.
+    """
+    saturated = any(acct.saturated for acct in accountants)
+    if saturated or registry.get("fleet_saturated") is not None:
+        registry.gauge(
+            "fleet_saturated",
+            "1 while any shard's consecutive-overrun saturation detector fires",
+        ).set(1 if saturated else 0)
+    budgeted = [
+        acct.records[-1] for acct in accountants
+        if acct.records[-1].utilization is not None
+    ]
+    if budgeted:
+        peak = max(budgeted, key=lambda record: record.utilization)
+        registry.gauge(
+            "fleet_tick_budget_seconds",
+            "Tick budget of the most utilized shard's last batch tick",
+        ).set(peak.budget)
+        registry.gauge(
+            "fleet_tick_utilization",
+            "busy/budget utilization of the most utilized shard's last batch tick",
+        ).set(peak.utilization)
 
 
 class SaturationDetector:
@@ -309,7 +328,7 @@ def saturation_summary(registry) -> list[str]:
 
     Empty when no batch ticks have been accounted, so existing
     dashboards render unchanged on runs without a fleet scheduler.
-    The accountant registers every family read here unlabeled.
+    Every family read here is unlabeled.
     """
     if registry is None:
         return []

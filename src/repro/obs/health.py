@@ -399,8 +399,8 @@ class HealthMonitor:
 
         # Saturation stream: the batch scheduler's tick-budget
         # accounting (repro.obs.capacity).  Counter deltas give this
-        # tick's activity; the gauges give the accountant's current
-        # state.
+        # tick's activity; the gauges give the fleet's current state
+        # (any shard saturated, the most utilized shard).
         ticks = self._counter_delta("fleet_ticks_total")
         overruns = self._counter_delta("fleet_tick_overruns_total")
         congestion = self.saturation.observe(

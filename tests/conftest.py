@@ -4,10 +4,14 @@ The ``small_testbed`` fixture builds a reduced-scale rig (fewer filler
 packages, fewer files per package) so integration-flavoured tests stay
 fast; experiments that need paper-scale statistics build their own.
 
-RSA key generation is most of the suite's cost, and the same keys are
-generated again by every test that builds the same rig.  The
-session-wide ``keygen_memo`` fixture answers repeats from a memo (see
-:func:`memoized_keygen`); the library itself always generates.
+RSA key generation is the suite's largest single cost, even with the
+library's sieved prime search, and the same keys are generated again by
+every test that builds the same rig.  The session-wide ``keygen_memo``
+fixture answers repeats from a memo (see :func:`memoized_keygen`); the
+library itself always generates.  ``tests/test_rsa.py`` calls the
+uncached function: it checks the sieved search against the unsieved
+scan and regenerates the benchmark rigs' keys against the fingerprints
+pinned in ``golden/keygen_fingerprints.json``.
 """
 
 from __future__ import annotations

@@ -15,8 +15,13 @@ from repro.keylime.faults import FaultKind, chaos_profile
 from repro.keylime.fleet import Fleet
 from repro.keylime.policy import IBM_STYLE_EXCLUDES
 from repro.obs import runtime as obs_runtime
-from repro.obs.capacity import SaturationDetector, TickBudgetAccountant
-from repro.obs.health import HealthWatch
+from repro.obs.capacity import (
+    SaturationDetector,
+    TickBudgetAccountant,
+    publish_fleet_load,
+    saturation_summary,
+)
+from repro.obs.health import HealthMonitor, HealthWatch
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.rules import ShareRule
 from repro.obs.tsdb import TsdbStore
@@ -88,6 +93,7 @@ class TestTickBudgetAccountant:
         ]
         assert [record.time for record in fired] == [2400.0]
         assert fired[0].details["consecutive_overruns"] == 3
+        publish_fleet_load(registry, [acct])
         assert registry.get("fleet_saturated").value == 1.0
         assert registry.get("fleet_tick_overruns_total").value == 3.0
 
@@ -100,6 +106,7 @@ class TestTickBudgetAccountant:
         ]
         assert len(cleared) == 1
         assert cleared[0].details["saturated_seconds"] == 600.0
+        publish_fleet_load(registry, [acct])
         assert registry.get("fleet_saturated").value == 0.0
 
     def test_interrupted_overrun_run_never_saturates(self):
@@ -126,7 +133,14 @@ class TestTickBudgetAccountant:
         assert registry.get("fleet_ticks_total").value == 1.0
         assert registry.get("fleet_tick_busy_seconds_total").value == 2.5
         assert registry.get("fleet_tick_budget_seconds_total").value == 1.0
+        # The fleet-wide gauges have one writer, once per fleet tick.
+        for name in (
+            "fleet_saturated", "fleet_tick_utilization", "fleet_tick_budget_seconds",
+        ):
+            assert registry.get(name) is None
+        publish_fleet_load(registry, [acct])
         assert registry.get("fleet_tick_utilization").value == 2.5
+        assert registry.get("fleet_tick_budget_seconds").value == 1.0
         depth = registry.get("fleet_tick_queue_depth")
         assert {
             labels["phase"]: child.value for labels, child in depth.samples()
@@ -284,6 +298,41 @@ def test_each_shard_is_charged_only_its_own_batch_delay(fresh_runtime):
             sum(delays), abs=5e-4 * len(delays)
         )
     assert fleet.shards["verifier-1"].adoptions == 1
+
+
+def test_fleet_load_gauges_see_every_shard(fresh_runtime):
+    """On a sharded ``delay`` fleet the fleet-wide gauges read "any shard
+    saturated" and the most utilized shard at every tick.  verifier-1
+    saturates at tick 2 and stays saturated; verifier-2 saturates at
+    tick 26 and clears at tick 27, so gauges written by whichever shard
+    ticked last would read "not saturated" for ticks 27-29."""
+    fleet, scheduler = _delay_saturated_fleet(n_nodes=6)
+    fleet.shard(3, SeededRng("saturation-e2e").fork("shards"))
+    for host in fleet.shards.values():
+        host.accounting.configure(budget=5.0)
+    registry = fresh_runtime.registry
+    monitor = HealthMonitor(fleet.events, registry=registry)
+    alerted = []
+    for tick in range(30):
+        scheduler.clock.advance_by(POLL)
+        fleet.poll_all()
+        accountants = [host.accounting for host in fleet.shards.values()]
+        saturated = any(acct.saturated for acct in accountants)
+        gauge = registry.get("fleet_saturated")
+        assert (gauge is not None and gauge.value == 1.0) == saturated
+        peak = max(accountants, key=lambda acct: acct.records[-1].utilization)
+        assert registry.get("fleet_tick_utilization").value == (
+            peak.records[-1].utilization
+        )
+        assert registry.get("fleet_tick_budget_seconds").value == 5.0
+        if tick >= 27:
+            assert fleet.shards["verifier-1"].accounting.saturated
+            assert not fleet.shards["verifier-2"].accounting.saturated
+        signals = monitor.check(scheduler.clock.now)
+        if any(alert.rule == "health.verifier_saturated" for alert in signals):
+            alerted.append(tick)
+    assert alerted == list(range(2, 30))
+    assert "** SATURATED **" in saturation_summary(registry)[0]
 
 
 class TestChaosDelaySaturation:

@@ -2,20 +2,28 @@
 
 import hashlib
 import importlib
+import json
 import pkgutil
 import sys
+from pathlib import Path
 
 import pytest
 
 import repro
 from repro.common.rng import SeededRng
+from repro.crypto import rsa
 from repro.crypto.rsa import (
     RsaKeyPair,
+    _generate_prime,
     _pkcs1_v15_pad,
     generate_keypair,
     is_probable_prime,
 )
+from repro.experiments.shardfleet import build_shard_rig
+from repro.experiments.testbed import TestbedConfig, build_testbed
 from tests.conftest import KEYGEN_SITES, memoized_keygen
+
+GOLDEN_KEYS = Path(__file__).resolve().parent / "golden" / "keygen_fingerprints.json"
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +51,142 @@ class TestPrimality:
 
     def test_large_known_composite(self):
         assert not is_probable_prime((2**127 - 1) * 3)
+
+
+def reference_generate_prime(rng: SeededRng, bits: int, seen: set[str]) -> int:
+    """The unsieved prime search: :func:`is_probable_prime` on every odd
+    candidate of the window.  Adds to *seen* the edge cases it met."""
+    while True:
+        raw = int.from_bytes(rng.token(bits // 8 + 1), "big")
+        candidate = raw | (1 << (bits - 1)) | 1
+        candidate &= (1 << bits) - 1
+        candidate |= 1 << (bits - 1)
+        for offset in range(0, 4096, 2):
+            value = candidate + offset
+            if value.bit_length() != bits:
+                seen.add("window cut short at 2**bits")
+                break
+            if is_probable_prime(value, rng):
+                if value < rsa._SIEVE_LIMIT:
+                    seen.add("prime below the sieve limit")
+                return value
+        seen.add("window without a prime")
+
+
+class FixedStarts(SeededRng):
+    """A seeded stream whose first tokens are the given window starts."""
+
+    def __init__(self, *starts: int) -> None:
+        super().__init__("fixed-starts")
+        self.starts = list(starts)
+
+    def token(self, nbytes: int = 16) -> bytes:
+        if self.starts:
+            return self.starts.pop(0).to_bytes(nbytes, "big")
+        return super().token(nbytes)
+
+
+class TestSievedPrimeSearch:
+    """The sieve only skips candidates the unsieved search rejects
+    without an rng draw, so both return the same prime and leave the
+    rng in the same state.  Below 2^78 this holds for every seed."""
+
+    BITS = (8, 9, 10, 11, 12, 13, 14, 16, 20, 24, 32, 48, 64)
+    SEEDS = 150
+
+    def test_small_spans_keep_exactly_their_primes(self):
+        # Below 2^26 every odd composite has a prime factor under the
+        # limit, so a span's survivors are its primes -- the sieve
+        # primes in it included.
+        for base in range(3, rsa._SIEVE_LIMIT + 600, 38):
+            survivors = [base + 2 * i for i in rsa._sieve_survivors(base, 256)]
+            assert survivors == [
+                value for value in range(base, base + 512, 2)
+                if is_probable_prime(value)
+            ]
+
+    @staticmethod
+    def search_both(bits: int, start: int) -> tuple[int, set[str]]:
+        """Both searches from the window *start*; returns the prime and
+        the edge cases the unsieved search met."""
+        sieved, reference = FixedStarts(start), FixedStarts(start)
+        seen: set[str] = set()
+        prime = _generate_prime(sieved, bits)
+        assert prime == reference_generate_prime(reference, bits, seen)
+        assert sieved.getstate() == reference.getstate()
+        return prime, seen
+
+    def test_window_without_a_prime_draws_again(self):
+        # 253 = 11 * 23 and 255 = 3 * 5 * 17.
+        _, seen = self.search_both(8, 253)
+        assert "window without a prime" in seen
+
+    def test_last_odd_value_below_two_to_the_bits(self):
+        # 8181..8189 are composite; 8191 = 2**13 - 1 ends the window.
+        prime, _ = self.search_both(13, 8181)
+        assert prime == 8191
+
+    def test_same_prime_and_rng_state(self):
+        seen: set[str] = set()
+        for bits in self.BITS:
+            for seed in range(self.SEEDS):
+                sieved = SeededRng(f"prime-search/{bits}/{seed}")
+                reference = SeededRng(f"prime-search/{bits}/{seed}")
+                prime = _generate_prime(sieved, bits)
+                assert prime == reference_generate_prime(reference, bits, seen)
+                assert sieved.getstate() == reference.getstate()
+                assert prime.bit_length() == bits
+        assert seen == {
+            "window cut short at 2**bits",
+            "window without a prime",
+            "prime below the sieve limit",
+        }
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_256_bit_primes(self, seed):
+        sieved = SeededRng(f"prime-search/256/{seed}")
+        reference = SeededRng(f"prime-search/256/{seed}")
+        assert _generate_prime(sieved, 256) == reference_generate_prime(
+            reference, 256, set()
+        )
+        assert sieved.getstate() == reference.getstate()
+
+
+class TestKeygenGolden:
+    """The keys the benchmark's rigs generate, pinned by fingerprint.
+
+    ``golden/keygen_fingerprints.json`` was recorded with the unsieved
+    prime search; regenerating each key from its fork material with the
+    uncached :func:`generate_keypair` must give the same fingerprint.
+    """
+
+    @pytest.fixture(scope="class")
+    def golden(self) -> list[dict]:
+        return json.loads(GOLDEN_KEYS.read_text())["keys"]
+
+    def test_keys_regenerate_to_pinned_fingerprints(self, golden):
+        assert len(golden) == 20
+        for key in golden:
+            rng = SeededRng(_material=bytes.fromhex(key["material"]))
+            keypair = rsa.generate_keypair(rng, key["bits"], key["e"])
+            assert keypair.public.fingerprint() == key["fingerprint"]
+
+    def test_golden_lists_every_key_of_the_rigs(self, golden, keygen_memo, monkeypatch):
+        generated = []
+
+        def recording(rng, bits=1024, e=65537):
+            generated.append((rng._material.hex(), bits, e))
+            return keygen_memo(rng, bits, e)
+
+        for site in KEYGEN_SITES:
+            monkeypatch.setattr(importlib.import_module(site), "generate_keypair", recording)
+        build_shard_rig("e2e/0", 8)
+        build_testbed(TestbedConfig(
+            seed="dsn2025-repro/daily-h", n_filler_packages=4, mean_exec_files=3.0,
+        ))
+        assert generated == [
+            (key["material"], key["bits"], key["e"]) for key in golden
+        ]
 
 
 class TestKeyGeneration:
