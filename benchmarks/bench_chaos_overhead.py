@@ -26,12 +26,11 @@ from __future__ import annotations
 
 from time import perf_counter
 
-from common import bench_mode, pick
+from common import BenchMetric, bench_mode, pick, register_bench
 from repro.common.rng import SeededRng
 from repro.experiments.testbed import TestbedConfig, build_testbed
 from repro.keylime.faults import chaos_profile
 from repro.keylime.retrypolicy import RetryPolicy
-from repro.obs.perf import BenchMetric, register_bench
 
 MODE = bench_mode()
 POLL_INTERVAL = 1800.0

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 from time import perf_counter
 
-from common import bench_mode, pick
+from common import BenchMetric, bench_mode, pick, register_bench
 from repro.experiments.testbed import TestbedConfig, build_testbed
 from repro.obs import runtime as obs_runtime
 from repro.obs.health import HealthWatch
-from repro.obs.perf import BenchMetric, register_bench
 from repro.obs.runtime import Telemetry
 
 MODE = bench_mode()

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import time
 
-from common import bench_mode, pick
+from common import BenchMetric, bench_mode, pick, register_bench
 from repro.common.units import format_bytes, format_duration
 from repro.keylime.policy import IBM_STYLE_EXCLUDES, RuntimePolicy
 from repro.kernelsim.ima import ImaLogEntry, template_hash
-from repro.obs.perf import BenchMetric, register_bench
 
 MODE = bench_mode()
 PAPER_SCALE_LINES = 323_734

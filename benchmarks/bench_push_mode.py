@@ -21,11 +21,10 @@ import os
 import tempfile
 from time import perf_counter
 
-from common import bench_mode, pick
+from common import BenchMetric, bench_mode, pick, register_bench
 from repro.common.events import EventLog
 from repro.keylime.fleet import Fleet, build_fleet
 from repro.keylime.statestore import restore_from_file, write_snapshot
-from repro.obs.perf import BenchMetric, register_bench
 
 MODE = bench_mode()
 ROUND_INTERVAL = 1800.0

@@ -36,11 +36,10 @@ from __future__ import annotations
 
 import json
 
-from common import bench_mode, pick
+from common import BenchMetric, bench_mode, pick, register_bench
 from repro.common.events import EventLog
 from repro.common.rng import SeededRng
 from repro.keylime.fleet import Fleet, build_fleet
-from repro.obs.perf import BenchMetric, register_bench
 
 MODE = bench_mode()
 ROUND_INTERVAL = 1800.0

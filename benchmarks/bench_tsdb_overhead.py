@@ -30,10 +30,11 @@ from __future__ import annotations
 
 from time import perf_counter
 
-from common import bench_mode, pick, restored_telemetry
+from common import (
+    BenchMetric, bench_mode, pick, register_bench, restored_telemetry,
+)
 from repro.keylime.fleet import build_fleet
 from repro.obs.federation import FLEET_SOURCE, FederationHub, registry_snapshot
-from repro.obs.perf import BenchMetric, register_bench
 
 MODE = bench_mode()
 POLL_INTERVAL = 1800.0

@@ -22,10 +22,9 @@ from __future__ import annotations
 
 from time import perf_counter
 
-from common import bench_mode, pick
+from common import BenchMetric, bench_mode, pick, register_bench
 from repro.keylime.fleet import Fleet, build_fleet
 from repro.obs import runtime as obs_runtime
-from repro.obs.perf import BenchMetric, register_bench
 
 MODE = bench_mode()
 

@@ -555,214 +555,6 @@ def _cmd_obs_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _default_bench_dir() -> str:
-    """The repo's ``benchmarks/`` directory, wherever the CLI runs from.
-
-    Resolved relative to this source file first (the ``PYTHONPATH=src``
-    layout), falling back to the working directory for installed
-    checkouts driven from the repo root.
-    """
-    import os
-
-    here = os.path.dirname(os.path.abspath(__file__))
-    for candidate in (
-        os.path.join(os.path.dirname(os.path.dirname(here)), "benchmarks"),
-        os.path.join(os.getcwd(), "benchmarks"),
-    ):
-        if os.path.isdir(candidate):
-            return candidate
-    return "benchmarks"
-
-
-def _load_harness(bench_dir: str | None):
-    """Import ``benchmarks/harness.py`` by path (it is not a package)."""
-    import importlib.util
-    import os
-
-    directory = bench_dir or _default_bench_dir()
-    path = os.path.join(directory, "harness.py")
-    if not os.path.exists(path):
-        raise FileNotFoundError(
-            f"bench harness not found at {path}; pass --bench-dir"
-        )
-    name = "repro_bench_harness"
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-def _cmd_bench_run(args: argparse.Namespace) -> int:
-    harness = _load_harness(args.bench_dir)
-
-    names = None if args.all or not args.benches else args.benches
-    mode = "smoke" if args.smoke else "full"
-    records = harness.run_benches(
-        names=names,
-        mode=mode,
-        trajectory_path=args.trajectory,
-        bench_dir=args.bench_dir,
-        seed=args.seed_override,
-        profile=args.profile,
-        log=print,
-    )
-    if not records:
-        print("no benches ran")
-        return 1
-    print(f"{len(records)} record(s) appended to {args.trajectory}")
-    return 0
-
-
-def _cmd_bench_list(args: argparse.Namespace) -> int:
-    import json as json_module
-
-    harness = _load_harness(args.bench_dir)
-    specs = harness.discover(args.bench_dir)
-    if args.json:
-        print(json_module.dumps(
-            [spec.to_record() for spec in specs], sort_keys=True
-        ))
-        return 0
-    print(f"{len(specs)} registered bench(es)")
-    for spec in specs:
-        metrics = ", ".join(
-            f"{metric.name} [{metric.unit}, {metric.better} is better]"
-            for metric in spec.metrics
-        )
-        print(f"  {spec.name:<14s} modes={'/'.join(spec.modes)} "
-              f"seed={spec.seed}")
-        print(f"    {spec.description}")
-        print(f"    metrics: {metrics}")
-    return 0
-
-
-def _cmd_bench_compare(args: argparse.Namespace) -> int:
-    import json as json_module
-    import os
-
-    from repro.obs.exporters import write_jsonl_atomic
-    from repro.obs.perf import compare_trajectory, load_trajectory
-    from repro.obs.profiling import diff_folds, load_folds, render_fold_diff
-
-    records = load_trajectory(args.trajectory)
-    if not records:
-        print(f"no bench records in {args.trajectory}")
-        return 1
-    result = compare_trajectory(
-        records,
-        baseline_runs=args.baseline,
-        mode=args.mode,
-        benches=args.benches or None,
-        z_threshold=args.threshold,
-    )
-    summary = result.to_record()
-
-    if args.out:
-        lines = write_jsonl_atomic(
-            args.out,
-            [v.to_record() for v in result.verdicts] + [summary],
-        )
-        print(f"verdicts written to {args.out} ({lines} records)")
-    if args.json:
-        print(json_module.dumps(summary, sort_keys=True))
-    else:
-        counts = result.counts
-        print(f"bench compare: {len(result.verdicts)} metric(s) vs "
-              f"median of last {result.baseline_runs} same-mode run(s)")
-        marker = {"ok": " ", "improved": "+", "regressed": "!", "noisy": "?"}
-        for verdict in sorted(
-            result.verdicts,
-            key=lambda v: (v.status != "regressed", v.bench, v.metric),
-        ):
-            delta = verdict.delta_ratio
-            delta_s = f"{delta:+.1%}" if delta is not None else "   --"
-            base = (
-                f"{verdict.baseline_median:.4g}"
-                if verdict.baseline_median is not None else "--"
-            )
-            line = (
-                f"  {marker[verdict.status]} {verdict.status:<9s} "
-                f"{verdict.bench}/{verdict.metric} [{verdict.mode}] "
-                f"{verdict.value:.4g}{verdict.unit} vs {base} ({delta_s})"
-            )
-            if verdict.reason:
-                line += f" -- {verdict.reason}"
-            if not verdict.baseline_seeds_match:
-                line += " [baseline seeds differ]"
-            print(line)
-        print("  summary: " + " ".join(
-            f"{status}={counts[status]}"
-            for status in ("ok", "improved", "regressed", "noisy")
-        ))
-        # A regression with profiles on both sides gets its flamegraph
-        # fold diff printed inline -- the verdict links to where the
-        # time went, not just that it went somewhere.
-        for verdict in result.regressed:
-            if not verdict.profile or not verdict.baseline_profile:
-                continue
-            if not (os.path.exists(verdict.profile)
-                    and os.path.exists(verdict.baseline_profile)):
-                continue
-            with open(verdict.baseline_profile, encoding="utf-8") as handle:
-                baseline_folds = load_folds(handle.read())
-            with open(verdict.profile, encoding="utf-8") as handle:
-                candidate_folds = load_folds(handle.read())
-            print(render_fold_diff(
-                diff_folds(baseline_folds, candidate_folds),
-                a_label=os.path.basename(verdict.baseline_profile),
-                b_label=os.path.basename(verdict.profile),
-            ))
-            break  # one diff is orientation enough; the folds stay on disk
-
-    if args.fail_on_regression and result.counts["regressed"] > 0:
-        print(f"FAIL: {result.counts['regressed']} regressed metric(s)")
-        return 1
-    return 0
-
-
-def _cmd_bench_history(args: argparse.Namespace) -> int:
-    from repro.obs.dashboard import sparkline
-    from repro.obs.perf import load_trajectory
-
-    records = load_trajectory(args.trajectory)
-    if not records:
-        print(f"no bench records in {args.trajectory}")
-        return 1
-    wanted = set(args.benches) if args.benches else None
-    groups: dict[tuple[str, str, str], list] = {}
-    for record in records:
-        if wanted is not None and record.bench not in wanted:
-            continue
-        if args.mode is not None and record.mode != args.mode:
-            continue
-        for metric, value in sorted(record.metrics.items()):
-            if args.metric is not None and metric != args.metric:
-                continue
-            key = (record.bench, record.mode, metric)
-            groups.setdefault(key, []).append(
-                (value, record.units.get(metric, ""))
-            )
-    if not groups:
-        print("no matching metrics in the trajectory")
-        return 1
-    print(f"perf trajectory: {args.trajectory} "
-          f"({len(records)} run record(s))")
-    last_bench = None
-    for (bench, mode, metric), points in sorted(groups.items()):
-        if bench != last_bench:
-            print(f"  {bench}:")
-            last_bench = bench
-        values = [value for value, _ in points]
-        unit = points[-1][1]
-        print(f"    {metric:<26s} [{mode:<5s}] "
-              f"{sparkline(values, args.width)} "
-              f"{values[-1]:10.4g}{unit} ({len(values)} runs)")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser (exposed for tests and docs)."""
     parser = argparse.ArgumentParser(
@@ -1112,118 +904,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also print the migration plan for retiring MEMBER",
     )
     shard_assign.set_defaults(func=_cmd_shard_assign)
-
-    bench = commands.add_parser(
-        "bench",
-        help="perf observatory: run registered benches, record the "
-             "trajectory, detect regressions",
-    )
-    bench_commands = bench.add_subparsers(dest="bench_command", required=True)
-
-    bench_run = bench_commands.add_parser(
-        "run", help="run registered benches and append to the trajectory"
-    )
-    bench_run.add_argument(
-        "benches", nargs="*", metavar="BENCH",
-        help="bench names (default: all registered)",
-    )
-    bench_run.add_argument(
-        "--all", action="store_true", help="run every registered bench"
-    )
-    mode_group = bench_run.add_mutually_exclusive_group()
-    mode_group.add_argument(
-        "--smoke", action="store_true",
-        help="CI shape: small workloads, seconds per bench",
-    )
-    mode_group.add_argument(
-        "--full", action="store_true",
-        help="measurement shape (the default)",
-    )
-    bench_run.add_argument(
-        "--trajectory", default="perf/trajectory.jsonl",
-        help="durable trajectory JSONL (default perf/trajectory.jsonl)",
-    )
-    bench_run.add_argument(
-        "--bench-dir", default=None,
-        help="directory holding bench_*.py (default: the repo's benchmarks/)",
-    )
-    bench_run.add_argument(
-        "--profile", action="store_true",
-        help="sample each bench's hot section into collapsed flamegraph "
-             "folds next to the trajectory",
-    )
-    bench_run.add_argument(
-        "--bench-seed", dest="seed_override", default=None,
-        help="override every bench's registered seed",
-    )
-    bench_run.set_defaults(func=_cmd_bench_run)
-
-    bench_list = bench_commands.add_parser(
-        "list", help="enumerate registered benches, metrics, and modes"
-    )
-    bench_list.add_argument(
-        "--json", action="store_true", help="machine-readable spec list"
-    )
-    bench_list.add_argument("--bench-dir", default=None)
-    bench_list.set_defaults(func=_cmd_bench_list)
-
-    bench_compare = bench_commands.add_parser(
-        "compare",
-        help="score the newest run of each bench against its baseline "
-             "(median of last N same-mode runs, MAD noise floor)",
-    )
-    bench_compare.add_argument(
-        "--trajectory", default="perf/trajectory.jsonl",
-    )
-    bench_compare.add_argument(
-        "--mode", choices=["smoke", "full"], default=None,
-        help="restrict to one mode (default: every (bench, mode) group)",
-    )
-    bench_compare.add_argument(
-        "--baseline", type=int, default=5,
-        help="baseline window: last N same-mode runs (default 5)",
-    )
-    bench_compare.add_argument(
-        "--threshold", type=float, default=2.5,
-        help="deviation threshold in noise-floor units (default 2.5)",
-    )
-    bench_compare.add_argument(
-        "--benches", nargs="*", metavar="BENCH", default=None,
-        help="restrict to these benches",
-    )
-    bench_compare.add_argument(
-        "--json", action="store_true",
-        help="print the machine-readable summary record",
-    )
-    bench_compare.add_argument(
-        "--out", default=None,
-        help="write verdict + summary records to this JSONL file",
-    )
-    bench_compare.add_argument(
-        "--fail-on-regression", action="store_true",
-        help="exit nonzero when any metric classifies regressed "
-             "(the full-mode CI gate; smoke stays warn-only)",
-    )
-    bench_compare.set_defaults(func=_cmd_bench_compare)
-
-    bench_history = bench_commands.add_parser(
-        "history", help="sparkline each metric across recorded runs"
-    )
-    bench_history.add_argument(
-        "benches", nargs="*", metavar="BENCH",
-        help="bench names (default: all recorded)",
-    )
-    bench_history.add_argument(
-        "--trajectory", default="perf/trajectory.jsonl",
-    )
-    bench_history.add_argument(
-        "--mode", choices=["smoke", "full"], default=None,
-    )
-    bench_history.add_argument(
-        "--metric", default=None, help="restrict to one metric name"
-    )
-    bench_history.add_argument("--width", type=int, default=32)
-    bench_history.set_defaults(func=_cmd_bench_history)
 
     return parser
 

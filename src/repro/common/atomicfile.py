@@ -5,10 +5,10 @@ go through :func:`write_atomic`: the content is written to a temp file
 in the destination directory, fsynced, renamed over the target, and
 the directory is fsynced so the rename itself is durable.  A crash at
 any step leaves either the old file or the complete new one, never a
-truncated hybrid, and no temp file behind.  (The bench trajectory is
-not rewritten but appended to, with its own fsync:
-:meth:`repro.obs.perf.TrajectoryStore.append`, which also calls
-:func:`fsync_directory` when its append creates the file.)
+truncated hybrid, and no temp file behind.  (The bench trajectory of
+``benchmarks/harness.py`` is not rewritten but appended to, with its
+own fsync; it also calls :func:`fsync_directory` when an append
+creates the file.)
 """
 
 from __future__ import annotations

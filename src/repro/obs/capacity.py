@@ -27,7 +27,7 @@ Utilization is ``busy / budget`` and an overrun is ``busy > budget``,
 so by construction a tick without an overrun has utilization in
 ``[0, 1]`` -- the invariant the property suite pins down.
 
-Metric families written by the accountants, the last three once per
+Metric families written by the accountants, the last four once per
 fleet tick by :func:`publish_fleet_load` (all under the active
 registry, so they scrape into the TSDB and federate like everything
 else):
@@ -39,7 +39,7 @@ else):
 ``fleet_tick_budget_seconds_total``       cumulative budget seconds
 ``fleet_tick_wall_seconds``               per-tick wall histogram
 ``fleet_tick_lag_seconds``                inter-tick lag beyond the interval
-``fleet_tick_queue_depth{phase}``         registered / polled / skipped gauges
+``fleet_tick_queue_depth{phase}``         registered / polled / skipped, all shards
 ``fleet_tick_utilization``                busy/budget of the most utilized shard
 ``fleet_tick_budget_seconds``             that shard's budget
 ``fleet_saturated``                       1 while any shard's overruns persist
@@ -116,8 +116,9 @@ class TickBudgetAccountant:
         self.overruns = 0
         self.consecutive_overruns = 0
         self.saturated_since: float | None = None
-        #: Wall seconds spent inside :meth:`observe_tick` itself -- the
-        #: direct overhead measurement the acceptance gate divides by.
+        #: Wall seconds spent accounting: :meth:`observe_tick` itself
+        #: plus this accountant's share of :func:`publish_fleet_load` --
+        #: the direct overhead measurement the acceptance gate divides by.
         self.self_wall_seconds = 0.0
         self._last_at: float | None = None
 
@@ -195,14 +196,6 @@ class TickBudgetAccountant:
             "fleet_tick_lag_seconds",
             "Inter-tick lag beyond the configured interval",
         ).observe(lag)
-        depth = registry.gauge(
-            "fleet_tick_queue_depth",
-            "Batch queue depth at the last tick, by phase",
-            ("phase",),
-        )
-        depth.labels(phase="registered").set(registered)
-        depth.labels(phase="polled").set(polled)
-        depth.labels(phase="skipped").set(skipped)
         if budget is not None:
             registry.counter(
                 "fleet_tick_budget_seconds_total",
@@ -248,23 +241,33 @@ def publish_fleet_load(registry, accountants) -> None:
     """Write the fleet-wide load gauges from every shard's accountant.
 
     Called once per fleet tick, after every shard's batch.
-    ``fleet_saturated`` is 1 while any accountant is saturated (it
-    appears once one first is, and reads 0 again when none is);
+    ``fleet_tick_queue_depth{phase}`` sums the shards' latest tick
+    records; ``fleet_saturated`` is 1 while any accountant is saturated
+    (it appears once one first is, and reads 0 again when none is);
     ``fleet_tick_utilization`` and ``fleet_tick_budget_seconds`` are
     those of the latest tick record with the highest utilization.  The
-    gauges are unlabeled, so per-shard writes would leave whichever
-    shard ticked last and hide a saturated one.
+    gauges are not labeled by shard, so per-shard writes would leave
+    whichever shard ticked last and hide the others.  This call's wall
+    time is split evenly across the accountants' ``self_wall_seconds``,
+    so their sum is the fleet's whole accounting cost.
     """
+    self_start = perf_counter()
+    latest = [acct.records[-1] for acct in accountants]
+    depth = registry.gauge(
+        "fleet_tick_queue_depth",
+        "Batch queue depth at the last tick across every shard, by phase",
+        ("phase",),
+    )
+    depth.labels(phase="registered").set(sum(r.registered for r in latest))
+    depth.labels(phase="polled").set(sum(r.polled for r in latest))
+    depth.labels(phase="skipped").set(sum(r.skipped for r in latest))
     saturated = any(acct.saturated for acct in accountants)
     if saturated or registry.get("fleet_saturated") is not None:
         registry.gauge(
             "fleet_saturated",
             "1 while any shard's consecutive-overrun saturation detector fires",
         ).set(1 if saturated else 0)
-    budgeted = [
-        acct.records[-1] for acct in accountants
-        if acct.records[-1].utilization is not None
-    ]
+    budgeted = [record for record in latest if record.utilization is not None]
     if budgeted:
         peak = max(budgeted, key=lambda record: record.utilization)
         registry.gauge(
@@ -275,6 +278,9 @@ def publish_fleet_load(registry, accountants) -> None:
             "fleet_tick_utilization",
             "busy/budget utilization of the most utilized shard's last batch tick",
         ).set(peak.utilization)
+    share = (perf_counter() - self_start) / len(accountants)
+    for acct in accountants:
+        acct.self_wall_seconds += share
 
 
 class SaturationDetector:

@@ -19,20 +19,16 @@ wall time went*:
 
 Those operate on :class:`repro.obs.tracing.Span` trees, whether
 recorded live or rebuilt from a JSONL export by
-:func:`repro.obs.tracestore.build_spans`.  The same folds also come
-from :class:`SamplingProfiler`, a stack sampler the bench harness
-engages under ``--profile``; :func:`load_folds`, :func:`diff_folds` and
-:func:`render_fold_diff` read either kind back and compare two runs.
+:func:`repro.obs.tracestore.build_spans`.  :func:`folds_text` is the
+one ``stack count`` line formatter; the bench harness's stack sampler
+(``benchmarks/harness.py``) prints its folds through it too.
 """
 
 from __future__ import annotations
 
-import sys
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
-from repro.common.errors import ConfigurationError
 from repro.obs.tracing import Span
 
 #: Label used for a span's own (non-child) time in attributions.
@@ -192,144 +188,14 @@ def collapsed_stacks(roots: Iterable[Span]) -> dict[str, int]:
     return folds
 
 
-def _folds_text(folds: dict[str, int]) -> str:
+def folds_text(folds: dict[str, int]) -> str:
     """Folds as flamegraph-ready ``stack count`` lines, sorted by stack."""
     return "\n".join(f"{stack} {count}" for stack, count in sorted(folds.items()))
 
 
 def collapsed_text(roots: Iterable[Span]) -> str:
     """The collapsed-stack folds as flamegraph-ready text lines."""
-    return _folds_text(collapsed_stacks(roots))
-
-
-class SamplingProfiler:
-    """Wall-clock stack sampler emitting collapsed flamegraph folds.
-
-    A daemon thread snapshots the target thread's stack every
-    *interval* seconds via ``sys._current_frames()`` and accumulates
-    ``root;child;leaf -> samples`` folds -- the same collapsed-stack
-    text format :func:`collapsed_stacks` emits for span trees, so one
-    flamegraph toolchain (and :func:`diff_folds`) serves both.  Opt-in:
-    sampling perturbs the measured section by the cost of walking its
-    stack, so the harness only engages it under ``--profile`` and never
-    derives metrics from a profiled run's timings relative to an
-    unprofiled baseline of a *different* flag setting.
-    """
-
-    def __init__(self, interval: float = 0.005) -> None:
-        if interval <= 0:
-            raise ConfigurationError(
-                f"sampling interval must be positive, got {interval}"
-            )
-        self.interval = interval
-        self.samples = 0
-        self._folds: dict[str, int] = {}
-        self._target_ident: int | None = None
-        self._thread: threading.Thread | None = None
-        self._stop = threading.Event()
-
-    @staticmethod
-    def _stack_of(frame) -> str:
-        parts: list[str] = []
-        while frame is not None:
-            module = frame.f_globals.get("__name__", "?")
-            parts.append(f"{module}:{frame.f_code.co_name}")
-            frame = frame.f_back
-        parts.reverse()
-        return ";".join(parts)
-
-    def _sample_loop(self) -> None:
-        while not self._stop.wait(self.interval):
-            frame = sys._current_frames().get(self._target_ident)
-            if frame is None:
-                continue
-            stack = self._stack_of(frame)
-            self._folds[stack] = self._folds.get(stack, 0) + 1
-            self.samples += 1
-
-    def start(self) -> None:
-        """Begin sampling the *calling* thread."""
-        if self._thread is not None:
-            raise ConfigurationError("profiler already started")
-        self._target_ident = threading.get_ident()
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._sample_loop, name="perf-sampler", daemon=True,
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        """Stop sampling (idempotent)."""
-        if self._thread is None:
-            return
-        self._stop.set()
-        self._thread.join(timeout=5.0)
-        self._thread = None
-
-    def __enter__(self) -> "SamplingProfiler":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    def folds(self) -> dict[str, int]:
-        """``stack -> sample count`` folds accumulated so far."""
-        return dict(self._folds)
-
-    def collapsed(self) -> str:
-        """Folds as flamegraph-ready ``stack count`` text lines."""
-        return _folds_text(self._folds)
-
-
-def load_folds(text: str) -> dict[str, int]:
-    """Parse collapsed-stack text back into ``stack -> count`` folds."""
-    folds: dict[str, int] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        stack, _, count = line.rpartition(" ")
-        if not stack:
-            continue
-        folds[stack] = folds.get(stack, 0) + int(count)
-    return folds
-
-
-def diff_folds(
-    a: dict[str, int], b: dict[str, int]
-) -> list[tuple[str, int]]:
-    """Per-stack count deltas ``b - a``, biggest movement first.
-
-    The flamegraph-diff primitive behind a regression verdict: *a* is
-    the baseline run's folds, *b* the regressed candidate's, and the
-    top positive deltas are where the new time went.
-    """
-    deltas = [
-        (stack, b.get(stack, 0) - a.get(stack, 0))
-        for stack in sorted(set(a) | set(b))
-    ]
-    deltas = [(stack, delta) for stack, delta in deltas if delta != 0]
-    deltas.sort(key=lambda item: (-abs(item[1]), item[0]))
-    return deltas
-
-
-def render_fold_diff(
-    deltas: list[tuple[str, int]],
-    a_label: str = "baseline",
-    b_label: str = "candidate",
-    limit: int = 12,
-) -> str:
-    """Human-readable top of a fold diff."""
-    lines = [f"== flamegraph fold diff: {a_label} -> {b_label} (samples) =="]
-    if not deltas:
-        return lines[0] + "\n(no stack movement)"
-    for stack, delta in deltas[:limit]:
-        leaf = stack.rsplit(";", 1)[-1]
-        lines.append(f"  {delta:+6d}  {leaf}  [{stack}]")
-    if len(deltas) > limit:
-        lines.append(f"  ... {len(deltas) - limit} more stacks")
-    return "\n".join(lines)
+    return folds_text(collapsed_stacks(roots))
 
 
 # -- rendering ---------------------------------------------------------------

@@ -136,6 +136,7 @@ class TestTickBudgetAccountant:
         # The fleet-wide gauges have one writer, once per fleet tick.
         for name in (
             "fleet_saturated", "fleet_tick_utilization", "fleet_tick_budget_seconds",
+            "fleet_tick_queue_depth",
         ):
             assert registry.get(name) is None
         publish_fleet_load(registry, [acct])
@@ -298,6 +299,33 @@ def test_each_shard_is_charged_only_its_own_batch_delay(fresh_runtime):
             sum(delays), abs=5e-4 * len(delays)
         )
     assert fleet.shards["verifier-1"].adoptions == 1
+
+
+def test_queue_depth_sums_every_shard(fresh_runtime):
+    """A 3-way sharded fleet holds 0, 4 and 2 agents; at every tick the
+    queue-depth gauge reads the whole fleet, the sum of each shard's
+    latest tick record.  Written per shard, it read whichever shard
+    ticked last: registered=2, polled=2."""
+    fleet, scheduler = _delay_saturated_fleet(n_nodes=6)
+    fleet.shard(3, SeededRng("saturation-e2e").fork("shards"))
+    assert sorted(fleet.shard_sizes().values()) == [0, 2, 4]
+    for _ in range(3):
+        scheduler.clock.advance_by(POLL)
+        results = fleet.poll_all()
+        depth = {
+            labels["phase"]: child.value
+            for labels, child in fresh_runtime.registry.get(
+                "fleet_tick_queue_depth"
+            ).samples()
+        }
+        latest = [host.accounting.records[-1] for host in fleet.shards.values()]
+        assert depth == {
+            "registered": sum(record.registered for record in latest),
+            "polled": sum(record.polled for record in latest),
+            "skipped": sum(record.skipped for record in latest),
+        }
+        assert depth == {"registered": 6, "polled": len(results), "skipped": 0}
+        assert len(results) == 6
 
 
 def test_fleet_load_gauges_see_every_shard(fresh_runtime):

@@ -1,5 +1,6 @@
-"""Tests for the perf observatory: trajectory store, noise-aware
-regression detection, the unified bench harness, and the CLI surface.
+"""Tests for the bench tooling in ``benchmarks/``: the registry, the
+trajectory store, noise-aware regression detection, the harness runner
+and its command line.
 
 The acceptance pair lives in ``TestCompareTrajectory``: a synthetic
 trajectory with seeded measurement noise never flags, while an injected
@@ -12,42 +13,50 @@ from __future__ import annotations
 import json
 import os
 import random
-import shutil
+import subprocess
+import sys
 import time
 
 import pytest
 
-import repro.obs.perf as perf
 from repro.common.errors import ConfigurationError
-from repro.obs.perf import (
-    DEFAULT_REL_FLOOR,
-    DEFAULT_Z_THRESHOLD,
-    BenchMetric,
-    BenchRecord,
-    BenchSpec,
-    TrajectoryStore,
-    capture_environment,
-    classify_metric,
-    clear_registry,
-    compare_trajectory,
-    get_bench,
-    load_trajectory,
-    record_from_run,
-    register_bench,
-    registered_benches,
-    write_trajectory,
-)
-from repro.obs.profiling import (
-    SamplingProfiler,
-    diff_folds,
-    load_folds,
-    render_fold_diff,
-)
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH_DIR = os.path.join(REPO_ROOT, "benchmarks")
 
-#: The benches ISSUE 9 requires migrated onto the harness.
+# Import the tooling the way the bench modules do: ``benchmarks/`` on the
+# path.  Appended, not prepended, so its ``conftest.py`` never shadows the
+# one other tests import from ``tests/``.
+if BENCH_DIR not in sys.path:
+    sys.path.append(BENCH_DIR)
+
+import common  # noqa: E402
+import harness  # noqa: E402
+from common import (  # noqa: E402
+    BenchMetric,
+    BenchSpec,
+    clear_registry,
+    get_bench,
+    register_bench,
+    registered_benches,
+)
+from harness import (  # noqa: E402
+    DEFAULT_REL_FLOOR,
+    DEFAULT_Z_THRESHOLD,
+    BenchRecord,
+    SamplingProfiler,
+    TrajectoryStore,
+    capture_environment,
+    classify_metric,
+    compare_trajectory,
+    diff_folds,
+    load_folds,
+    load_trajectory,
+    record_from_run,
+    render_fold_diff,
+)
+
+#: The benches migrated onto the harness.
 MIGRATED = {
     "pipeline", "trace", "obs", "chaos",
     "tsdb", "saturation", "push", "policy_scale",
@@ -57,10 +66,10 @@ MIGRATED = {
 @pytest.fixture(autouse=True)
 def _registry_guard():
     """Snapshot/restore the process-global bench registry per test."""
-    snapshot = dict(perf._REGISTRY)
+    snapshot = dict(common._REGISTRY)
     yield
-    perf._REGISTRY.clear()
-    perf._REGISTRY.update(snapshot)
+    common._REGISTRY.clear()
+    common._REGISTRY.update(snapshot)
 
 
 def make_spec(name="demo", metrics=None, modes=("smoke", "full")):
@@ -210,13 +219,6 @@ class TestTrajectoryStore:
         assert [r.to_record() for r in loaded] \
             == [r.to_record() for r in written]
 
-    def test_write_trajectory_round_trips(self, tmp_path):
-        path = str(tmp_path / "t.jsonl")
-        records = noisy_history(1, 4)
-        write_trajectory(path, records)
-        assert [r.to_record() for r in load_trajectory(path)] \
-            == [r.to_record() for r in records]
-
     def test_torn_tail_is_tolerated_and_counted(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
         store = TrajectoryStore(path)
@@ -312,7 +314,7 @@ class TestTrajectoryStore:
             real_fsync(descriptor)
 
         with monkeypatch.context() as patch:
-            patch.setattr(perf, "open", crashing_open, raising=False)
+            patch.setattr(harness, "open", crashing_open, raising=False)
             patch.setattr(os, "fsync", fsync)
             with pytest.raises(OSError, match=f"crash at {step}"):
                 store.append(make_record(metrics={"wall_s": 7.0}))
@@ -558,24 +560,16 @@ class TestSamplingProfiler:
 
 
 class TestHarnessDiscovery:
-    def _harness(self):
-        import importlib.util
-
-        name = "repro_bench_harness"
-        import sys
-        if name in sys.modules:
-            return sys.modules[name]
-        spec = importlib.util.spec_from_file_location(
-            name, os.path.join(BENCH_DIR, "harness.py"),
-        )
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module
-        spec.loader.exec_module(module)
-        return module
+    @pytest.fixture()
+    def tiny_dir(self, tmp_path, monkeypatch):
+        """An empty bench directory the harness discovers instead."""
+        directory = tmp_path / "benches"
+        directory.mkdir()
+        monkeypatch.setattr(harness, "BENCH_DIR", str(directory))
+        return directory
 
     def test_discovery_finds_every_migrated_bench(self):
-        harness = self._harness()
-        specs = harness.discover(BENCH_DIR)
+        specs = harness.discover()
         names = {spec.name for spec in specs}
         assert MIGRATED <= names
         assert len(names) >= 8
@@ -583,12 +577,26 @@ class TestHarnessDiscovery:
             assert spec.metrics, spec.name
             assert spec.seed, spec.name
 
-    def test_run_benches_records_deterministic_tiny_bench(self, tmp_path):
-        harness = self._harness()
-        bench_dir = tmp_path / "benches"
-        bench_dir.mkdir()
-        (bench_dir / "bench_unit_tiny.py").write_text(
-            "from repro.obs.perf import BenchMetric, register_bench\n"
+    def test_entry_point_lists_every_migrated_bench(self):
+        """``python benchmarks/harness.py`` runs the harness as
+        ``__main__``; the benches must still register where it looks."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.join(REPO_ROOT, "src"), env.get("PYTHONPATH")])
+        )
+        out = subprocess.run(
+            [sys.executable, os.path.join("benchmarks", "harness.py"),
+             "list", "--json"],
+            cwd=REPO_ROOT, env=env, capture_output=True, text=True,
+            timeout=120, check=True,
+        )
+        assert MIGRATED <= {spec["name"] for spec in json.loads(out.stdout)}
+
+    def test_run_benches_records_deterministic_tiny_bench(
+        self, tiny_dir, tmp_path,
+    ):
+        (tiny_dir / "bench_unit_tiny.py").write_text(
+            "from common import BenchMetric, register_bench\n"
             "def run_bench(mode, seed):\n"
             "    return {'value': float(len(seed)), 'extra': 7.0}\n"
             "register_bench('unit_tiny',\n"
@@ -602,7 +610,6 @@ class TestHarnessDiscovery:
                 names=["unit_tiny"],
                 mode="smoke",
                 trajectory_path=trajectory,
-                bench_dir=str(bench_dir),
                 log=lines.append,
             )
             assert len(records) == 1
@@ -616,12 +623,9 @@ class TestHarnessDiscovery:
         assert all("git_sha" in r.env for r in loaded)
         assert any("unit_tiny" in line for line in lines)
 
-    def test_run_benches_skips_unsupported_mode(self, tmp_path):
-        harness = self._harness()
-        bench_dir = tmp_path / "benches"
-        bench_dir.mkdir()
-        (bench_dir / "bench_unit_fullonly.py").write_text(
-            "from repro.obs.perf import BenchMetric, register_bench\n"
+    def test_run_benches_skips_unsupported_mode(self, tiny_dir, tmp_path):
+        (tiny_dir / "bench_unit_fullonly.py").write_text(
+            "from common import BenchMetric, register_bench\n"
             "register_bench('unit_fullonly',\n"
             "    [BenchMetric('value', 'n', 'lower')],\n"
             "    lambda mode, seed: {'value': 1.0},\n"
@@ -632,19 +636,15 @@ class TestHarnessDiscovery:
             names=["unit_fullonly"],
             mode="smoke",
             trajectory_path=str(tmp_path / "t.jsonl"),
-            bench_dir=str(bench_dir),
             log=lines.append,
         )
         assert records == []
         assert any("skip unit_fullonly" in line for line in lines)
 
-    def test_run_benches_profile_links_folds(self, tmp_path):
-        harness = self._harness()
-        bench_dir = tmp_path / "benches"
-        bench_dir.mkdir()
-        (bench_dir / "bench_unit_busy.py").write_text(
+    def test_run_benches_profile_links_folds(self, tiny_dir, tmp_path):
+        (tiny_dir / "bench_unit_busy.py").write_text(
             "import time\n"
-            "from repro.obs.perf import BenchMetric, register_bench\n"
+            "from common import BenchMetric, register_bench\n"
             "def run_bench(mode, seed):\n"
             "    deadline = time.perf_counter() + 0.1\n"
             "    while time.perf_counter() < deadline:\n"
@@ -659,7 +659,6 @@ class TestHarnessDiscovery:
             names=["unit_busy"],
             mode="smoke",
             trajectory_path=trajectory,
-            bench_dir=str(bench_dir),
             profile=True,
             profile_interval=0.001,
         )
@@ -671,18 +670,14 @@ class TestHarnessDiscovery:
 
 
 class TestCliBench:
-    """End-to-end through ``repro.cli.main`` with a tiny bench dir."""
+    """End-to-end through ``harness.main`` with a tiny bench dir."""
 
     @pytest.fixture()
-    def bench_dir(self, tmp_path):
+    def bench_dir(self, tmp_path, monkeypatch):
         directory = tmp_path / "benches"
         directory.mkdir()
-        shutil.copy(
-            os.path.join(BENCH_DIR, "harness.py"),
-            directory / "harness.py",
-        )
         (directory / "bench_e2e_tiny.py").write_text(
-            "from repro.obs.perf import BenchMetric, register_bench\n"
+            "from common import BenchMetric, register_bench\n"
             "def run_bench(mode, seed):\n"
             "    return {'wall_s': 2.0, 'eps': 500.0}\n"
             "register_bench('e2e_tiny',\n"
@@ -690,36 +685,27 @@ class TestCliBench:
             "     BenchMetric('eps', '/s', 'higher')],\n"
             "    run_bench, seed='e2e-seed')\n"
         )
+        monkeypatch.setattr(harness, "BENCH_DIR", str(directory))
         return directory
-
-    def _main(self, argv):
-        from repro.cli import main
-
-        return main(argv)
 
     def test_run_list_compare_history_cycle(
         self, bench_dir, tmp_path, capsys,
     ):
         clear_registry()
         trajectory = str(tmp_path / "perf" / "trajectory.jsonl")
-        run_argv = [
-            "bench", "run", "--smoke", "--all",
-            "--bench-dir", str(bench_dir), "--trajectory", trajectory,
-        ]
+        run_argv = ["run", "--smoke", "--trajectory", trajectory]
         for _ in range(3):
-            assert self._main(list(run_argv)) == 0
+            assert harness.main(list(run_argv)) == 0
         capsys.readouterr()
 
-        assert self._main([
-            "bench", "list", "--json", "--bench-dir", str(bench_dir),
-        ]) == 0
+        assert harness.main(["list", "--json"]) == 0
         listed = json.loads(capsys.readouterr().out)
         assert [spec["name"] for spec in listed] == ["e2e_tiny"]
         assert listed[0]["modes"] == ["smoke", "full"]
 
         verdicts_path = str(tmp_path / "verdicts.jsonl")
-        assert self._main([
-            "bench", "compare", "--trajectory", trajectory,
+        assert harness.main([
+            "compare", "--trajectory", trajectory,
             "--mode", "smoke", "--json", "--out", verdicts_path,
             "--fail-on-regression",
         ]) == 0
@@ -733,9 +719,7 @@ class TestCliBench:
             record["type"] == "bench_verdict" for record in dumped[:-1]
         )
 
-        assert self._main([
-            "bench", "history", "--trajectory", trajectory,
-        ]) == 0
+        assert harness.main(["history", "--trajectory", trajectory]) == 0
         out = capsys.readouterr().out
         assert "e2e_tiny" in out and "wall_s" in out
 
@@ -744,12 +728,9 @@ class TestCliBench:
     ):
         clear_registry()
         trajectory = str(tmp_path / "perf" / "trajectory.jsonl")
-        run_argv = [
-            "bench", "run", "--smoke", "--all",
-            "--bench-dir", str(bench_dir), "--trajectory", trajectory,
-        ]
+        run_argv = ["run", "--smoke", "--trajectory", trajectory]
         for _ in range(3):
-            assert self._main(list(run_argv)) == 0
+            assert harness.main(list(run_argv)) == 0
 
         # Inject a 2x slowdown on wall_s only, as a fourth record.
         store = TrajectoryStore(trajectory)
@@ -761,10 +742,10 @@ class TestCliBench:
         capsys.readouterr()
 
         compare_argv = [
-            "bench", "compare", "--trajectory", trajectory,
+            "compare", "--trajectory", trajectory,
             "--mode", "smoke", "--fail-on-regression",
         ]
-        assert self._main(list(compare_argv)) == 1
+        assert harness.main(list(compare_argv)) == 1
         out = capsys.readouterr().out
         assert "FAIL: 1 regressed metric(s)" in out
         assert "e2e_tiny/wall_s" in out
@@ -772,15 +753,14 @@ class TestCliBench:
         assert "eps" in out  # the clean metric is still reported (ok)
 
         # Clean same-seed rerun: back to all ok, gate passes.
-        assert self._main(list(run_argv)) == 0
+        assert harness.main(list(run_argv)) == 0
         capsys.readouterr()
-        assert self._main(list(compare_argv)) == 0
+        assert harness.main(list(compare_argv)) == 0
         out = capsys.readouterr().out
         assert "regressed=0" in out
 
     def test_empty_trajectory_fails_cleanly(self, tmp_path, capsys):
-        assert self._main([
-            "bench", "compare",
-            "--trajectory", str(tmp_path / "missing.jsonl"),
+        assert harness.main([
+            "compare", "--trajectory", str(tmp_path / "missing.jsonl"),
         ]) == 1
         assert "no bench records" in capsys.readouterr().out
