@@ -1,16 +1,14 @@
-"""Overhead of trace propagation, span storage, and exemplar capture.
+"""Overhead of tracing, trace propagation, and exemplar capture.
 
-PR 4 moved the tracer from a blind deque to a full pipeline: every root
-trace is ingested into an indexed :class:`repro.obs.tracestore
-.SpanStore`, every attestation round crosses the JSON wire formats with
-a ``traceparent`` field, and the stage histograms capture per-bucket
-exemplars.  None of that is free, and all of it sits on the verifier
-poll loop -- the paper's core continuous-attestation path.  This bench
-times the same N-poll loop three ways:
+With telemetry on, every verifier poll records a span tree into the
+tracer's root ring, every attestation round crosses the JSON wire
+formats with a ``traceparent`` field, and the stage histograms capture
+per-bucket exemplars.  None of that is free, and all of it sits on the
+verifier poll loop -- the paper's core continuous-attestation path.
+This bench times the same N-poll loop two ways:
 
 * telemetry off (null objects, the disabled fast path);
-* tracer only (spans recorded, no store) -- the pre-PR-4 shape;
-* the full pipeline (spans + SpanStore ingestion + exemplars).
+* telemetry on (spans, metrics and exemplars).
 
 Smoke mode (``REPRO_BENCH_SMOKE=1`` under pytest, ``--smoke`` under the
 harness) shrinks the loop so CI can assert the bound without paying the
@@ -25,7 +23,7 @@ from common import BenchMetric, bench_mode, pick, register_bench
 from repro.experiments.testbed import TestbedConfig, build_testbed
 from repro.obs import runtime as obs_runtime
 from repro.obs.runtime import Telemetry
-from repro.obs.tracing import SpanTracer
+from repro.obs.tracestore import SpanStore
 
 MODE = bench_mode()
 POLL_INTERVAL = 1800.0
@@ -45,16 +43,16 @@ def _poll_loop_seconds(seed: str, n_polls: int) -> float:
     return perf_counter() - start
 
 
-def _three_way(
+def _null_and_full(
     mode: str, seed: str, full_loop: bool = True
-) -> tuple[float, float, float]:
-    """(null, tracer-only, full-pipeline) loop seconds.
+) -> tuple[float, float]:
+    """(null, full) loop seconds.
 
     Assumes a full telemetry bundle is active on entry (pytest's
     autouse fixture or the harness session) and leaves the *same*
-    bundle active on exit, with the full-pipeline loop recorded into
-    it.  With ``full_loop=False`` the third element is 0.0 and the
-    caller times the instrumented loop itself (the pytest path, where
+    bundle active on exit, with the full loop recorded into it.  With
+    ``full_loop=False`` the second element is 0.0 and the caller times
+    the instrumented loop itself (the pytest path, where
     pytest-benchmark owns that measurement).
     """
     n_polls = _n_polls(mode)
@@ -64,34 +62,23 @@ def _three_way(
     obs_runtime.deactivate()
     try:
         null_s = _poll_loop_seconds(f"{seed}/null", n_polls)
-
-        # Tracer without a store: spans recorded into the deque only.
-        bare = Telemetry()
-        bare.tracer = SpanTracer()
-        obs_runtime.activate(bare)
-        try:
-            tracer_s = _poll_loop_seconds(f"{seed}/tracer", n_polls)
-        finally:
-            obs_runtime.deactivate()
     finally:
         if isinstance(entry, Telemetry):
             obs_runtime.activate(entry)
         else:
             obs_runtime.activate()
 
-    # Full pipeline: SpanStore ingestion + indexing + exemplars.
     full_s = _poll_loop_seconds(f"{seed}/store", n_polls) if full_loop else 0.0
-    return null_s, tracer_s, full_s
+    return null_s, full_s
 
 
 def run_bench(mode: str, seed: str) -> dict[str, float]:
-    """Harness core: per-poll cost of each tracing increment."""
+    """Harness core: per-poll cost with telemetry off and on."""
     n_polls = _n_polls(mode)
-    null_s, tracer_s, full_s = _three_way(mode, seed)
+    null_s, full_s = _null_and_full(mode, seed)
     per_poll = 1e6 / n_polls
     return {
         "null_us_per_poll": null_s * per_poll,
-        "tracer_us_per_poll": tracer_s * per_poll,
         "full_us_per_poll": full_s * per_poll,
         "full_over_null": full_s / null_s if null_s > 0 else 0.0,
     }
@@ -102,34 +89,32 @@ register_bench(
     [
         BenchMetric("null_us_per_poll", "us", "lower",
                     "poll cost, telemetry off (null-object fast path)"),
-        BenchMetric("tracer_us_per_poll", "us", "lower",
-                    "poll cost, tracer only (no span store)"),
         BenchMetric("full_us_per_poll", "us", "lower",
-                    "poll cost, tracer + SpanStore + exemplars"),
+                    "poll cost, telemetry on (spans + metrics + exemplars)"),
         BenchMetric("full_over_null", "x", "lower",
-                    "full trace pipeline over the unobserved loop"),
+                    "telemetry-on loop over the unobserved loop"),
     ],
     run_bench,
     seed="trace-overhead",
-    description="Trace propagation + span storage + exemplar overhead",
+    description="Tracing + trace propagation + exemplar overhead",
 )
 
 
 def test_trace_pipeline_overhead(benchmark, emit):
     n_polls = _n_polls(MODE)
     smoke = MODE == "smoke"
-    null_s, tracer_s, _ = _three_way(MODE, "trace-overhead", full_loop=False)
+    null_s, _ = _null_and_full(MODE, "trace-overhead", full_loop=False)
 
-    # Re-run the full pipeline under pytest-benchmark so the JSON
-    # carries a real wall number for the instrumented configuration.
+    # Re-run the full loop under pytest-benchmark so the JSON carries a
+    # real wall number for the instrumented configuration.
     telemetry = obs_runtime.get()
     full_s = benchmark.pedantic(
         lambda: _poll_loop_seconds("trace-overhead/store", n_polls),
         rounds=1 if smoke else 3, iterations=1,
     )
 
-    store = telemetry.store
-    assert len(store) > 0, "full pipeline must have ingested traces"
+    store = SpanStore(telemetry.tracer.roots)
+    assert len(store) > 0, "the traced loop must have recorded traces"
     p99 = store.percentile(0.99, name="verifier.poll")
     stage_family = telemetry.registry.get("verifier_stage_wall_seconds")
     exemplars = sum(
@@ -141,19 +126,18 @@ def test_trace_pipeline_overhead(benchmark, emit):
     emit(f"Trace-pipeline overhead ({n_polls} polls"
          f"{', smoke' if smoke else ''})")
     emit(f"  telemetry off:        {per_poll(null_s):9.1f} us/poll")
-    emit(f"  tracer only:          {per_poll(tracer_s):9.1f} us/poll "
-         f"({tracer_s / null_s - 1.0:+.1%})")
-    emit(f"  tracer+store+exemplars:{per_poll(full_s):8.1f} us/poll "
+    emit(f"  telemetry on:         {per_poll(full_s):9.1f} us/poll "
          f"({full_s / null_s - 1.0:+.1%})")
-    emit(f"  store: {store.stats()}  p99(verifier.poll)={p99 * 1000:.3f}ms  "
+    emit(f"  traces: {len(store)} ({store.span_count} spans)  "
+         f"p99(verifier.poll)={p99 * 1000:.3f}ms  "
          f"stage exemplars={exemplars}")
 
     benchmark.extra_info["trace_overhead"] = {
         "null_us_per_poll": round(per_poll(null_s), 2),
-        "tracer_us_per_poll": round(per_poll(tracer_s), 2),
         "full_us_per_poll": round(per_poll(full_s), 2),
-        "store": store.stats(),
+        "traces": len(store),
+        "spans": store.span_count,
     }
-    # The full trace pipeline must stay within one order of magnitude
-    # of the unobserved loop (loose bound for noisy CI boxes).
+    # The traced loop must stay within one order of magnitude of the
+    # unobserved loop (loose bound for noisy CI boxes).
     assert full_s < null_s * 10.0

@@ -512,7 +512,9 @@ def compare_trajectory(
     to *baseline_runs* records before it **in the same mode** (the
     smoke and full populations are different workloads and never mix).
     Metrics absent from the candidate are not scored; metrics absent
-    from the whole baseline classify ``noisy`` (no history).
+    from the whole baseline classify ``noisy`` (no history).  The
+    baseline profile is the newest baseline fold file that is not the
+    candidate's own (a copied record carries its source's link).
     """
     if baseline_runs < 1:
         raise ConfigurationError(
@@ -534,7 +536,8 @@ def compare_trajectory(
         candidate = history[-1]
         baseline_records = history[:-1][-baseline_runs:]
         baseline_profiles = [
-            r.profile for r in baseline_records if r.profile is not None
+            r.profile for r in baseline_records
+            if r.profile is not None and r.profile != candidate.profile
         ]
         seeds_match = all(
             r.seed == candidate.seed for r in baseline_records
@@ -877,6 +880,8 @@ def _print_fold_diff(result: CompareResult) -> None:
         if not (os.path.exists(verdict.profile)
                 and os.path.exists(verdict.baseline_profile)):
             continue
+        if os.path.samefile(verdict.profile, verdict.baseline_profile):
+            continue  # a file diffed against itself shows no movement
         with open(verdict.baseline_profile, encoding="utf-8") as handle:
             baseline_folds = load_folds(handle.read())
         with open(verdict.profile, encoding="utf-8") as handle:

@@ -485,8 +485,7 @@ def _cmd_obs_trace(args: argparse.Namespace) -> int:
                 return 1
         else:
             entry = store.entries()[-1]
-        stats = store.stats()
-        print(f"store: {stats['traces']} traces, {stats['spans']} spans "
+        print(f"store: {len(store)} traces, {store.span_count} spans "
               f"(names: {', '.join(store.names())})")
         print(f"trace {entry.trace_id:032x}  agent={entry.agent or '-'} "
               f"sim_start={entry.sim_start / 3600.0:.2f}h "
@@ -547,9 +546,8 @@ def _cmd_obs_trace(args: argparse.Namespace) -> int:
         text = store.dump_jsonl()
     if args.out:
         write_text_atomic(args.out, text)
-        stats = store.stats()
-        print(f"{args.format} export of {stats['traces']} traces "
-              f"({stats['spans']} spans) written to {args.out}")
+        print(f"{args.format} export of {len(store)} traces "
+              f"({store.span_count} spans) written to {args.out}")
     else:
         print(text, end="")
     return 0

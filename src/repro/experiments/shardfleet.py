@@ -75,18 +75,14 @@ def build_shard_fleet(
     push_mode: bool = False,
     outages: tuple[VerifierOutage, ...] | list[VerifierOutage] = (),
     checkpoint_every: int = 1,
-) -> tuple[Fleet, Fleet]:
-    """One deterministic rig, sharded on the ``shards`` fork of *seed*.
-
-    Returns the fleet twice, ``(fleet, fleet)``: callers written
-    against a separate multi-verifier wrapper unpack two names.
-    """
+) -> Fleet:
+    """One deterministic rig, sharded on the ``shards`` fork of *seed*."""
     fleet = build_shard_rig(seed, n_nodes, fillers, push_mode)
     fleet.shard(
         n_verifiers, SeededRng(seed).fork("shards"),
         outages=outages, checkpoint_every=checkpoint_every,
     )
-    return fleet, fleet
+    return fleet
 
 
 def member_snapshots(
@@ -178,7 +174,7 @@ def run_shard_fleet(
     the JSON wire into the hub and evaluates its recording rules, so
     ``fleet:shard_balance`` and the shard panel stay current.
     """
-    fleet, _ = build_shard_fleet(
+    fleet = build_shard_fleet(
         seed, n_nodes, n_verifiers, fillers, push_mode,
         outages=outages, checkpoint_every=checkpoint_every,
     )

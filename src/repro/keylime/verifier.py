@@ -356,8 +356,10 @@ class KeylimeVerifier:
         verification passes its *wall_seconds* and ``verifier.poll``
         *span*, observed into ``verifier_poll_wall_seconds`` with the
         span as exemplar.  The heartbeat gauges say when each agent was
-        last attested and last verified clean, on the simulated clock;
-        the coverage-gap detector (obs.health) alarms on their age.
+        last attested and last verified clean, on the simulated clock,
+        for the metric exports; the coverage-gap detector (obs.health)
+        does not read them but follows the ``attestation.ok`` /
+        ``attestation.failed*`` events in the EventLog.
         Because both delivery modes report here, every reader of the
         round record -- the health detectors, the recording rules,
         ``obs top``, the incident critical path -- is mode-blind.

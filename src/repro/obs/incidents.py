@@ -190,6 +190,9 @@ class IncidentCorrelator:
     Live use passes the run's ``EventLog``, ``SpanTracer`` and
     ``AuditLog``; post-hoc use (``obs report``) passes the
     reconstructed event log plus raw span/audit dicts from the export.
+    Spans are read as flat records either way -- a live tracer's spans
+    become the records its export would hold -- so a live report and
+    one rebuilt from the export select the same spans.
     """
 
     def __init__(
@@ -213,19 +216,14 @@ class IncidentCorrelator:
         self, t0: float, t1: float, agent: str | None
     ) -> list[dict[str, Any]]:
         if self.tracer is not None:
-            roots = [span_record(span) for span in self.tracer.roots]
-            children: dict[int, list[dict[str, Any]]] = {}
-            for root in self.tracer.roots:
-                children[root.trace_id] = [
-                    span_record(span) for span in root.walk()
-                ][1:]
+            raw = [span_record(span) for span in self.tracer.iter_spans()]
         else:
             raw = self._raw_spans or []
-            roots = [span for span in raw if span.get("parent_id") is None]
-            children = {}
-            for span in raw:
-                if span.get("parent_id") is not None:
-                    children.setdefault(span["trace_id"], []).append(span)
+        roots = [span for span in raw if span.get("parent_id") is None]
+        children: dict[int, list[dict[str, Any]]] = {}
+        for span in raw:
+            if span.get("parent_id") is not None:
+                children.setdefault(span["trace_id"], []).append(span)
 
         selected: list[dict[str, Any]] = []
         for root in roots:

@@ -3,28 +3,27 @@
 The TSDB (:mod:`repro.obs.tsdb`) gives the telemetry layer *history*;
 this module gives it *derivation*.  A recording rule reads raw scraped
 series at evaluation time and writes a named derived series back into
-the same store -- the Prometheus recording-rule shape -- so dashboards
-and the federation hub consume one shared set of windows:
+the same store -- the Prometheus recording-rule shape -- so the
+``obs top`` dashboard reads one shared set of windows:
 
-* :class:`RateRule` / :class:`IncreaseRule` -- reset-adjusted
-  per-second rate / raw increase of a counter over a trailing window,
-  optionally grouped by label (``by=("result",)`` keeps the ok/failed
-  split; an empty ``by`` collapses every source and shard into one
-  fleet-level number).
-* :class:`RatioRule` -- rate(numerator)/rate(denominator); the mean
-  poll latency is ``increase(_sum) / increase(_count)``.
-* :class:`QuantileOverTimeRule` -- ``histogram_quantile`` over the
-  windowed increase of the scraped ``_bucket`` series, with the usual
-  linear interpolation inside the winning bucket.
+* :class:`RateRule` -- reset-adjusted per-second rate of a counter over
+  a trailing window, summed across every source and shard into one
+  fleet-level number.
+* :class:`RatioRule` -- increase(numerator)/increase(denominator); the
+  mean poll latency is ``increase(_sum) / increase(_count)``.
 * :class:`ShareRule` -- each group's fraction of the total windowed
   increase (the per-stage cost attribution behind
   ``fleet:stage_cost_share``).
 * :class:`AggregateRule` -- instant sum/avg/min/max/count across the
-  matching series (fleet node-state rollups across federated sources).
+  matching series (fleet rollups across federated sources).
+* :class:`BalanceRule` -- mean-over-max of per-group instants (shard
+  evenness).
 
 :class:`RuleEngine` evaluates a rule set against a store at a
 timestamp; :func:`standard_recording_rules` is the default set a
-:class:`repro.obs.federation.FederationHub` runs.
+:class:`repro.obs.federation.FederationHub` runs: the eight series the
+dashboard (:func:`repro.obs.dashboard.render_top` and
+:func:`~repro.obs.dashboard.top_frame_record`) reads.
 """
 
 from __future__ import annotations
@@ -46,42 +45,6 @@ def _group_key(
     return tuple((name, series.label(name) or "") for name in by)
 
 
-def histogram_quantile(
-    q: float, buckets: list[tuple[float, float]]
-) -> float | None:
-    """Prometheus-style quantile over ``(le, windowed_count)`` buckets.
-
-    *buckets* carry cumulative-in-``le`` counts (as scraped); linear
-    interpolation inside the winning bucket, the ``+Inf`` bucket
-    degrades to the highest finite bound.  ``None`` when the window
-    holds no observations.
-    """
-    if not 0.0 <= q <= 1.0:
-        raise ConfigurationError(f"quantile must be in [0, 1], got {q}")
-    finite = sorted(
-        ((le, count) for le, count in buckets), key=lambda pair: pair[0]
-    )
-    if not finite:
-        return None
-    total = finite[-1][1]
-    if total <= 0:
-        return None
-    rank = q * total
-    previous_bound = 0.0
-    previous_count = 0.0
-    for bound, count in finite:
-        if count >= rank:
-            if bound == float("inf"):
-                return previous_bound
-            if count == previous_count:
-                return bound
-            fraction = (rank - previous_count) / (count - previous_count)
-            return previous_bound + (bound - previous_bound) * fraction
-        previous_bound = bound if bound != float("inf") else previous_bound
-        previous_count = count
-    return previous_bound
-
-
 class _WindowRule:
     """Shared machinery for rules that group a source series set."""
 
@@ -100,41 +63,21 @@ class _WindowRule:
 
 
 @dataclass(frozen=True)
-class IncreaseRule(_WindowRule):
-    """``record = sum by(by) (increase(source[window]))``."""
-
-    record: str
-    source: str
-    window: float
-    by: tuple[str, ...] = ()
-
-    def evaluate(self, store: TsdbStore, at: float) -> int:
-        groups: dict[tuple[tuple[str, str], ...], float] = {}
-        for series in store.select(self.source):
-            key = _group_key(series, self.by)
-            groups[key] = groups.get(key, 0.0) + series.increase(
-                at - self.window, at
-            )
-        return self._write(store, self.record, groups, at)
-
-
-@dataclass(frozen=True)
 class RateRule(_WindowRule):
-    """``record = sum by(by) (rate(source[window]))`` (per second)."""
+    """``record = sum(rate(source[window]))`` (per second)."""
 
     record: str
     source: str
     window: float
-    by: tuple[str, ...] = ()
 
     def evaluate(self, store: TsdbStore, at: float) -> int:
-        groups: dict[tuple[tuple[str, str], ...], float] = {}
-        for series in store.select(self.source):
-            key = _group_key(series, self.by)
-            groups[key] = groups.get(key, 0.0) + series.increase(
-                at - self.window, at
-            ) / self.window
-        return self._write(store, self.record, groups, at)
+        rates = [
+            series.increase(at - self.window, at) / self.window
+            for series in store.select(self.source)
+        ]
+        if not rates:
+            return 0
+        return self._write(store, self.record, {(): sum(rates)}, at)
 
 
 @dataclass(frozen=True)
@@ -142,66 +85,28 @@ class RatioRule(_WindowRule):
     """``record = increase(num[window]) / increase(den[window])``.
 
     The canonical use is a histogram's windowed mean:
-    ``_sum`` over ``_count``.  Groups with a zero denominator are
-    skipped rather than written as 0 -- "no data" and "mean of zero"
-    are different dashboard facts.
+    ``_sum`` over ``_count``.  A window whose denominator did not
+    increase writes nothing rather than 0 -- "no data" and "mean of
+    zero" are different dashboard facts.
     """
 
     record: str
     numerator: str
     denominator: str
     window: float
-    by: tuple[str, ...] = ()
 
     def evaluate(self, store: TsdbStore, at: float) -> int:
         start = at - self.window
-        tops: dict[tuple[tuple[str, str], ...], float] = {}
-        bottoms: dict[tuple[tuple[str, str], ...], float] = {}
-        for series in store.select(self.numerator):
-            key = _group_key(series, self.by)
-            tops[key] = tops.get(key, 0.0) + series.increase(start, at)
-        for series in store.select(self.denominator):
-            key = _group_key(series, self.by)
-            bottoms[key] = bottoms.get(key, 0.0) + series.increase(start, at)
-        groups = {
-            key: tops.get(key, 0.0) / bottom
-            for key, bottom in bottoms.items()
-            if bottom > 0
-        }
-        return self._write(store, self.record, groups, at)
-
-
-@dataclass(frozen=True)
-class QuantileOverTimeRule(_WindowRule):
-    """``record = histogram_quantile(q, increase(hist_bucket[window]))``."""
-
-    record: str
-    histogram: str
-    q: float
-    window: float
-    by: tuple[str, ...] = ()
-
-    def evaluate(self, store: TsdbStore, at: float) -> int:
-        start = at - self.window
-        grouped: dict[
-            tuple[tuple[str, str], ...], dict[float, float]
-        ] = {}
-        for series in store.select(f"{self.histogram}_bucket"):
-            raw_le = series.label("le")
-            if raw_le is None:
-                continue
-            bound = float("inf") if raw_le == "+Inf" else float(raw_le)
-            key = _group_key(series, self.by)
-            buckets = grouped.setdefault(key, {})
-            buckets[bound] = buckets.get(bound, 0.0) + series.increase(
-                start, at
-            )
-        groups: dict[tuple[tuple[str, str], ...], float] = {}
-        for key, buckets in grouped.items():
-            value = histogram_quantile(self.q, list(buckets.items()))
-            if value is not None:
-                groups[key] = value
-        return self._write(store, self.record, groups, at)
+        bottom = sum(
+            series.increase(start, at)
+            for series in store.select(self.denominator)
+        )
+        if bottom <= 0:
+            return 0
+        top = sum(
+            series.increase(start, at) for series in store.select(self.numerator)
+        )
+        return self._write(store, self.record, {(): top / bottom}, at)
 
 
 @dataclass(frozen=True)
@@ -239,12 +144,11 @@ class ShareRule(_WindowRule):
 
 @dataclass(frozen=True)
 class AggregateRule(_WindowRule):
-    """``record = agg by(by) (source)`` over instants at *at*."""
+    """``record = agg(source)`` over instants at *at*."""
 
     record: str
     source: str
     agg: str = "sum"
-    by: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.agg not in AGGREGATIONS:
@@ -253,12 +157,13 @@ class AggregateRule(_WindowRule):
             )
 
     def evaluate(self, store: TsdbStore, at: float) -> int:
-        grouped: dict[tuple[tuple[str, str], ...], list[float]] = {}
-        for series in store.select(self.source):
-            value = series.instant(at)
-            if value is None:
-                continue
-            grouped.setdefault(_group_key(series, self.by), []).append(value)
+        values = [
+            value
+            for series in store.select(self.source)
+            if (value := series.instant(at)) is not None
+        ]
+        if not values:
+            return 0
         reducers = {
             "sum": sum,
             "avg": lambda values: sum(values) / len(values),
@@ -266,11 +171,8 @@ class AggregateRule(_WindowRule):
             "max": max,
             "count": len,
         }
-        reduce = reducers[self.agg]
-        groups = {
-            key: float(reduce(values)) for key, values in grouped.items()
-        }
-        return self._write(store, self.record, groups, at)
+        reduced = float(reducers[self.agg](values))
+        return self._write(store, self.record, {(): reduced}, at)
 
 
 @dataclass(frozen=True)
@@ -309,10 +211,7 @@ class BalanceRule(_WindowRule):
         return self._write(store, self.record, {(): balance}, at)
 
 
-RecordingRule = (
-    IncreaseRule | RateRule | RatioRule | QuantileOverTimeRule
-    | ShareRule | AggregateRule | BalanceRule
-)
+RecordingRule = RateRule | RatioRule | ShareRule | AggregateRule | BalanceRule
 
 
 class RuleEngine:
@@ -343,35 +242,20 @@ def standard_recording_rules(
 ) -> list[Any]:
     """The default derived-series set for attestation fleets.
 
-    Windows are expressed in poll intervals (like the burn-rate rules)
-    so the rules stay meaningful at any cadence; every rule collapses
-    the federation ``source`` label unless it groups by something, so
-    a one-source hub and an N-source hub derive the same fleet numbers.
+    Exactly the series the ``obs top`` dashboard reads.  Windows are
+    expressed in poll intervals (like the burn-rate rules) so the rules
+    stay meaningful at any cadence; every rule collapses the federation
+    ``source`` label unless it groups by something, so a one-source hub
+    and an N-source hub derive the same fleet numbers.
     """
     window = max(4 * poll_interval, 3600.0)
     return [
         RateRule("fleet:poll_rate", "verifier_polls_total", window),
-        RateRule(
-            "fleet:poll_rate_by_result", "verifier_polls_total", window,
-            by=("result",),
-        ),
-        IncreaseRule(
-            "fleet:poll_failures", "verifier_polls_total", window,
-            by=("result",),
-        ),
         RatioRule(
             "fleet:poll_latency_mean",
             "verifier_poll_wall_seconds_sum",
             "verifier_poll_wall_seconds_count",
             window,
-        ),
-        QuantileOverTimeRule(
-            "fleet:poll_latency_p95", "verifier_poll_wall_seconds",
-            0.95, window,
-        ),
-        AggregateRule("fleet:nodes", "fleet_nodes", "sum", by=("state",)),
-        AggregateRule(
-            "fleet:quarantined_nodes", "fleet_quarantined_nodes", "sum"
         ),
         AggregateRule(
             "fleet:attestation_age_max",
@@ -379,12 +263,6 @@ def standard_recording_rules(
         ),
         AggregateRule(
             "fleet:coverage_gaps_active", "obs_coverage_gaps_active", "sum"
-        ),
-        IncreaseRule(
-            "fleet:chaos_faults", "transport_faults_injected_total", window,
-        ),
-        IncreaseRule(
-            "fleet:degraded_rounds", "verifier_degraded_rounds_total", window,
         ),
         # Saturation set (repro.obs.capacity): windowed
         # busy-over-budget utilization, the overrun fraction, and the
@@ -411,4 +289,3 @@ def standard_recording_rules(
         # the agents (written only once shard gauges exist).
         BalanceRule("fleet:shard_balance", "fleet_shard_agents", by=("shard",)),
     ]
-

@@ -29,16 +29,15 @@ from contextlib import contextmanager
 from typing import Iterator
 
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
-from repro.obs.tracestore import SpanStore
 from repro.obs.tracing import NULL_TRACER, SpanTracer
 
 
 class Telemetry:
-    """A registry/tracer/store triple representing one observed run.
+    """A registry/tracer pair representing one observed run.
 
-    The tracer feeds every finished root trace into ``store`` (a
-    queryable :class:`repro.obs.tracestore.SpanStore`), and roots
-    evicted under ``max_roots`` pressure are counted into the
+    The tracer's root ring is the run's only trace retention (query it
+    through ``SpanStore(telemetry.tracer.roots)``), and roots evicted
+    under ``max_roots`` pressure are counted into the
     ``obs_tracer_dropped_roots_total`` counter -- silent trace loss is
     a dashboard signal, not a mystery.
     """
@@ -47,14 +46,11 @@ class Telemetry:
 
     def __init__(self, clock=None) -> None:
         self.registry = MetricsRegistry()
-        self.store = SpanStore()
         dropped = self.registry.counter(
             "obs_tracer_dropped_roots_total",
             "Root traces evicted from the tracer's retention ring",
         )
-        self.tracer = SpanTracer(
-            clock=clock, store=self.store, on_drop=dropped.inc
-        )
+        self.tracer = SpanTracer(clock=clock, on_drop=dropped.inc)
 
     def bind_clock(self, clock) -> None:
         """Point the tracer's simulated timeline at *clock*."""
@@ -67,7 +63,6 @@ class _NullTelemetry:
     enabled = False
     registry = NULL_REGISTRY
     tracer = NULL_TRACER
-    store = None
 
     def bind_clock(self, clock) -> None:
         """No-op while telemetry is disabled."""

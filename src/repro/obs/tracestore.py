@@ -1,20 +1,21 @@
-"""A queryable store of finished traces.
+"""A queryable view over finished traces.
 
-:class:`repro.obs.tracing.SpanTracer` keeps its finished roots in a
-blind deque: good enough for "print the last trace", useless for the
-questions an incomplete attestation record (the paper's P2) makes
-urgent -- *which polls were slow, which errored, what was agent X doing
-between t0 and t1, and which trace does this p99 exemplar point at?*
+:class:`repro.obs.tracing.SpanTracer` keeps a run's finished roots in
+one bounded ring -- the only place a run keeps its traces.  A ring is
+good enough for "print the last trace", useless for the questions an
+incomplete attestation record (the paper's P2) makes urgent -- *which
+polls were slow, which errored, what was agent X doing between t0 and
+t1, and which trace does this p99 exemplar point at?*
 
-:class:`SpanStore` answers those.  It ingests root spans as the tracer
-finishes them (the tracer calls ``store.ingest(root)``), groups them
-into per-trace entries -- one trace may arrive as several batches when
-agent-side spans cross the serialised transport detached from their
-verifier-side parents -- and maintains indexes by span name, agent,
-and error status, plus insertion-ordered eviction with explicit loss
-accounting.  Entries round-trip through the same JSONL span records
-the exporters emit, and export to the Chrome/Perfetto trace-event
-format for flamechart inspection.
+:class:`SpanStore` answers those.  It is the read side, built from root
+spans (``SpanStore(tracer.roots)``) or from the JSONL span records the
+exporters emit (:meth:`SpanStore.from_records`), and it groups the
+roots into per-trace entries in record order.  One trace may hold
+several roots: an agent-side batch whose ``traceparent`` the tracer
+could not verify is recorded detached, and :func:`build_spans` -- the
+one rule that turns span records into trees -- keeps it detached too.
+Entries round-trip through the same span records, and export to the
+Chrome/Perfetto trace-event format for flamechart inspection.
 """
 
 from __future__ import annotations
@@ -24,10 +25,6 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
 from repro.obs.tracing import Span
-
-#: Default cap on retained traces; old entries are evicted FIFO and the
-#: loss is counted (``evicted_traces``/``evicted_spans``), never silent.
-DEFAULT_MAX_TRACES = 10_000
 
 
 def _coerce_trace_id(trace_id: int | str) -> int:
@@ -42,11 +39,10 @@ def _coerce_trace_id(trace_id: int | str) -> int:
 
 @dataclass
 class TraceEntry:
-    """One trace: its root batches plus the derived index keys."""
+    """One trace: its root batches, in record order."""
 
     trace_id: int
     roots: list[Span] = field(default_factory=list)
-    sequence: int = 0
 
     @property
     def primary(self) -> Span:
@@ -122,108 +118,27 @@ class TraceEntry:
 
 
 class SpanStore:
-    """Indexed, bounded retention of finished traces.
+    """Finished traces grouped by trace id, in record order.
 
-    Unlike the tracer's deque, eviction here is *accounted*: the
-    ``evicted_traces`` / ``evicted_spans`` counters grow with every
-    FIFO drop, and :meth:`stats` reports the live footprint.
+    Build one from ``tracer.roots`` or an export's records and query
+    it; every filter scans the entries directly.
     """
 
-    def __init__(self, max_traces: int = DEFAULT_MAX_TRACES) -> None:
-        self.max_traces = max_traces
-        self.evicted_traces = 0
-        self.evicted_spans = 0
+    def __init__(self, roots: Iterable[Span] = ()) -> None:
         self._entries: dict[int, TraceEntry] = {}
-        self._order: list[int] = []  # insertion order, for FIFO eviction
-        self._by_name: dict[str, set[int]] = {}
-        self._by_agent: dict[str, set[int]] = {}
-        self._errors: set[int] = set()
-        self._sequence = 0
+        for root in roots:
+            entry = self._entries.get(root.trace_id)
+            if entry is None:
+                entry = self._entries[root.trace_id] = TraceEntry(root.trace_id)
+            entry.roots.append(root)
 
     def __len__(self) -> int:
         return len(self._entries)
 
     @property
     def span_count(self) -> int:
-        """Spans currently retained, across every trace."""
+        """Spans held, across every trace."""
         return sum(entry.span_count for entry in self._entries.values())
-
-    # -- ingestion ---------------------------------------------------------
-
-    def ingest(self, root: Span) -> TraceEntry:
-        """Add one finished root (a whole trace, or one remote batch).
-
-        Batches sharing a ``trace_id`` merge into one entry; a batch
-        whose root's ``parent_id`` matches an already-stored span is
-        re-attached as its child, completing the tree a serialised
-        channel delivered in pieces.
-        """
-        entry = self._entries.get(root.trace_id)
-        if entry is None:
-            self._sequence += 1
-            entry = TraceEntry(trace_id=root.trace_id, sequence=self._sequence)
-            self._entries[root.trace_id] = entry
-            self._order.append(root.trace_id)
-        else:
-            self._unindex(entry)
-        if not self._reattach(entry, root):
-            entry.roots.append(root)
-        self._index(entry)
-        self._evict()
-        return entry
-
-    def _reattach(self, entry: TraceEntry, root: Span) -> bool:
-        if root.parent_id is None:
-            # A parentless root may be the late-arriving parent of
-            # earlier detached batches: adopt any batch naming one of
-            # its spans, unless the batch's linkage went unverified at
-            # record time (a tampered traceparent stays detached).
-            by_id = {span.span_id: span for span in root.walk()}
-            for pending in list(entry.roots):
-                parent = by_id.get(pending.parent_id)
-                unverified = pending.attributes.get("traceparent.resolved") is False
-                if parent is not None and not unverified:
-                    parent.children.append(pending)
-                    entry.roots.remove(pending)
-            return False
-        for existing in entry.roots:
-            for span in existing.walk():
-                if span.span_id == root.parent_id:
-                    if root.attributes.get("traceparent.resolved") is False:
-                        return False  # unverified linkage stays detached
-                    span.children.append(root)
-                    return True
-        return False
-
-    def _index(self, entry: TraceEntry) -> None:
-        # Every span name in the trace, not just the primary root's:
-        # a fleet batch trace must be findable by "verifier.poll" even
-        # though its root is "fleet.poll_batch".
-        for name in {span.name for span in entry.walk()}:
-            self._by_name.setdefault(name, set()).add(entry.trace_id)
-        agent = entry.agent
-        if agent is not None:
-            self._by_agent.setdefault(agent, set()).add(entry.trace_id)
-        if entry.error:
-            self._errors.add(entry.trace_id)
-
-    def _unindex(self, entry: TraceEntry) -> None:
-        for index in (self._by_name, self._by_agent):
-            for key in list(index):
-                index[key].discard(entry.trace_id)
-                if not index[key]:
-                    del index[key]
-        self._errors.discard(entry.trace_id)
-
-    def _evict(self) -> None:
-        while len(self._order) > self.max_traces:
-            trace_id = self._order.pop(0)
-            entry = self._entries.pop(trace_id, None)
-            if entry is None:
-                continue
-            self._unindex(entry)
-            self.evicted_traces += 1
-            self.evicted_spans += entry.span_count
 
     # -- lookup ------------------------------------------------------------
 
@@ -234,24 +149,20 @@ class SpanStore:
         except ValueError:
             return None
 
-    def resolve_exemplar(self, exemplar: dict[str, Any]) -> TraceEntry | None:
-        """The trace a histogram exemplar's ``trace_id`` points at."""
-        trace_id = exemplar.get("trace_id")
-        if trace_id is None:
-            return None
-        return self.get(trace_id)
-
     def entries(self) -> list[TraceEntry]:
-        """Every retained trace, oldest first."""
-        return [self._entries[tid] for tid in self._order if tid in self._entries]
+        """Every trace, oldest first."""
+        return list(self._entries.values())
 
     def names(self) -> list[str]:
-        """Distinct span names seen across retained traces, sorted."""
-        return sorted(self._by_name)
+        """Distinct span names across every trace, sorted."""
+        return sorted({
+            span.name for entry in self._entries.values() for span in entry.walk()
+        })
 
     def agents(self) -> list[str]:
-        """Distinct agent attributes seen, sorted."""
-        return sorted(self._by_agent)
+        """Distinct trace agents, sorted."""
+        agents = {entry.agent for entry in self._entries.values()}
+        return sorted(agent for agent in agents if agent is not None)
 
     def query(
         self,
@@ -265,28 +176,20 @@ class SpanStore:
     ) -> list[TraceEntry]:
         """Traces matching every given filter, oldest first.
 
-        *since*/*until* select on the simulated timeline (a trace
-        matches when its ``[sim_start, sim_end]`` overlaps the window);
-        *min_wall* is a wall-seconds floor on the primary root.  The
-        name/agent/error filters use the maintained indexes, so a
-        narrow query never scans the whole store.
+        *name* matches any span of the trace, not just its root (a
+        fleet batch trace is findable by ``verifier.poll`` though its
+        root is ``fleet.poll_batch``).  *since*/*until* select on the
+        simulated timeline (a trace matches when its
+        ``[sim_start, sim_end]`` overlaps the window); *min_wall* is a
+        wall-seconds floor on the primary root.
         """
-        candidates: set[int] | None = None
-        if name is not None:
-            candidates = set(self._by_name.get(name, ()))
-        if agent is not None:
-            matched = self._by_agent.get(agent, set())
-            candidates = matched if candidates is None else candidates & matched
-        if errors_only:
-            candidates = (
-                set(self._errors) if candidates is None else candidates & self._errors
-            )
         out: list[TraceEntry] = []
-        for trace_id in self._order:
-            if candidates is not None and trace_id not in candidates:
+        for entry in self._entries.values():
+            if name is not None and entry.find(name) is None:
                 continue
-            entry = self._entries.get(trace_id)
-            if entry is None:
+            if agent is not None and entry.agent != agent:
+                continue
+            if errors_only and not entry.error:
                 continue
             if since is not None and entry.sim_end < since:
                 continue
@@ -329,15 +232,6 @@ class SpanStore:
         matched.sort(key=key, reverse=True)
         return matched[:n]
 
-    def stats(self) -> dict[str, int]:
-        """Retention accounting: live and evicted footprint."""
-        return {
-            "traces": len(self._entries),
-            "spans": self.span_count,
-            "evicted_traces": self.evicted_traces,
-            "evicted_spans": self.evicted_spans,
-        }
-
     # -- persistence -------------------------------------------------------
 
     def to_records(self) -> list[dict[str, Any]]:
@@ -350,14 +244,9 @@ class SpanStore:
         return "\n".join(lines) + ("\n" if lines else "")
 
     @classmethod
-    def from_records(
-        cls, records: Iterable[dict[str, Any]], max_traces: int = DEFAULT_MAX_TRACES
-    ) -> "SpanStore":
+    def from_records(cls, records: Iterable[dict[str, Any]]) -> "SpanStore":
         """Rebuild a store from JSONL records (``type: span`` ones)."""
-        store = cls(max_traces=max_traces)
-        for root in build_spans(records):
-            store.ingest(root)
-        return store
+        return cls(build_spans(records))
 
     @classmethod
     def load_jsonl(cls, text: str) -> "SpanStore":
@@ -408,9 +297,11 @@ def build_spans(records: Iterable[dict[str, Any]]) -> list[Span]:
     """Reconstruct span trees from flat records; returns the roots.
 
     Non-span records are ignored, so a whole JSONL export can be fed
-    straight in.  A span whose parent is absent from the batch becomes
-    a root of its own (a partial trace batch), which is exactly how
-    :meth:`SpanStore.ingest` expects remote batches to arrive.
+    straight in.  A span becomes a root of its own when its parent is
+    absent from the records (a partial trace batch), or when it carries
+    ``traceparent.resolved=False``: the tracer recorded it detached
+    because its claimed parent could not be verified, and a rebuilt
+    tree keeps it detached, even when the claimed parent is present.
     """
     spans: dict[int, Span] = {}
     ordered: list[Span] = []
@@ -423,7 +314,11 @@ def build_spans(records: Iterable[dict[str, Any]]) -> list[Span]:
     roots: list[Span] = []
     for span in ordered:
         parent = spans.get(span.parent_id) if span.parent_id is not None else None
-        if parent is not None and parent.trace_id == span.trace_id:
+        if (
+            parent is not None
+            and parent.trace_id == span.trace_id
+            and span.attributes.get("traceparent.resolved") is not False
+        ):
             parent.children.append(span)
         else:
             roots.append(span)

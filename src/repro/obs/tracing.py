@@ -18,6 +18,10 @@ Two timelines are recorded per span:
 
 Everything in the simulation is synchronous, so a simple span stack
 gives correct parentage; the tracer is not thread-safe by design.
+
+Finished root traces stay in the tracer's bounded ring, the only place
+a run keeps its traces; :class:`repro.obs.tracestore.SpanStore` is the
+query side over it.
 """
 
 from __future__ import annotations
@@ -186,17 +190,16 @@ class _RemoteBoundary:
 class SpanTracer:
     """Records nested spans against a bindable simulated clock.
 
-    *store* (a :class:`repro.obs.tracestore.SpanStore`, or anything with
-    an ``ingest(root_span)`` method) receives every finished root trace;
-    *on_drop* fires once per root evicted by the ``max_roots`` ring, so
-    the owner can count silent trace loss into a metric.
+    Finished root traces are kept in a ring of ``max_roots``; query
+    them through ``SpanStore(tracer.roots)``.  *on_drop* fires once per
+    root evicted by the ring, so the owner can count silent trace loss
+    into a metric.
     """
 
     def __init__(
         self,
         clock=None,
         max_roots: int = DEFAULT_MAX_ROOTS,
-        store=None,
         on_drop=None,
     ) -> None:
         self._clock = clock
@@ -205,7 +208,6 @@ class SpanTracer:
         self._ids = itertools.count(1)
         self._traces = itertools.count(1)
         self.dropped_roots = 0
-        self.store = store
         self.on_drop = on_drop
 
     def bind_clock(self, clock) -> None:
@@ -316,8 +318,6 @@ class SpanTracer:
                     if self.on_drop is not None:
                         self.on_drop()
                 self._roots.append(span)
-                if self.store is not None:
-                    self.store.ingest(span)
 
     def _open_span(self, span_id: int, trace_id: int) -> Span | None:
         """The still-open local span with the given ids, if any."""
@@ -401,7 +401,6 @@ class NullTracer:
 
     __slots__ = ()
     dropped_roots = 0
-    store = None
 
     def span(self, name: str, **attributes: Any) -> _NullSpan:
         """No-op span (a shared singleton context manager)."""

@@ -155,10 +155,10 @@ class TestMultiVerifierHandoff:
         )
 
     @staticmethod
-    def _drive(fleet, vfleet, rounds):
+    def _drive(fleet, rounds):
         for _ in range(rounds):
             fleet.scheduler.clock.advance_by(INTERVAL)
-            vfleet.poll_all()
+            fleet.poll_all()
 
     def test_failover_restores_rng_stream_positions(self):
         """The adopter's three RNG streams resume exactly where the
@@ -166,18 +166,18 @@ class TestMultiVerifierHandoff:
         that never saw a failure, draw for draw."""
         from resume_helpers import assert_fingerprints_equal, vfleet_fingerprint
 
-        twin_fleet, twin = self._sharded()
-        self._drive(twin_fleet, twin, 4)
+        twin = self._sharded()
+        self._drive(twin, 4)
 
-        fleet, vfleet = self._sharded()
-        self._drive(fleet, vfleet, 2)
-        victim = vfleet.shard_of("agent-node-000")
-        vfleet.kill(victim)
-        self._drive(fleet, vfleet, 2)
+        fleet = self._sharded()
+        self._drive(fleet, 2)
+        victim = fleet.shard_of("agent-node-000")
+        fleet.kill(victim)
+        self._drive(fleet, 2)
 
-        assert vfleet.shards[victim].host != victim
-        for shard_id in vfleet.shard_ids:
-            survivor = vfleet.shards[shard_id].verifier
+        assert fleet.shards[victim].host != victim
+        for shard_id in fleet.shard_ids:
+            survivor = fleet.shards[shard_id].verifier
             reference = twin.shards[shard_id].verifier
             assert survivor.rng.getstate() == reference.rng.getstate()
             assert (
@@ -189,7 +189,7 @@ class TestMultiVerifierHandoff:
                 == reference._session_rng.getstate()
             )
         assert_fingerprints_equal(
-            vfleet_fingerprint(vfleet), vfleet_fingerprint(twin)
+            vfleet_fingerprint(fleet), vfleet_fingerprint(twin)
         )
 
     def test_failover_preserves_open_push_sessions(self):
@@ -202,12 +202,12 @@ class TestMultiVerifierHandoff:
             submission_to_json,
         )
 
-        fleet, vfleet = self._sharded(push_mode=True)
-        self._drive(fleet, vfleet, 1)
+        fleet = self._sharded(push_mode=True)
+        self._drive(fleet, 1)
 
         agent_id = "agent-node-000"
-        victim = vfleet.shard_of(agent_id)
-        host = vfleet.shards[victim]
+        victim = fleet.shard_of(agent_id)
+        host = fleet.shards[victim]
         agent = host.agents[agent_id]
         reply = negotiation_reply_from_json(
             host.verifier.negotiate_push(
@@ -216,12 +216,12 @@ class TestMultiVerifierHandoff:
         )
         assert host.verifier.open_push_session_of(agent_id) is not None
 
-        vfleet.checkpoint()
-        vfleet.kill(victim)
-        adopted = vfleet.probe()
+        fleet.checkpoint()
+        fleet.kill(victim)
+        adopted = fleet.probe()
         assert victim in adopted
 
-        adopter = vfleet.shards[victim].verifier
+        adopter = fleet.shards[victim].verifier
         assert adopter is not host.verifier
         session = adopter.open_push_session_of(agent_id)
         assert session is not None
@@ -249,22 +249,22 @@ class TestMultiVerifierHandoff:
             submission_to_json,
         )
 
-        fleet, vfleet = self._sharded(push_mode=True)
-        self._drive(fleet, vfleet, 1)
+        fleet = self._sharded(push_mode=True)
+        self._drive(fleet, 1)
 
         joiner = f"verifier-{self.VERIFIERS}"
         # Find an agent that WILL move when the joiner arrives, without
         # mutating the live ring: probe a scratch copy.
         from repro.keylime.sharding import ConsistentHashRing
 
-        scratch = ConsistentHashRing(vfleet.ring.seed, vnodes=vfleet.ring.vnodes)
-        for member in vfleet.ring.members:
+        scratch = ConsistentHashRing(fleet.ring.seed, vnodes=fleet.ring.vnodes)
+        for member in fleet.ring.members:
             scratch.add(member)
-        moving = scratch.plan_join(vfleet.agent_ids, joiner).moved_keys
+        moving = scratch.plan_join(fleet.agent_ids, joiner).moved_keys
         assert moving, "seed must move at least one agent on join"
         agent_id = moving[0]
 
-        source = vfleet.shards[vfleet.shard_of(agent_id)]
+        source = fleet.shards[fleet.shard_of(agent_id)]
         agent = source.agents[agent_id]
         reply = negotiation_reply_from_json(
             source.verifier.negotiate_push(
@@ -277,8 +277,8 @@ class TestMultiVerifierHandoff:
             pcr_selection=list(reply.pcr_selection),
         )
 
-        vfleet.join(joiner)
-        target = vfleet.shards[vfleet.shard_of(agent_id)]
+        fleet.join(joiner)
+        target = fleet.shards[fleet.shard_of(agent_id)]
         assert target.shard_id == joiner
         assert target.verifier.open_push_session_of(agent_id) is None
         blob = submission_to_json(reply.session_id, agent_id, evidence)

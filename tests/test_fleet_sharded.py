@@ -51,17 +51,17 @@ def telemetry():
 def test_sharded_rollups_count_the_quarantined_node(telemetry):
     """A quarantined node shows on the sharded fleet's gauges, and the
     ``fleet.polled`` event's ``healthy`` is the healthy-node count."""
-    fleet, vfleet = build_shard_fleet("q", 6, 3)
-    vfleet.poll_all()
+    fleet = build_shard_fleet("q", 6, 3)
+    fleet.poll_all()
     victim = fleet.nodes[0]
     victim.machine.install_file("/usr/bin/implant", b"x", executable=True)
     victim.machine.exec_file("/usr/bin/implant")
-    vfleet.poll_all()
+    fleet.poll_all()
 
     quarantined = telemetry.registry.get("fleet_quarantined_nodes")
     assert quarantined is not None and quarantined.value == 1.0
     polled = [record for record in fleet.events if record.kind == "fleet.polled"]
-    assert polled[-1].details["healthy"] == vfleet.healthy_count() == 5
+    assert polled[-1].details["healthy"] == fleet.healthy_count() == 5
 
 
 def test_unsharded_fleet_attaches_no_ring_and_takes_no_checkpoint():
@@ -78,7 +78,7 @@ def test_unsharded_fleet_attaches_no_ring_and_takes_no_checkpoint():
 
 
 def test_sharded_fleet_has_no_single_verifier():
-    fleet, _ = build_shard_fleet("no-sole", 4, 2)
+    fleet = build_shard_fleet("no-sole", 4, 2)
     for accessor in ("verifier", "accounting", "audit"):
         with pytest.raises(StateError):
             getattr(fleet, accessor)
@@ -102,14 +102,14 @@ def test_start_polling_ticks_a_sharded_fleet_like_poll_all(push_mode):
     """The scheduled tick is ``poll_all``: a sharded fleet driven by
     ``start_polling`` (with a member killed between ticks) ends exactly
     where the same rig driven tick by tick ends."""
-    timed, _ = build_shard_fleet("timer", 6, 3, push_mode=push_mode)
+    timed = build_shard_fleet("timer", 6, 3, push_mode=push_mode)
     timed.start_polling(INTERVAL)
     timed.scheduler.run_until(2.5 * INTERVAL)
     timed.kill("verifier-0")
     timed.scheduler.run_until(5 * INTERVAL)
     timed.stop_polling()
 
-    stepped, _ = build_shard_fleet("timer", 6, 3, push_mode=push_mode)
+    stepped = build_shard_fleet("timer", 6, 3, push_mode=push_mode)
     for round_index in range(5):
         if round_index == 2:
             stepped.kill("verifier-0")
@@ -136,7 +136,7 @@ def test_shard_runs_before_the_first_round_only():
 
 
 def test_sharded_update_cycle_pushes_policy_to_every_shard():
-    fleet, _ = build_shard_fleet("update", 4, 2)
+    fleet = build_shard_fleet("update", 4, 2)
     _tick(fleet)
     fleet.scheduler.clock.advance_by(INTERVAL)
     report = fleet.run_update_cycle()

@@ -138,8 +138,8 @@ class TestFederationHub:
                 registry = _registry(polls=minute * step)
                 hub.ingest(registry_snapshot(registry, shard, at))
         hub.evaluate(600.0)
-        # verifier_polls_total is absent here; the fleet:nodes rollup
-        # still derives from the merged gauge series.
+        # verifier_polls_total is absent here; a node rollup still
+        # derives from the merged gauge series.
         from repro.obs.rules import AggregateRule
 
         hub.engine.add(AggregateRule("fleet:all_nodes", "nodes", "sum"))

@@ -6,6 +6,7 @@ from repro.cli import main
 from repro.experiments.testbed import TestbedConfig, build_testbed
 from repro.obs import runtime as obs_runtime
 from repro.obs.exporters import load_jsonl, parse_prometheus_text
+from repro.obs.tracestore import SpanStore
 
 
 @pytest.fixture()
@@ -92,11 +93,12 @@ class TestExemplarAcceptance:
 
     def test_stage_p99_exemplar_resolves_in_the_store(self, telemetry):
         self._run_polls(telemetry)
+        store = SpanStore(telemetry.tracer.roots)
         family = telemetry.registry.get("verifier_stage_wall_seconds")
         for labels, child in family.samples():
             exemplar = child.exemplar_for_quantile(0.99)
             assert exemplar is not None, f"stage {labels} lost its exemplar"
-            entry = telemetry.store.resolve_exemplar(exemplar)
+            entry = store.get(exemplar["trace_id"])
             assert entry is not None, f"stage {labels} exemplar unresolvable"
             assert entry.find("verifier.poll") is not None
 
@@ -106,14 +108,15 @@ class TestExemplarAcceptance:
             "verifier_poll_wall_seconds"
         )._default_child()
         exemplar = child.exemplar_for_quantile(0.99)
-        entry = telemetry.store.resolve_exemplar(exemplar)
+        entry = SpanStore(telemetry.tracer.roots).get(exemplar["trace_id"])
         assert entry is not None
         assert entry.primary.name == "verifier.poll"
 
     def test_store_ingests_every_poll(self, telemetry):
         self._run_polls(telemetry, n=4)
-        assert len(telemetry.store.query(name="verifier.poll")) == 4
-        assert telemetry.store.percentile(0.5, name="verifier.poll") > 0.0
+        store = SpanStore(telemetry.tracer.roots)
+        assert len(store.query(name="verifier.poll")) == 4
+        assert store.percentile(0.5, name="verifier.poll") > 0.0
 
     def test_dropped_roots_exported_as_a_counter(self):
         from repro.obs.runtime import Telemetry
@@ -121,9 +124,7 @@ class TestExemplarAcceptance:
 
         telemetry = Telemetry()
         dropped = telemetry.registry.get("obs_tracer_dropped_roots_total")
-        telemetry.tracer = SpanTracer(
-            max_roots=2, store=telemetry.store, on_drop=dropped.inc
-        )
+        telemetry.tracer = SpanTracer(max_roots=2, on_drop=dropped.inc)
         obs_runtime.activate(telemetry)
         try:
             for index in range(5):

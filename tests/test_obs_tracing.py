@@ -250,19 +250,6 @@ class TestRemoteContext:
 
 
 class TestStoreAndDropHooks:
-    def test_finished_roots_feed_the_store(self):
-        ingested = []
-
-        class FakeStore:
-            def ingest(self, root):
-                ingested.append(root.name)
-
-        tracer = SpanTracer(store=FakeStore())
-        with tracer.span("poll"):
-            with tracer.span("challenge"):
-                pass
-        assert ingested == ["poll"]
-
     def test_on_drop_fires_per_evicted_root(self):
         drops = []
         tracer = SpanTracer(max_roots=2, on_drop=lambda: drops.append(1))

@@ -42,7 +42,7 @@ class TestFederatedObservatory:
             assert [s.instant(end) for s in sizes] == [2.0]
         # Fleet-level recording rules collapse the source label.
         assert store.instant("fleet:poll_rate", None, end) is not None
-        nodes = store.select("fleet:nodes", state="attesting")
+        nodes = store.select("fleet_nodes", state="attesting")
         assert nodes and nodes[0].instant(end) == 4.0
 
     def test_dashboard_renders_rollups_from_both_registries(self, result):

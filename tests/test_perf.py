@@ -759,6 +759,38 @@ class TestCliBench:
         out = capsys.readouterr().out
         assert "regressed=0" in out
 
+    def test_fold_diff_never_compares_a_profile_with_itself(
+        self, tmp_path, capsys,
+    ):
+        """A regressed copy of a profiled run carries that run's fold
+        link, so the diff must name the newest *other* profiled run."""
+        profiles = tmp_path / "profiles"
+        profiles.mkdir()
+        store = TrajectoryStore(str(tmp_path / "trajectory.jsonl"))
+        for seq in range(3):
+            folds = profiles / f"pipeline-smoke-{seq:05d}.folds"
+            folds.write_text(f"main;work {100 + 10 * seq}\n")
+            store.append(make_record(
+                metrics={"wall_s": 1.0}, profile=str(folds),
+            ))
+        slow = BenchRecord.from_record(store.load()[-1].to_record())
+        slow.seq = None
+        slow.metrics["wall_s"] *= 2.0
+        store.append(slow)
+
+        [verdict] = compare_trajectory(store.load()).regressed
+        assert verdict.profile.endswith("pipeline-smoke-00002.folds")
+        assert verdict.baseline_profile.endswith("pipeline-smoke-00001.folds")
+
+        capsys.readouterr()
+        assert harness.main([
+            "compare", "--trajectory", store.path, "--fail-on-regression",
+        ]) == 1
+        out = capsys.readouterr().out
+        assert ("== flamegraph fold diff: pipeline-smoke-00001.folds -> "
+                "pipeline-smoke-00002.folds (samples) ==") in out
+        assert "(no stack movement)" not in out
+
     def test_empty_trajectory_fails_cleanly(self, tmp_path, capsys):
         assert harness.main([
             "compare", "--trajectory", str(tmp_path / "missing.jsonl"),

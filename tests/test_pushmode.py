@@ -27,6 +27,7 @@ from repro.keylime.transport import (
 )
 from repro.keylime.verifier import AgentState, FailureKind
 from repro.obs import runtime as obs_runtime
+from repro.obs.tracestore import SpanStore
 
 from tests.conftest import small_config
 
@@ -309,7 +310,9 @@ class TestPushObservability:
             [(_, latency)] = telemetry.registry.get(
                 "verifier_poll_wall_seconds"
             ).samples()
-            [trace] = telemetry.store.query(name="verifier.poll")
+            [trace] = SpanStore(telemetry.tracer.roots).query(
+                name="verifier.poll"
+            )
         assert polls == {"ok": 1}
         assert latency.count == 1
         span = trace.find("verifier.poll")

@@ -196,9 +196,9 @@ def rig():
 INTERVAL = 1800.0
 
 
-def _tick(fleet, vfleet):
+def _tick(fleet):
     fleet.scheduler.clock.advance_by(INTERVAL)
-    return vfleet.poll_all()
+    return fleet.poll_all()
 
 
 class TestFleetNeverUnassigned:
@@ -207,21 +207,21 @@ class TestFleetNeverUnassigned:
     module rig (each builds on the previous state)."""
 
     def test_initial_tick_covers_the_fleet(self, rig):
-        fleet, vfleet = rig
-        results = _tick(fleet, vfleet)
-        assert sorted(results) == sorted(vfleet.agent_ids)
+        fleet = rig
+        results = _tick(fleet)
+        assert sorted(results) == sorted(fleet.agent_ids)
         assert all(result.ok for result in results.values())
 
     def test_join_keeps_every_agent_assigned(self, rig):
-        fleet, vfleet = rig
-        plan = vfleet.join("verifier-3")
+        fleet = rig
+        plan = fleet.join("verifier-3")
         # The ring's authority and the shards' bookkeeping agree.
-        for agent_id in vfleet.agent_ids:
-            shard = vfleet.shard_of(agent_id)
-            assert agent_id in vfleet.shards[shard].agents
+        for agent_id in fleet.agent_ids:
+            shard = fleet.shard_of(agent_id)
+            assert agent_id in fleet.shards[shard].agents
         assert all(move.target == "verifier-3" for move in plan.moves)
-        results = _tick(fleet, vfleet)
-        assert sorted(results) == sorted(vfleet.agent_ids)
+        results = _tick(fleet)
+        assert sorted(results) == sorted(fleet.agent_ids)
 
     def test_rebalance_adds_zero_verdict_cache_misses(self, rig):
         """The fleet-wide cache is generation-stamped, not per-shard:
@@ -230,47 +230,47 @@ class TestFleetNeverUnassigned:
         sharing one cache across shards.  Forcing a full log re-replay
         on a migrated agent (restart_attestation resets its offset)
         must be all hits, zero new misses."""
-        fleet, vfleet = rig
-        _tick(fleet, vfleet)  # every entry warm in the shared cache
+        fleet = rig
+        _tick(fleet)  # every entry warm in the shared cache
         cache = fleet.verdict_cache
         misses_before = cache.misses
         # Pick a joiner that actually attracts keys (a 9-key ring may
         # hand a given new member nothing): probe scratch copies.
         for index in range(4, 32):
-            scratch = ConsistentHashRing(vfleet.ring.seed)
-            for member in vfleet.ring.members:
+            scratch = ConsistentHashRing(fleet.ring.seed)
+            for member in fleet.ring.members:
                 scratch.add(member)
             joiner = f"verifier-{index}"
-            if scratch.plan_join(vfleet.agent_ids, joiner).moved_keys:
+            if scratch.plan_join(fleet.agent_ids, joiner).moved_keys:
                 break
-        plan = vfleet.join(joiner)
+        plan = fleet.join(joiner)
         assert plan.moved_keys, "join must migrate at least one agent"
-        results = _tick(fleet, vfleet)
-        assert sorted(results) == sorted(vfleet.agent_ids)
+        results = _tick(fleet)
+        assert sorted(results) == sorted(fleet.agent_ids)
         # Migration carried the replay offset: nothing re-evaluated.
         assert cache.misses == misses_before
 
         migrated = plan.moved_keys[0]
-        verifier = vfleet.verifier_for(migrated)
+        verifier = fleet.verifier_for(migrated)
         verifier.restart_attestation(migrated)
         hits_before = cache.hits
-        results = _tick(fleet, vfleet)
+        results = _tick(fleet)
         assert results[migrated].ok
         assert results[migrated].entries_processed > 0
         assert cache.misses == misses_before
         assert cache.hits > hits_before
 
     def test_leave_keeps_every_agent_assigned(self, rig):
-        fleet, vfleet = rig
-        plan = vfleet.leave("verifier-0")
+        fleet = rig
+        plan = fleet.leave("verifier-0")
         assert all(move.source == "verifier-0" for move in plan.moves)
-        assert "verifier-0" not in vfleet.shards
-        results = _tick(fleet, vfleet)
-        assert sorted(results) == sorted(vfleet.agent_ids)
+        assert "verifier-0" not in fleet.shards
+        results = _tick(fleet)
+        assert sorted(results) == sorted(fleet.agent_ids)
         assert all(result.ok for result in results.values())
 
     def test_balance_matches_the_module_function(self, rig):
-        _, vfleet = rig
-        sizes = vfleet.shard_sizes()
-        assert vfleet.balance() == shard_balance(sizes)
-        assert math.isclose(sum(sizes.values()), len(vfleet.agent_ids))
+        fleet = rig
+        sizes = fleet.shard_sizes()
+        assert fleet.balance() == shard_balance(sizes)
+        assert math.isclose(sum(sizes.values()), len(fleet.agent_ids))

@@ -10,14 +10,12 @@ from repro.obs.tracestore import (
     span_from_record,
     span_record,
 )
-from repro.obs.tracing import SpanTracer, format_traceparent
+from repro.obs.tracing import SpanTracer, exemplar_of, format_traceparent
 
 
-def _store_with_tracer(max_traces=10_000):
-    store = SpanStore(max_traces=max_traces)
+def _tracer():
     clock = SimClock()
-    tracer = SpanTracer(clock=clock, store=store)
-    return store, tracer, clock
+    return SpanTracer(clock=clock), clock
 
 
 def _record_poll(tracer, clock, agent="agent-a", fail=False):
@@ -31,12 +29,13 @@ def _record_poll(tracer, clock, agent="agent-a", fail=False):
 
 class TestIngestionAndQuery:
     def test_traces_are_indexed_by_name_agent_and_error(self):
-        store, tracer, clock = _store_with_tracer()
+        tracer, clock = _tracer()
         _record_poll(tracer, clock, agent="agent-a")
         _record_poll(tracer, clock, agent="agent-b", fail=True)
         with tracer.span("mirror.sync"):
             pass
 
+        store = SpanStore(tracer.roots)
         assert len(store) == 3
         assert store.names() == [
             "mirror.sync", "verifier.challenge", "verifier.poll",
@@ -51,19 +50,20 @@ class TestIngestionAndQuery:
 
     def test_child_names_are_queryable(self):
         """A trace is findable by any span it contains, not just its root."""
-        store, tracer, clock = _store_with_tracer()
+        tracer, clock = _tracer()
         with tracer.span("fleet.poll_batch"):
             with tracer.span("verifier.poll", agent="agent-a"):
                 pass
-        matched = store.query(name="verifier.poll")
+        matched = SpanStore(tracer.roots).query(name="verifier.poll")
         assert len(matched) == 1
         assert matched[0].name == "fleet.poll_batch"
 
     def test_sim_time_window_query(self):
-        store, tracer, clock = _store_with_tracer()
+        tracer, clock = _tracer()
         for _ in range(4):
             clock.advance_by(1800.0)
             _record_poll(tracer, clock)
+        store = SpanStore(tracer.roots)
         # Polls start at t=1800, 3601, 5402, 7203 (each poll advances
         # the clock by one second); only the second overlaps the window.
         matched = store.query(since=3600.0, until=5000.0)
@@ -71,16 +71,18 @@ class TestIngestionAndQuery:
         assert store.query(since=1e9) == []
 
     def test_min_wall_and_limit(self):
-        store, tracer, clock = _store_with_tracer()
+        tracer, clock = _tracer()
         for _ in range(3):
             _record_poll(tracer, clock)
+        store = SpanStore(tracer.roots)
         assert store.query(min_wall=1e9) == []
         assert len(store.query(limit=2)) == 2
 
     def test_percentile_and_slowest(self):
-        store, tracer, clock = _store_with_tracer()
+        tracer, clock = _tracer()
         for _ in range(10):
             _record_poll(tracer, clock)
+        store = SpanStore(tracer.roots)
         p99 = store.percentile(0.99, name="verifier.poll")
         assert p99 > 0.0
         slowest = store.slowest(3, name="verifier.poll")
@@ -90,47 +92,27 @@ class TestIngestionAndQuery:
         assert walls[0] >= p99
 
     def test_get_accepts_decimal_and_hex(self):
-        store, tracer, clock = _store_with_tracer()
+        tracer, clock = _tracer()
         span = _record_poll(tracer, clock)
+        store = SpanStore(tracer.roots)
         assert store.get(span.trace_id) is not None
         assert store.get(str(span.trace_id)) is not None
         assert store.get(f"{span.trace_id:032x}") is not None
         assert store.get("not-a-trace-id") is None
 
     def test_resolve_exemplar(self):
-        store, tracer, clock = _store_with_tracer()
+        tracer, clock = _tracer()
         span = _record_poll(tracer, clock)
-        entry = store.resolve_exemplar(
-            {"trace_id": span.trace_id, "span_id": span.span_id}
-        )
+        exemplar = exemplar_of(span)
+        entry = SpanStore(tracer.roots).get(exemplar["trace_id"])
         assert entry is not None and entry.trace_id == span.trace_id
-        assert store.resolve_exemplar({}) is None
-
-
-class TestEviction:
-    def test_fifo_eviction_is_accounted(self):
-        store, tracer, clock = _store_with_tracer(max_traces=2)
-        for _ in range(5):
-            _record_poll(tracer, clock)
-        assert len(store) == 2
-        assert store.evicted_traces == 3
-        assert store.evicted_spans == 6  # two spans per evicted poll
-        stats = store.stats()
-        assert stats["traces"] == 2 and stats["evicted_traces"] == 3
-
-    def test_evicted_traces_leave_the_indexes(self):
-        store, tracer, clock = _store_with_tracer(max_traces=1)
-        _record_poll(tracer, clock, agent="agent-a")
-        with tracer.span("mirror.sync"):
-            pass
-        assert store.query(agent="agent-a") == []
-        assert store.names() == ["mirror.sync"]
+        assert entry.find("verifier.poll") is span
 
 
 class TestRemoteBatchMerging:
     def test_detached_batch_rejoins_by_parent_id(self):
         """Agent-side batches arriving before the poll root re-attach."""
-        store, tracer, clock = _store_with_tracer()
+        tracer, clock = _tracer()
         with tracer.span("verifier.challenge") as challenge:
             header = format_traceparent(challenge)
         # Simulate the remote batch arriving for the *closed* span: it
@@ -138,18 +120,34 @@ class TestRemoteBatchMerging:
         with tracer.remote_context(header):
             with tracer.span("agent.attest"):
                 pass
-        entry = store.get(challenge.trace_id)
+        entry = SpanStore(tracer.roots).get(challenge.trace_id)
         assert len(entry.roots) == 2  # unverified linkage stays split
         assert entry.find("agent.attest") is not None
 
+    def test_export_keeps_an_unverified_batch_detached(self):
+        """The tracer's rule holds after a JSONL round trip: the
+        claimed parent is in the records, yet the batch stays a root."""
+        tracer, clock = _tracer()
+        with tracer.span("verifier.challenge") as challenge:
+            header = format_traceparent(challenge)
+        with tracer.remote_context(header):
+            with tracer.span("agent.attest"):
+                pass
+        dump = SpanStore(tracer.roots).dump_jsonl()
+        entry = SpanStore.load_jsonl(dump).get(challenge.trace_id)
+        assert [root.name for root in entry.roots] == [
+            "verifier.challenge", "agent.attest",
+        ]
+        assert entry.primary.children == []
+
     def test_live_join_produces_one_tree(self):
-        store, tracer, clock = _store_with_tracer()
+        tracer, clock = _tracer()
         with tracer.span("verifier.poll", agent="agent-a") as poll:
             with tracer.span("verifier.challenge") as challenge:
                 with tracer.remote_context(format_traceparent(challenge)):
                     with tracer.span("agent.attest"):
                         pass
-        entry = store.get(poll.trace_id)
+        entry = SpanStore(tracer.roots).get(poll.trace_id)
         assert len(entry.roots) == 1
         assert [s.name for s in entry.primary.walk()] == [
             "verifier.poll", "verifier.challenge", "agent.attest",
@@ -159,7 +157,7 @@ class TestRemoteBatchMerging:
 
 class TestPersistence:
     def test_span_record_roundtrip(self):
-        store, tracer, clock = _store_with_tracer()
+        tracer, clock = _tracer()
         span = _record_poll(tracer, clock, fail=True)
         record = span_record(span)
         assert record["status"] == "error"
@@ -171,9 +169,10 @@ class TestPersistence:
         assert restored.sim_start == span.sim_start
 
     def test_jsonl_roundtrip_preserves_queries(self):
-        store, tracer, clock = _store_with_tracer()
+        tracer, clock = _tracer()
         _record_poll(tracer, clock, agent="agent-a")
         _record_poll(tracer, clock, agent="agent-b", fail=True)
+        store = SpanStore(tracer.roots)
         restored = SpanStore.load_jsonl(store.dump_jsonl())
         assert len(restored) == len(store)
         assert restored.names() == store.names()
@@ -194,10 +193,10 @@ class TestPersistence:
 
 class TestPerfettoExport:
     def test_chrome_trace_shape(self):
-        store, tracer, clock = _store_with_tracer()
+        tracer, clock = _tracer()
         clock.advance_by(1800.0)
         _record_poll(tracer, clock, agent="agent-a")
-        doc = perfetto_trace(store.entries())
+        doc = perfetto_trace(SpanStore(tracer.roots).entries())
         text = json.dumps(doc)  # must be JSON-serialisable
         assert "traceEvents" in json.loads(text)
         events = doc["traceEvents"]
@@ -214,9 +213,9 @@ class TestPerfettoExport:
         assert poll["args"]["agent"] == "agent-a"
 
     def test_child_offsets_stay_within_parent(self):
-        store, tracer, clock = _store_with_tracer()
+        tracer, clock = _tracer()
         _record_poll(tracer, clock)
-        events = perfetto_trace(store.entries())["traceEvents"]
+        events = perfetto_trace(SpanStore(tracer.roots).entries())["traceEvents"]
         completes = {e["name"]: e for e in events if e["ph"] == "X"}
         parent = completes["verifier.poll"]
         child = completes["verifier.challenge"]
