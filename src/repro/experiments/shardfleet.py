@@ -207,10 +207,12 @@ def run_shard_fleet(
                 fleet.kill(member)
             fleet.scheduler.clock.advance_by(poll_interval)
             now = fleet.scheduler.clock.now
-            adopted = fleet.probe()
-            if adopted:
-                result.failovers[round_index] = adopted
+            seen = len(fleet.events.by_kind("fleet.shard.failover"))
             fleet.poll_all()
+            # The tick's own probe adopts; its failover events name the shards.
+            adopted = fleet.events.by_kind("fleet.shard.failover")[seen:]
+            if adopted:
+                result.failovers[round_index] = [e.details["shard"] for e in adopted]
             for snapshot in member_snapshots(fleet, telemetry.registry, now):
                 hub.ingest_json(snapshot_to_json(snapshot))
             hub.evaluate(now)

@@ -53,9 +53,11 @@ from typing import Callable
 
 from repro.common.errors import TransientTransportError
 from repro.common.rng import SeededRng
-from repro.keylime.retrypolicy import DEFAULT_ATTEMPT_TIMEOUT
 from repro.keylime.transport import JsonTransportAgent
 from repro.obs import runtime as obs
+
+#: Default per-attempt delivery timeout (seconds of simulated latency).
+DEFAULT_ATTEMPT_TIMEOUT = 2.0
 
 
 class FaultKind(Enum):

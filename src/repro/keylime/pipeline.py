@@ -3,14 +3,15 @@
 One attestation round is the paper's four protocol phases -- challenge,
 quote validation, log replay, policy evaluation -- plus the optional
 measured-boot check.  Historically they lived inline in one 200-line
-``KeylimeVerifier._poll_once``; here each phase is a :class:`Stage`
-object that reads and advances a shared :class:`RoundContext`, and
+verifier method; here each phase is a :class:`Stage` object that reads
+and advances a shared :class:`RoundContext`, and
 :class:`VerificationPipeline` sequences them.  The split buys three
 things:
 
-* **Configuration instead of branches.**  Stock stop-on-first-failure
-  (the paper's **P2**) versus the M2 continue-on-failure fix is a
-  pipeline setting consumed by :class:`PolicyEvalStage`, not a flag
+* **One switch, read in one stage.**  Stock stop-on-first-failure (the
+  paper's **P2**) versus the M2 continue-on-failure fix is the
+  verifier's ``continue_on_failure``, handed to every round in its
+  context and consumed by :class:`PolicyEvalStage`, not a flag
   threaded through scattered ``if``\\ s.
 * **Shared, cacheable evaluation.**  :class:`PolicyEvalStage` routes
   entries through a :class:`repro.keylime.policy.VerdictCache` when one
@@ -48,6 +49,7 @@ from repro.kernelsim.ima import (
 from repro.keylime.agent import KeylimeAgent
 from repro.keylime.measuredboot import MeasuredBootPolicy
 from repro.keylime.policy import PolicyFailure, RuntimePolicy, VerdictCache
+from repro.keylime.transport import PushAgentClient, PushSession
 from repro.obs.tracing import exemplar_of
 from repro.tpm.pcr import IMA_PCR_INDEX
 from repro.tpm.quote import QuoteVerificationError, verify_quote
@@ -147,6 +149,15 @@ class AgentSlot:
     # (None while healthy) and how many windows the node has entered.
     suspect_since: float | None = None
     suspect_windows: int = 0
+    # Push mode: the agent's one open session (None while no round is
+    # awaiting its submission) and the client driving its cadence.
+    push_session: PushSession | None = None
+    push_client: PushAgentClient | None = None
+
+    def pcr_selection(self) -> list[int]:
+        """The PCRs a round quotes: PCR 10, plus any measured-boot PCRs."""
+        boot = () if self.measured_boot is None else self.measured_boot.pcr_selection
+        return sorted({IMA_PCR_INDEX, *boot})
 
 
 class RoundAborted(Exception):
@@ -275,14 +286,9 @@ class ChallengeStage(Stage):
     def run(self, ctx: RoundContext) -> None:
         with ctx.tracer.span("verifier.challenge"):
             ctx.nonce = ctx.rng.hexid(20)
-            selection = [IMA_PCR_INDEX]
-            if ctx.slot.measured_boot is not None:
-                selection = sorted(
-                    set(selection) | set(ctx.slot.measured_boot.pcr_selection)
-                )
-            ctx.selection = selection
+            ctx.selection = ctx.slot.pcr_selection()
             ctx.evidence = wire_attest(
-                ctx, offset=ctx.slot.verified_entries, pcr_selection=selection
+                ctx, offset=ctx.slot.verified_entries, pcr_selection=ctx.selection
             )
 
 
@@ -528,21 +534,16 @@ def push_stages() -> list[Stage]:
 class VerificationPipeline:
     """Sequences the verification stages for one attestation round.
 
-    ``continue_on_failure`` is the P2-vs-M2 switch: it only affects
-    :class:`PolicyEvalStage` (whether evaluation halts at the first
-    failing entry) and, at the verifier layer, whether the agent is
-    marked FAILED and its polling halted.  Protocol-level failures
-    (invalid quote, tampered log, PCR mismatch, boot PCR divergence)
-    always terminate the round, under either configuration.
+    The context's ``continue_on_failure`` is the P2-vs-M2 switch: it
+    only affects :class:`PolicyEvalStage` (whether evaluation halts at
+    the first failing entry) and, at the verifier layer, whether the
+    agent is marked FAILED and its polling halted.  Protocol-level
+    failures (invalid quote, tampered log, PCR mismatch, boot PCR
+    divergence) always terminate the round, under either setting.
     """
 
-    def __init__(
-        self,
-        stages: list[Stage] | None = None,
-        continue_on_failure: bool = False,
-    ) -> None:
+    def __init__(self, stages: list[Stage] | None = None) -> None:
         self.stages = list(stages) if stages is not None else default_stages()
-        self.continue_on_failure = continue_on_failure
 
     def stage_names(self) -> list[str]:
         """The configured stage labels, in execution order."""
@@ -556,7 +557,6 @@ class VerificationPipeline:
         are batched into ``verifier_verdict_cache_total{result}`` once
         per round (not per entry) to keep the hot loop lean.
         """
-        ctx.continue_on_failure = self.continue_on_failure
         ctx.registry = registry
         stage_histogram = registry.histogram(
             "verifier_stage_wall_seconds",

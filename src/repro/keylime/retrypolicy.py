@@ -41,9 +41,6 @@ from repro.common.rng import SeededRng
 
 T = TypeVar("T")
 
-#: Default per-attempt delivery timeout (seconds of simulated latency).
-DEFAULT_ATTEMPT_TIMEOUT = 2.0
-
 
 class RetryBudgetExceeded(TransientTransportError):
     """Every attempt failed transiently; the round is degraded.
@@ -83,15 +80,15 @@ class RetryPolicy:
     ``max_attempts`` bounds total tries (1 = no retries).  Attempt *n*'s
     backoff before retrying is ``min(cap, base * 2**(n-1))`` scaled by a
     jitter factor uniform in ``[1 - jitter, 1 + jitter]`` drawn from the
-    caller's seeded stream.  ``attempt_timeout`` is the per-attempt
-    delivery deadline the fault layer enforces against injected delay.
+    caller's seeded stream.  The policy sets no per-attempt deadline:
+    a :class:`repro.keylime.faults.FaultPlan` times injected delays out
+    against its own.
     """
 
     max_attempts: int = 4
     base_backoff: float = 0.5
     backoff_cap: float = 8.0
     jitter: float = 0.1
-    attempt_timeout: float = DEFAULT_ATTEMPT_TIMEOUT
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:

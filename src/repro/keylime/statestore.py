@@ -220,8 +220,7 @@ def import_agent_state(
             slot.policy.generation = recorded_generation
         if include_sessions:
             for session_record in record["sessions"]:
-                session = PushSession.from_record(session_record)
-                verifier._push_sessions[session.session_id] = session
+                verifier._remember_session(PushSession.from_record(session_record))
     except (KeyError, TypeError, ValueError) as exc:
         raise IntegrityError(f"malformed agent record in snapshot: {exc}") from exc
     return agent_id
@@ -352,7 +351,7 @@ def inspect_snapshot(path: str | os.PathLike) -> dict[str, Any]:
         states[record["state"]] = states.get(record["state"], 0) + 1
         open_sessions += sum(
             1 for session in record.get("sessions", [])
-            if session.get("state") in ("created", "negotiated")
+            if session.get("state") == "negotiated"
         )
     audit = body.get("audit")
     return {

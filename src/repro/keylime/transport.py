@@ -210,17 +210,19 @@ def challenge_from_json(blob: str | bytes) -> Challenge:
         raise IntegrityError(f"malformed challenge payload: {exc}") from exc
 
 
+def _evidence_payload(evidence: AttestationEvidence) -> dict[str, Any]:
+    """JSON-safe encoding of one attestation response."""
+    return {
+        "quote": quote_to_dict(evidence.quote),
+        "ima_log": list(evidence.ima_log_lines),
+        "offset": evidence.offset,
+        "total_entries": evidence.total_entries,
+    }
+
+
 def evidence_to_json(evidence: AttestationEvidence) -> str:
     """Serialise one attestation response."""
-    return json.dumps(
-        {
-            "quote": quote_to_dict(evidence.quote),
-            "ima_log": list(evidence.ima_log_lines),
-            "offset": evidence.offset,
-            "total_entries": evidence.total_entries,
-        },
-        sort_keys=True,
-    )
+    return json.dumps(_evidence_payload(evidence), sort_keys=True)
 
 
 def _evidence_from_payload(
@@ -400,7 +402,7 @@ def submission_to_json(
         {
             "session_id": session_id,
             "agent_id": agent_id,
-            "evidence": json.loads(evidence_to_json(evidence)),
+            "evidence": _evidence_payload(evidence),
         },
         sort_keys=True,
     )
@@ -482,24 +484,18 @@ def verdict_from_json(blob: str | bytes) -> PushVerdict:
 
 
 class PushSessionState(Enum):
-    """Lifecycle of one push attestation exchange on the verifier."""
+    """Lifecycle of one push exchange on the verifier.
 
-    CREATED = "created"
+    A session is born NEGOTIATED and is open while it stays there.
+    """
+
     NEGOTIATED = "negotiated"
     SUBMITTED = "submitted"
     VERIFIED = "verified"
     FAILED = "failed"
 
 
-#: States in which a session is still waiting for the agent.
-OPEN_PUSH_STATES = frozenset({
-    PushSessionState.CREATED, PushSessionState.NEGOTIATED,
-})
-
 _PUSH_TRANSITIONS: dict[PushSessionState, frozenset[PushSessionState]] = {
-    PushSessionState.CREATED: frozenset({
-        PushSessionState.NEGOTIATED, PushSessionState.FAILED,
-    }),
     PushSessionState.NEGOTIATED: frozenset({
         PushSessionState.SUBMITTED, PushSessionState.FAILED,
     }),
@@ -538,16 +534,16 @@ class PushSession:
     created_at: float
     expires_at: float
     boot_count: int
-    state: PushSessionState = PushSessionState.CREATED
+    state: PushSessionState = PushSessionState.NEGOTIATED
     outcome: str | None = None
 
     @property
     def is_open(self) -> bool:
         """True while the session still awaits the agent's submission."""
-        return self.state in OPEN_PUSH_STATES
+        return self.state is PushSessionState.NEGOTIATED
 
     def advance(self, to_state: PushSessionState) -> None:
-        """Move along the CREATED -> NEGOTIATED -> SUBMITTED -> terminal path."""
+        """Move along the NEGOTIATED -> SUBMITTED -> terminal path."""
         if to_state not in _PUSH_TRANSITIONS[self.state]:
             raise StateError(
                 f"push session {self.session_id}: illegal transition "
@@ -577,9 +573,7 @@ class PushSession:
 
     def close(self, outcome: str) -> None:
         """Terminate an open session (expiry, supersession, discard)."""
-        if self.state in (PushSessionState.VERIFIED, PushSessionState.FAILED):
-            return
-        self.state = PushSessionState.FAILED
+        self.advance(PushSessionState.FAILED)
         self.outcome = outcome
 
     def reply(self) -> NegotiationReply:
@@ -638,10 +632,7 @@ class PushAgentClient:
     The client owns the agent's cadence in push mode: each
     :meth:`run_round` performs the full negotiate -> attest -> submit
     conversation against the verifier's two endpoints (passed in as
-    callables so the client works across any transport).  The optional
-    ``negotiate_channel``/``submit_channel`` hooks see (and may tamper
-    with or refuse) the raw request JSON of each leg, mirroring
-    :class:`JsonTransportAgent`'s man-in-the-middle model.
+    callables so the client works across any transport).
 
     A *retry_policy* retries every transiently failed leg (negotiate,
     attest, submit) with backoff; an exhausted budget abandons the
@@ -658,16 +649,12 @@ class PushAgentClient:
         submit: Callable[[str], str],
         retry_policy=None,
         retry_rng=None,
-        negotiate_channel: Callable[[str], str] | None = None,
-        submit_channel: Callable[[str], str] | None = None,
     ) -> None:
         self._agent = agent
         self._negotiate = negotiate
         self._submit = submit
         self.retry_policy = retry_policy
         self._retry_rng = retry_rng
-        self._negotiate_channel = negotiate_channel
-        self._submit_channel = submit_channel
         self.bytes_transferred = 0
         self.rounds_completed = 0
         self.rounds_abandoned = 0
@@ -689,12 +676,11 @@ class PushAgentClient:
             registry=telemetry.registry,
         )
 
-    def _deliver(self, endpoint, blob: str, channel) -> str:
-        """One leg across the (possibly hostile, possibly flaky) wire."""
+    def _deliver(self, endpoint, blob: str) -> str:
+        """One leg to the verifier, retried under the client's policy."""
         def attempt() -> str:
-            request = channel(blob) if channel is not None else blob
-            reply = endpoint(request)
-            self.bytes_transferred += len(request) + len(reply)
+            reply = endpoint(blob)
+            self.bytes_transferred += len(blob) + len(reply)
             return reply
 
         return self._retrying(attempt)
@@ -719,7 +705,7 @@ class PushAgentClient:
             )
             try:
                 reply = negotiation_reply_from_json(
-                    self._deliver(self._negotiate, request, self._negotiate_channel)
+                    self._deliver(self._negotiate, request)
                 )
                 evidence = self._retrying(lambda: self._agent.attest(
                     reply.nonce,
@@ -730,7 +716,6 @@ class PushAgentClient:
                     self._deliver(
                         self._submit,
                         submission_to_json(reply.session_id, self.agent_id, evidence),
-                        self._submit_channel,
                     )
                 )
             except RetryBudgetExceeded:

@@ -24,9 +24,10 @@ agent failed, and **stops polling** -- leaving an incomplete attestation
 log.  Restarting attestation replays the log from scratch, hits the same
 unresolved failure, and halts again.  The ``continue_on_failure`` switch
 implements the proposed **M2** fix: every entry is always evaluated and
-polling never stops, so later malicious entries still surface.  Both are
-pipeline configuration (:class:`repro.keylime.pipeline
-.VerificationPipeline`), not verifier branches.
+polling never stops, so later malicious entries still surface.  The
+switch is one verifier attribute, settable at any time; each round's
+:class:`repro.keylime.pipeline.RoundContext` carries it, for pull and
+push alike.
 
 Policy verdicts are memoised through a
 :class:`repro.keylime.policy.VerdictCache` (enabled by default, and
@@ -37,6 +38,7 @@ policy state that produced it.
 
 from __future__ import annotations
 
+from itertools import islice
 from time import perf_counter
 
 from repro.common.clock import Scheduler
@@ -74,7 +76,6 @@ from repro.keylime.transport import (
 )
 from repro.obs import runtime as obs
 from repro.obs.tracing import exemplar_of
-from repro.tpm.pcr import IMA_PCR_INDEX
 
 __all__ = [
     "AgentSlot",
@@ -108,20 +109,19 @@ class KeylimeVerifier:
         continue_on_failure: bool = False,
         notifier: RevocationNotifier | None = None,
         audit: AuditLog | None = None,
-        pipeline: VerificationPipeline | None = None,
         verdict_cache: VerdictCache | None = None,
-        cache_verdicts: bool = True,
         retry_policy: RetryPolicy | None = None,
         quarantine_after: int = 3,
         push_session_ttl: float = DEFAULT_PUSH_SESSION_TTL,
     ) -> None:
         """Build the verifier.
 
-        *pipeline* defaults to the stock Fig 1 stage sequence.
-        *verdict_cache* installs a shared cache (a fleet passes one
-        cache for all of its nodes); with ``None`` the verifier creates
-        its own, and ``cache_verdicts=False`` disables memoisation
-        entirely (every entry is evaluated from scratch).
+        *continue_on_failure* is the P2-vs-M2 switch, kept as the
+        attribute of the same name.  *verdict_cache* installs a shared
+        cache (a fleet passes one cache for all of its nodes); with
+        ``None`` the verifier creates its own.  Setting the
+        ``verdict_cache`` attribute to ``None`` disables memoisation
+        (every entry is evaluated from scratch).
 
         *retry_policy* enables the transient-fault retry path: wire
         errors are retried with backoff and an exhausted budget routes
@@ -149,18 +149,12 @@ class KeylimeVerifier:
             raise ValueError(f"quarantine_after must be >= 1, got {quarantine_after}")
         self.quarantine_after = quarantine_after
         self.events = events if events is not None else EventLog()
-        self.pipeline = (
-            pipeline if pipeline is not None
-            else VerificationPipeline(continue_on_failure=continue_on_failure)
-        )
-        if pipeline is not None and continue_on_failure:
-            self.pipeline.continue_on_failure = True
+        self.continue_on_failure = continue_on_failure
+        self.pipeline = VerificationPipeline()
+        self.push_pipeline = VerificationPipeline(stages=push_stages())
         self.notifier = notifier
         self.audit = audit
-        if verdict_cache is not None:
-            self.verdict_cache: VerdictCache | None = verdict_cache
-        else:
-            self.verdict_cache = VerdictCache() if cache_verdicts else None
+        self.verdict_cache = VerdictCache() if verdict_cache is None else verdict_cache
         self._slots: dict[str, AgentSlot] = {}
         # Push-mode state.  Session ids come from their own forked
         # stream so opening push sessions never perturbs the nonce
@@ -170,23 +164,9 @@ class KeylimeVerifier:
             raise ValueError(f"push_session_ttl must be > 0, got {push_session_ttl}")
         self.push_session_ttl = push_session_ttl
         self._session_rng = rng.fork("push-sessions")
+        # The replay-rejection memory, oldest first.  An agent's open
+        # session is also its slot's ``push_session``.
         self._push_sessions: dict[str, PushSession] = {}
-        self._push_clients: dict[str, PushAgentClient] = {}
-        self._last_push_result: AttestationResult | None = None
-        self.push_pipeline = VerificationPipeline(
-            stages=push_stages(),
-            continue_on_failure=self.pipeline.continue_on_failure,
-        )
-
-    @property
-    def continue_on_failure(self) -> bool:
-        """The P2-vs-M2 switch; delegated to the pipeline configuration."""
-        return self.pipeline.continue_on_failure
-
-    @continue_on_failure.setter
-    def continue_on_failure(self, value: bool) -> None:
-        self.pipeline.continue_on_failure = value
-        self.push_pipeline.continue_on_failure = value
 
     # -- agent management ---------------------------------------------------
 
@@ -336,7 +316,7 @@ class KeylimeVerifier:
         telemetry = obs.get()
         wall_start = perf_counter()
         with telemetry.tracer.span("verifier.poll", agent=agent_id) as span:
-            result = self._poll_once(agent_id, telemetry)
+            result = self._run_round(self._slot(agent_id), telemetry)
             span.set_attribute("ok", result.ok)
             span.set_attribute("entries", result.entries_processed)
         self._observe_round(
@@ -396,8 +376,18 @@ class KeylimeVerifier:
                 "IMA entries never policy-checked (halt-on-failure, P2)",
             ).inc(result.entries_skipped)
 
-    def _poll_once(self, agent_id: str, telemetry) -> AttestationResult:
-        slot = self._slot(agent_id)
+    def _run_round(self, slot: AgentSlot, telemetry, **delivered) -> AttestationResult:
+        """Verify one round, pull or push, and route its result.
+
+        A pull round passes nothing: its challenge stage mints the
+        nonce and fetches the evidence.  A push round passes what the
+        exchange *delivered* -- the negotiated ``nonce`` and
+        ``selection`` and the submitted ``evidence`` -- and runs the
+        push stages.  The side effects (audit append, event emission,
+        SUSPECT recovery, the degraded/failed state machinery) are
+        functions of the result, never of how the evidence travelled.
+        """
+        agent_id = slot.agent.agent_id
         ctx = RoundContext(
             agent_id=agent_id,
             slot=slot,
@@ -405,23 +395,14 @@ class KeylimeVerifier:
             now=self.scheduler.clock.now,
             rng=self.rng,
             tracer=telemetry.tracer,
+            continue_on_failure=self.continue_on_failure,
             cache=self.verdict_cache,
             retry_policy=self.retry_policy,
             retry_rng=self._retry_rng,
+            **delivered,
         )
-        result = self.pipeline.run(ctx, telemetry.registry)
-        return self._conclude_round(slot, agent_id, result)
-
-    def _conclude_round(
-        self, slot: AgentSlot, agent_id: str, result: AttestationResult
-    ) -> AttestationResult:
-        """Route one round's result to its side effects.
-
-        Shared verbatim by the pull and push paths: audit append, event
-        emission, SUSPECT recovery, and the degraded/failed state
-        machinery are functions of the *result*, never of how the
-        evidence travelled.
-        """
+        pipeline = self.push_pipeline if delivered else self.pipeline
+        result = pipeline.run(ctx, telemetry.registry)
         if result.ok:
             slot.results.append(result)
             if self.audit is not None:
@@ -444,10 +425,7 @@ class KeylimeVerifier:
 
     def open_push_session_of(self, agent_id: str) -> PushSession | None:
         """The agent's currently open push session, if any."""
-        for session in self._push_sessions.values():
-            if session.agent_id == agent_id and session.is_open:
-                return session
-        return None
+        return self._slot(agent_id).push_session
 
     def push_sessions_of(self, agent_id: str) -> list[PushSession]:
         """Every remembered push session for the agent, oldest first."""
@@ -457,25 +435,24 @@ class KeylimeVerifier:
         ]
 
     def discard_push_sessions(self, agent_id: str) -> int:
-        """Close every open push session for the agent; returns the count.
+        """Close the agent's open push session; returns how many (0 or 1).
 
         Called by :meth:`restart_attestation` (a stale nonce must not
         verify after a reboot reset) and usable directly by operators.
         The terminal record is kept, so a late submission against the
         discarded session is rejected as a replay.
         """
-        count = 0
-        for session in self._push_sessions.values():
-            if session.agent_id == agent_id and session.is_open:
-                session.close("discarded")
-                self._count_session_outcome("discarded")
-                count += 1
-        if count:
-            self.events.emit(
-                self.scheduler.clock.now, "keylime.verifier",
-                "push.session.discarded", agent=agent_id, sessions=count,
-            )
-        return count
+        slot = self._slot(agent_id)
+        if slot.push_session is None:
+            return 0
+        slot.push_session.close("discarded")
+        slot.push_session = None
+        self._count_session_outcome("discarded")
+        self.events.emit(
+            self.scheduler.clock.now, "keylime.verifier",
+            "push.session.discarded", agent=agent_id, sessions=1,
+        )
+        return 1
 
     def _count_session_outcome(self, outcome: str) -> None:
         registry = obs.get().registry
@@ -490,19 +467,32 @@ class KeylimeVerifier:
         registry.gauge(
             "verifier_push_sessions_open",
             "Push sessions currently awaiting an agent submission",
-        ).set(sum(1 for session in self._push_sessions.values() if session.is_open))
+        ).set(sum(1 for slot in self._slots.values() if slot.push_session is not None))
 
-    def _trim_sessions(self) -> None:
-        """Bound the terminal-session memory used for replay rejection."""
-        excess = len(self._push_sessions) - PUSH_SESSION_RETENTION
-        if excess <= 0:
-            return
-        for session_id in [
-            session_id
-            for session_id, session in self._push_sessions.items()
-            if not session.is_open
-        ][:excess]:
-            del self._push_sessions[session_id]
+    def _remember_session(self, session: PushSession) -> None:
+        """The one writer of the session memory (negotiation and import).
+
+        An open *session* also becomes its agent's ``push_session``; a
+        second open session for one agent is an :class:`IntegrityError`.
+        Past :data:`PUSH_SESSION_RETENTION` the oldest terminal sessions
+        are forgotten; open ones never are.
+        """
+        if session.is_open:
+            slot = self._slot(session.agent_id)
+            if slot.push_session is not None:
+                raise IntegrityError(
+                    f"agent {session.agent_id} would hold two open push "
+                    f"sessions ({slot.push_session.session_id}, "
+                    f"{session.session_id})"
+                )
+            slot.push_session = session
+        sessions = self._push_sessions
+        sessions[session.session_id] = session
+        excess = len(sessions) - PUSH_SESSION_RETENTION
+        if excess > 0:
+            terminal = (key for key, kept in sessions.items() if not kept.is_open)
+            for session_id in list(islice(terminal, excess)):
+                del sessions[session_id]
 
     def negotiate_push(self, blob: str | bytes) -> str:
         """Push step 1 endpoint: open a session for an announcing agent.
@@ -542,9 +532,8 @@ class KeylimeVerifier:
                         f"agent {agent_id} announced no sha256 bank; "
                         "cannot negotiate a verifiable session"
                     )
-                previous = self.open_push_session_of(agent_id)
-                if previous is not None:
-                    self._close_unanswered(previous, "superseded", now)
+                if slot.push_session is not None:
+                    self._close_unanswered(slot, "superseded", now)
                     if slot.state not in POLLABLE_STATES:
                         raise StateError(
                             f"agent {agent_id} is {slot.state.value}; "
@@ -556,25 +545,18 @@ class KeylimeVerifier:
                     and request.capabilities.boot_count != slot.last_reset_count
                 ):
                     offset = 0
-                selection = [IMA_PCR_INDEX]
-                if slot.measured_boot is not None:
-                    selection = sorted(
-                        set(selection) | set(slot.measured_boot.pcr_selection)
-                    )
                 session = PushSession(
                     session_id=f"ps-{self._session_rng.hexid(12)}",
                     agent_id=agent_id,
                     nonce=self.rng.hexid(20),
                     offset=offset,
-                    pcr_selection=tuple(selection),
+                    pcr_selection=tuple(slot.pcr_selection()),
                     algorithm="sha256",
                     created_at=now,
                     expires_at=now + self.push_session_ttl,
                     boot_count=request.capabilities.boot_count,
                 )
-                session.advance(PushSessionState.NEGOTIATED)
-                self._push_sessions[session.session_id] = session
-                self._trim_sessions()
+                self._remember_session(session)
                 span.set_attribute("session", session.session_id)
                 span.set_attribute("offset", offset)
         self._set_open_sessions_gauge(telemetry.registry)
@@ -593,9 +575,9 @@ class KeylimeVerifier:
         attestation record: an attacker replaying captured evidence must
         not be able to fail (or pass) the agent on its behalf.  A
         well-formed submission against a live session consumes the
-        session and runs the shared verification pipeline under a
-        ``verifier.poll`` span, the pull round's name.  Its result flows
-        through exactly the side-effect path a pull round uses, and
+        session and runs the shared round runner under a
+        ``verifier.poll`` span, the pull round's name, so its result
+        flows through exactly the side-effect path a pull round uses.
         :meth:`_observe_round` records the round, timed over the
         verifier's side only (decoding and verifying the submission).
         """
@@ -616,25 +598,28 @@ class KeylimeVerifier:
         session.ensure_submittable(now)
         session.advance(PushSessionState.SUBMITTED)
         slot = self._slot(session.agent_id)
+        slot.push_session = None
         with telemetry.tracer.span(
             "verifier.poll", agent=session.agent_id, session=session.session_id,
         ) as span:
-            result = self._ingest_push(slot, session, submission.evidence, telemetry)
+            result = self._run_round(
+                slot, telemetry, nonce=session.nonce,
+                selection=list(session.pcr_selection),
+                evidence=submission.evidence,
+            )
             span.set_attribute("ok", result.ok)
             span.set_attribute("entries", result.entries_processed)
         if result.ok:
             session.advance(PushSessionState.VERIFIED)
             session.outcome = "verified"
-            self._count_session_outcome("verified")
         else:
             session.advance(PushSessionState.FAILED)
             session.outcome = "degraded" if result.transient else "failed"
-            self._count_session_outcome(session.outcome)
+        self._count_session_outcome(session.outcome)
         self._observe_round(
             session.agent_id, result, telemetry.registry,
             perf_counter() - wall_start, span,
         )
-        self._last_push_result = result
         return verdict_to_json(
             PushVerdict(
                 session_id=session.session_id,
@@ -648,50 +633,28 @@ class KeylimeVerifier:
             )
         )
 
-    def _ingest_push(
-        self, slot: AgentSlot, session: PushSession, evidence, telemetry
-    ) -> AttestationResult:
-        """Run the shared pipeline over a submitted evidence bundle."""
-        self.push_pipeline.continue_on_failure = self.pipeline.continue_on_failure
-        ctx = RoundContext(
-            agent_id=session.agent_id,
-            slot=slot,
-            record=self.registrar.lookup(session.agent_id),
-            now=self.scheduler.clock.now,
-            rng=self.rng,
-            tracer=telemetry.tracer,
-            cache=self.verdict_cache,
-            retry_policy=self.retry_policy,
-            retry_rng=self._retry_rng,
-            nonce=session.nonce,
-            selection=list(session.pcr_selection),
-            evidence=evidence,
-        )
-        result = self.push_pipeline.run(ctx, telemetry.registry)
-        return self._conclude_round(slot, session.agent_id, result)
-
-    def reap_push_sessions(self, now: float | None = None) -> list[str]:
+    def reap_push_sessions(self) -> list[str]:
         """Expire overdue push sessions; the verifier tick's only push job.
 
         Every open session past its ``expires_at`` closes as
-        ``expired`` (see :meth:`_close_unanswered`).  A session the
-        agent abandons inside its TTL is accounted the same way when
-        the agent's next negotiation supersedes it.
+        ``expired`` (see :meth:`_close_unanswered`), oldest negotiation
+        first.  A session the agent abandons inside its TTL is
+        accounted the same way when the agent's next negotiation
+        supersedes it.
         """
-        if now is None:
-            now = self.scheduler.clock.now
-        reaped: list[str] = []
-        for session in list(self._push_sessions.values()):
-            if not session.is_open or now <= session.expires_at:
-                continue
-            self._close_unanswered(session, "expired", now)
-            reaped.append(session.session_id)
+        now = self.scheduler.clock.now
+        overdue = [
+            slot for slot in self._slots.values()
+            if slot.push_session is not None and now > slot.push_session.expires_at
+        ]
+        overdue.sort(key=lambda slot: slot.push_session.created_at)
+        reaped = [slot.push_session.session_id for slot in overdue]
+        for slot in overdue:
+            self._close_unanswered(slot, "expired", now)
         return reaped
 
-    def _close_unanswered(
-        self, session: PushSession, outcome: str, now: float
-    ) -> None:
-        """Close an open session that never received a submission.
+    def _close_unanswered(self, slot: AgentSlot, outcome: str, now: float) -> None:
+        """Close the slot's open session, which never got a submission.
 
         *outcome* is ``expired`` (the reaper) or ``superseded`` (the
         agent negotiated again).  When the agent is still attestable
@@ -701,6 +664,7 @@ class KeylimeVerifier:
         exactly like a jammed pull round: loudly, and without a silent
         attestation-log gap.
         """
+        session, slot.push_session = slot.push_session, None
         session.close(outcome)
         self._count_session_outcome(outcome)
         self.events.emit(
@@ -708,8 +672,7 @@ class KeylimeVerifier:
             agent=session.agent_id, session=session.session_id,
             negotiated_at=session.created_at,
         )
-        slot = self._slots.get(session.agent_id)
-        if slot is None or slot.state not in POLLABLE_STATES:
+        if slot.state not in POLLABLE_STATES:
             return
         result = AttestationResult(
             time=now,
@@ -726,47 +689,33 @@ class KeylimeVerifier:
         self._record_degraded_round(slot, result)
         self._observe_round(session.agent_id, result, obs.get().registry)
 
-    def push_client(
-        self,
-        agent_id: str,
-        negotiate_channel=None,
-        submit_channel=None,
-    ) -> PushAgentClient:
-        """The (cached) push client driving this agent's cadence.
-
-        The client talks to this verifier's endpoints directly; the
-        optional channel hooks inject the chaos layer into either leg.
-        """
-        client = self._push_clients.get(agent_id)
-        if client is None:
-            slot = self._slot(agent_id)
-            client = PushAgentClient(
+    def push_client(self, agent_id: str) -> PushAgentClient:
+        """The agent's push client (on its slot), built on first use."""
+        slot = self._slot(agent_id)
+        if slot.push_client is None:
+            slot.push_client = PushAgentClient(
                 slot.agent,
                 negotiate=self.negotiate_push,
                 submit=self.submit_push,
                 retry_policy=self.retry_policy,
                 retry_rng=self._retry_rng,
-                negotiate_channel=negotiate_channel,
-                submit_channel=submit_channel,
             )
-            self._push_clients[agent_id] = client
-        return client
+        return slot.push_client
 
     def push_round(self, agent_id: str) -> AttestationResult | None:
         """Drive one complete push exchange for the agent.
 
         The push analogue of :meth:`poll`: returns the round's
-        :class:`AttestationResult`, or ``None`` when the exchange never
-        produced one (delivery abandoned or the submission was rejected
-        at the protocol layer) -- in which case the open session becomes
-        a degraded round when the agent's next negotiation supersedes it
-        or :meth:`reap_push_sessions` expires it.
+        :class:`AttestationResult` (the slot's last result), or ``None``
+        when the exchange never produced one (delivery abandoned or the
+        submission was rejected at the protocol layer) -- in which case
+        the open session becomes a degraded round when the agent's next
+        negotiation supersedes it or :meth:`reap_push_sessions` expires
+        it.
         """
-        self._last_push_result = None
-        verdict = self.push_client(agent_id).run_round()
-        if verdict is None:
+        if self.push_client(agent_id).run_round() is None:
             return None
-        return self._last_push_result
+        return self._slot(agent_id).results[-1]
 
     def _transition(self, slot: AgentSlot, to_state: AgentState, now: float) -> None:
         """Move the slot between lifecycle states, with a metrics trail."""

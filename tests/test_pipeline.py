@@ -1,7 +1,7 @@
 """Tests for the staged verification pipeline and verdict caching.
 
 Covers the pipeline decomposition of the attestation round (stage
-objects, P2/M2 as pipeline configuration), the generation-stamped
+objects, the P2/M2 switch each round reads), the generation-stamped
 verdict cache (no stale verdicts after a policy push or a reboot), the
 idempotent ``stop_polling``, and the per-stage / cache telemetry.
 """
@@ -17,7 +17,6 @@ from repro.keylime.pipeline import (
     MeasuredBootStage,
     PolicyEvalStage,
     QuoteVerifyStage,
-    VerificationPipeline,
     default_stages,
 )
 from repro.keylime.policy import (
@@ -60,24 +59,6 @@ class TestStageComposition:
             LogReplayStage, PolicyEvalStage,
         ]
         assert all(a is not b for a, b in zip(first, second))
-
-    def test_continue_on_failure_delegates_to_pipeline(self, rig):
-        _, _, verifier, _, _ = rig
-        assert verifier.continue_on_failure is False
-        verifier.continue_on_failure = True
-        assert verifier.pipeline.continue_on_failure is True
-        verifier.continue_on_failure = False
-        assert verifier.pipeline.continue_on_failure is False
-
-    def test_injected_pipeline_is_used(self, machine, manufacturer):
-        scheduler = Scheduler(machine.clock)
-        registrar = KeylimeRegistrar([manufacturer.root_certificate])
-        pipeline = VerificationPipeline(continue_on_failure=True)
-        verifier = KeylimeVerifier(
-            registrar, scheduler, SeededRng("injected"), pipeline=pipeline,
-        )
-        assert verifier.pipeline is pipeline
-        assert verifier.continue_on_failure is True
 
     def test_m2_continue_on_failure_collects_all(self, rig):
         machine, _, verifier, _, _ = rig
@@ -173,9 +154,8 @@ class TestVerdictCache:
     def test_cache_disabled_verifier_still_polls(self, machine, manufacturer):
         scheduler = Scheduler(machine.clock)
         registrar = KeylimeRegistrar([manufacturer.root_certificate])
-        verifier = KeylimeVerifier(
-            registrar, scheduler, SeededRng("nocache"), cache_verdicts=False,
-        )
+        verifier = KeylimeVerifier(registrar, scheduler, SeededRng("nocache"))
+        verifier.verdict_cache = None
         agent = KeylimeAgent("a1", machine)
         registrar.register(agent)
         machine.install_file("/usr/bin/tool", b"tool-v1", executable=True)

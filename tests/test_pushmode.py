@@ -280,6 +280,51 @@ class TestPushReaper:
         assert testbed.verifier.open_push_session_of(testbed.agent_id) is not None
 
 
+class TestSessionRetention:
+    """The replay-rejection memory is bounded by PUSH_SESSION_RETENTION."""
+
+    def test_oldest_terminal_sessions_are_forgotten_first(self, monkeypatch):
+        from repro.experiments.shardfleet import build_shard_rig
+        from repro.keylime import verifier as verifier_module
+
+        monkeypatch.setattr(verifier_module, "PUSH_SESSION_RETENTION", 3)
+        fleet = build_shard_rig("push-retention", 2, push_mode=True)
+        verifier = fleet.verifier
+        busy, held = fleet.nodes[0].agent, fleet.nodes[1].agent
+
+        def negotiate(agent):
+            return negotiation_reply_from_json(verifier.negotiate_push(
+                negotiation_to_json(agent.agent_id, agent.capabilities())
+            ))
+
+        first = negotiate(busy)
+        blob = submission_to_json(first.session_id, busy.agent_id, busy.attest(
+            first.nonce, offset=first.offset,
+            pcr_selection=list(first.pcr_selection),
+        ))
+        assert verdict_from_json(verifier.submit_push(blob)).ok
+        # The held agent's session is older than every later one and
+        # stays open: trimming must step over it.
+        held_session = negotiate(held).session_id
+        for _ in range(4):
+            assert verifier.push_round(busy.agent_id).ok
+        busy_sessions = [
+            event.details["session"]
+            for event in fleet.events.by_kind("push.session.negotiated")
+            if event.details["agent"] == busy.agent_id
+        ]
+        assert len(busy_sessions) == 5
+        assert list(verifier._push_sessions) == [held_session, *busy_sessions[-2:]]
+        assert verifier.open_push_session_of(held.agent_id).session_id == held_session
+
+        # A forgotten session is unknown, and the agent's record is untouched.
+        rounds = len(verifier.results_of(busy.agent_id))
+        with pytest.raises(IntegrityError, match="unknown push session"):
+            verifier.submit_push(blob)
+        assert len(verifier.results_of(busy.agent_id)) == rounds
+        assert verifier.state_of(busy.agent_id) is AgentState.ATTESTING
+
+
 class TestPushObservability:
     def test_push_round_feeds_the_coverage_gap_gauges(self, testbed):
         """Anti-P2: HealthWatch's gap detector reads the same last-seen
@@ -344,23 +389,36 @@ class TestPushPullEquivalence:
         assert pull == push
         assert all(result.ok for result in pull)
 
-    def test_detection_identical(self):
+    @pytest.mark.parametrize("m2", [False, True], ids=["P2", "M2"])
+    def test_detection_identical(self, m2):
+        """Two unknown binaries: P2 halts at the first in either mode, M2
+        reports both and keeps attesting in either mode."""
+        binaries = ["/usr/bin/backdoor", "/usr/bin/dropper"]
+
         def attack(seed, push):
             testbed = build_testbed(small_config(seed))
+            # Flipped after construction, as mitigations.apply does.
+            testbed.verifier.continue_on_failure = m2
             round_fn = testbed.push_round if push else testbed.poll
             assert round_fn().ok
-            testbed.machine.install_file(
-                "/usr/bin/backdoor", b"payload", executable=True
-            )
-            testbed.machine.exec_file("/usr/bin/backdoor")
-            return round_fn()
+            for path in binaries:
+                testbed.machine.install_file(path, path.encode(), executable=True)
+                testbed.machine.exec_file(path)
+            return round_fn(), testbed.verifier.state_of(testbed.agent_id)
 
-        pull = attack("push-detect", push=False)
-        push = attack("push-detect", push=True)
+        pull, pull_state = attack("push-detect", push=False)
+        push, push_state = attack("push-detect", push=True)
         assert pull == push
+        assert pull_state is push_state
         assert not push.ok
-        assert push.failures[0].kind is FailureKind.POLICY
-        assert push.failures[0].policy_failure.path == "/usr/bin/backdoor"
+        assert all(failure.kind is FailureKind.POLICY for failure in push.failures)
+        failed = [failure.policy_failure.path for failure in push.failures]
+        if m2:
+            assert failed == binaries
+            assert push_state is AgentState.ATTESTING
+        else:
+            assert failed == binaries[:1]
+            assert push_state is AgentState.FAILED
 
     def test_audit_chains_identical(self):
         pull_bed, _ = self._run_rounds("push-audit", push=False)

@@ -8,11 +8,14 @@ skew, wrong magic, edited audit history -- fails loudly as
 :class:`IntegrityError`, never a quiet partial load.
 """
 
+import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.common.errors import IntegrityError, StateError
 from repro.common.rng import SeededRng
 from repro.experiments.testbed import build_testbed
@@ -30,6 +33,8 @@ from repro.keylime.statestore import (
 from repro.keylime.verifier import AgentState, KeylimeVerifier
 
 from tests.conftest import small_config
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "state_save_ci_push.json"
 
 
 @pytest.fixture()
@@ -282,6 +287,33 @@ class TestSnapshotIntegrity:
             restore_verifier(twin, body)
 
 
+    def _snap_with_open_session(self, testbed, tmp_path):
+        from repro.keylime.transport import negotiation_to_json
+
+        testbed.verifier.negotiate_push(
+            negotiation_to_json(testbed.agent_id, testbed.agent.capabilities())
+        )
+        body = read_snapshot(self._snap(testbed, tmp_path))
+        [session] = body["agents"][0]["sessions"]
+        assert session["state"] == "negotiated"
+        return body, session
+
+    def test_created_session_state_rejected(self, testbed, tmp_path):
+        """Sessions are born negotiated; ``created`` names no state."""
+        body, session = self._snap_with_open_session(testbed, tmp_path)
+        session["state"] = "created"
+        with pytest.raises(IntegrityError, match="malformed push session record"):
+            restore_verifier(_fresh_twin(testbed), body)
+
+    def test_two_open_sessions_for_one_agent_rejected(self, testbed, tmp_path):
+        body, session = self._snap_with_open_session(testbed, tmp_path)
+        body["agents"][0]["sessions"].append(
+            dict(session, session_id="ps-second", nonce="0" * 40)
+        )
+        with pytest.raises(IntegrityError, match="two open push sessions"):
+            restore_verifier(_fresh_twin(testbed), body)
+
+
 class TestInspect:
     def test_summary_fields(self, testbed, tmp_path):
         path = tmp_path / "verifier.snap"
@@ -301,3 +333,14 @@ class TestInspect:
         path.write_bytes(raw[:-3])
         with pytest.raises(IntegrityError):
             inspect_snapshot(path)
+
+
+class TestSnapshotGolden:
+    def test_ci_push_snapshot_bytes_are_pinned(self, tmp_path, capsys):
+        """The CI push run's snapshot, byte for byte: verdicts, session
+        records, RNG streams and audit chain all feed its sha256."""
+        golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        path = tmp_path / "verifier.snap"
+        argv = [str(path) if arg == "SNAPSHOT" else arg for arg in golden["argv"]]
+        assert main(argv) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == golden["sha256"]
