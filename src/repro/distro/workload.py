@@ -36,6 +36,10 @@ from repro.distro.package import (
 )
 from repro.kernelsim.kernel import ExecResult, Machine
 
+#: The kernel every provisioned machine boots unless the caller picks
+#: another: the base system ships it and the initial policy allows it.
+DEFAULT_KERNEL = "5.15.0-91-generic"
+
 #: Directory mix for generated executables (weight, template).
 _EXEC_DIRS = (
     (0.25, "/usr/bin/{pkg}-{i}"),
@@ -154,7 +158,7 @@ def build_base_system(
     rng: SeededRng,
     n_filler_packages: int = 120,
     mean_exec_files: float = 12.0,
-    kernel_version: str = "5.15.0-91-generic",
+    kernel_version: str = DEFAULT_KERNEL,
 ) -> list[Package]:
     """The initial installed system: essentials + filler + a kernel.
 

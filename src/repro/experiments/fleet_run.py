@@ -32,8 +32,6 @@ from repro.keylime.faults import FaultPlan, chaos_profile
 from repro.keylime.fleet import Fleet, FleetUpdateReport, build_fleet, release_stream
 from repro.keylime.retrypolicy import RetryPolicy
 
-DEFAULT_KERNEL = "5.15.0-91-generic"
-
 
 @dataclass(frozen=True)
 class ChaosInjection:
@@ -166,8 +164,7 @@ def run_fleet_scenario(
         quarantine_after = chaos.quarantine_after
     fleet = build_fleet(
         seed, n_nodes, fillers=n_filler_packages, mean_exec_files=6.0,
-        manufacturer="Infineon", events=EventLog(),
-        kernel_version=DEFAULT_KERNEL, fault_plan=fault_plan,
+        manufacturer="Infineon", events=EventLog(), fault_plan=fault_plan,
         retry_policy=retry_policy, quarantine_after=quarantine_after,
         push_mode=push_mode,
     )

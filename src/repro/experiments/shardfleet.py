@@ -44,10 +44,6 @@ from repro.obs.federation import (
 )
 from repro.obs.health import HealthWatch
 
-#: Kernel pinned by the deterministic state-fleet rig (no release
-#: stream, so provisioning is a pure function of the seed).
-SHARD_RIG_KERNEL = "5.15.0-91-generic"
-
 
 def build_shard_rig(
     seed: str, n_nodes: int, fillers: int = 2, push_mode: bool = False
@@ -62,8 +58,7 @@ def build_shard_rig(
     """
     return build_fleet(
         seed, n_nodes, fillers=fillers, mean_exec_files=6.0,
-        manufacturer="Infineon", events=EventLog(),
-        kernel_version=SHARD_RIG_KERNEL, push_mode=push_mode,
+        manufacturer="Infineon", events=EventLog(), push_mode=push_mode,
     )
 
 

@@ -20,6 +20,7 @@ from repro.distro.apt import AptInstaller
 from repro.distro.archive import UbuntuArchive
 from repro.distro.mirror import LocalMirror
 from repro.distro.workload import (
+    DEFAULT_KERNEL,
     BenignWorkload,
     ReleaseStreamConfig,
     SyntheticReleaseStream,
@@ -59,7 +60,7 @@ class TestbedConfig:
     seed: int | str = 0
     n_filler_packages: int = 60
     mean_exec_files: float = 10.0
-    kernel_version: str = "5.15.0-91-generic"
+    kernel_version: str = DEFAULT_KERNEL
     stream: ReleaseStreamConfig = field(default_factory=ReleaseStreamConfig)
     cost_model: CostModelConfig = field(default_factory=CostModelConfig)
     policy_mode: str = "dynamic"  # "dynamic" | "static"
@@ -67,7 +68,6 @@ class TestbedConfig:
     ima_policy: ImaPolicy | None = None
     poll_interval_seconds: float = 1800.0
     sync_hour: float = 5.0
-    start_polling: bool = False
 
 
 @dataclass
@@ -182,7 +182,7 @@ def build_testbed(config: TestbedConfig | None = None) -> Testbed:
     tenant.onboard(
         agent, policy,
         poll_interval=config.poll_interval_seconds,
-        start_polling=config.start_polling,
+        start_polling=False,
     )
 
     workload = BenignWorkload(machine, rng.fork("workload"))

@@ -54,7 +54,6 @@ from repro.keylime.transport import (
     JsonTransportAgent,
     PushAgentClient,
     PushSession,
-    PushSessionState,
     evidence_from_json,
     evidence_to_json,
 )
@@ -94,7 +93,6 @@ from repro.keylime.faults import (
     FaultSpec,
     VerifierOutage,
     chaos_profile,
-    outage_schedule,
 )
 from repro.keylime.registrar import KeylimeRegistrar, RegistrationError
 from repro.keylime.retrypolicy import RetryBudgetExceeded, RetryPolicy, classify
@@ -136,7 +134,6 @@ __all__ = [
     "PolicyStatistics",
     "PushAgentClient",
     "PushSession",
-    "PushSessionState",
     "QuarantineListener",
     "QuoteVerifyStage",
     "RegistrationError",
@@ -157,7 +154,6 @@ __all__ = [
     "import_agent_state",
     "inspect_snapshot",
     "lint_excludes",
-    "outage_schedule",
     "policy_statistics",
     "push_stages",
     "read_snapshot",

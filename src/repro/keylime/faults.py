@@ -394,36 +394,6 @@ class VerifierOutage:
         return self.start <= now < self.end
 
 
-def outage_schedule(
-    rng: SeededRng,
-    members: tuple[str, ...] | list[str],
-    n_outages: int,
-    horizon: float,
-    duration: float,
-    kind: str = "partition",
-) -> list[VerifierOutage]:
-    """A seeded schedule of verifier outages.
-
-    Draws ``n_outages`` (member, start) pairs from a dedicated forked
-    stream -- same zero-interference discipline as the wire channels:
-    building a schedule never perturbs any other stream, and the same
-    seed always yields the same outage windows.
-    """
-    if not members:
-        raise ValueError("outage schedule needs at least one member")
-    stream = rng.fork("chaos/verifier-outages")
-    outages = []
-    for _ in range(n_outages):
-        member = stream.choice(tuple(members))
-        start = stream.uniform(0.0, max(horizon - duration, 0.0))
-        outages.append(
-            VerifierOutage(
-                member=member, start=start, end=start + duration, kind=kind
-            )
-        )
-    return sorted(outages, key=lambda outage: (outage.start, outage.member))
-
-
 # -- chaos profiles --------------------------------------------------------
 
 def _profile_specs(

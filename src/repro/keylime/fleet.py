@@ -28,7 +28,7 @@ provides that layer on top of the single-node stack:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 
 from repro.common.clock import Scheduler
@@ -39,6 +39,7 @@ from repro.distro.apt import AptInstaller
 from repro.distro.archive import UbuntuArchive
 from repro.distro.mirror import LocalMirror
 from repro.distro.workload import (
+    DEFAULT_KERNEL,
     ReleaseStreamConfig,
     SyntheticReleaseStream,
     build_base_system,
@@ -74,9 +75,6 @@ from repro.obs.capacity import (
     publish_fleet_load,
 )
 from repro.tpm.device import TpmManufacturer
-
-#: The kernel every fleet node boots unless the caller picks another.
-DEFAULT_KERNEL = "5.15.0-91-generic"
 
 #: The member a fleet starts with: its one verifier, until it is sharded.
 SOLE_MEMBER = "verifier-0"
@@ -114,21 +112,19 @@ class ShardHost:
     nonce sequence, verdict history and audit chain continue
     bit-identically.  ``host`` names the member currently running the
     shard; it starts equal to ``shard_id`` and diverges on adoption.
-    ``agents`` maps agent id -> the verifier-side agent; its insertion
-    order is the batch order.
+    The shard's agents are its verifier's slots, and their order is the
+    batch order; its audit log is ``verifier.audit``.
     """
 
     shard_id: str
     host: str
     verifier: KeylimeVerifier
-    audit: AuditLog
     accounting: TickBudgetAccountant
-    agents: dict[str, KeylimeAgent] = field(default_factory=dict)
     checkpoint: dict | None = None
     adoptions: int = 0
 
     def __len__(self) -> int:
-        return len(self.agents)
+        return len(self.verifier._slots)
 
     def poll_batch(self, push: bool) -> dict[str, AttestationResult]:
         """One attestation round for every still-attesting agent.
@@ -157,9 +153,9 @@ class ShardHost:
         wall_start = perf_counter()
         with telemetry.tracer.span(
             "fleet.push_batch" if push else "fleet.poll_batch",
-            agents=len(self.agents),
+            agents=len(self),
         ) as span:
-            for agent_id in self.agents:
+            for agent_id in self.verifier._slots:
                 # SUSPECT nodes stay in the batch (the anti-P2
                 # invariant); only FAILED/STOPPED/QUARANTINED drop out.
                 if self.verifier.state_of(agent_id) not in POLLABLE_STATES:
@@ -184,7 +180,7 @@ class ShardHost:
         self.accounting.observe_tick(
             self.verifier.scheduler.clock.now,
             wall_seconds=perf_counter() - wall_start,
-            registered=len(self.agents),
+            registered=len(self),
             polled=len(results),
             skipped=skipped,
             registry=telemetry.registry,
@@ -227,9 +223,9 @@ class Fleet:
     * :meth:`join` / :meth:`leave` -- explicit rebalancing.  The ring
       moves the minimal key range (see :mod:`repro.keylime.sharding`)
       and each moved agent's attestation record travels via the
-      statestore's per-agent export/import; open push sessions are
-      deliberately abandoned (closed at the source), so pre-migration
-      evidence replays to *neither* shard.
+      statestore's per-agent export/import; an open push session is
+      deliberately discarded at the source before the export, so
+      pre-migration evidence replays to *neither* shard.
     * :meth:`kill` (and scheduled :class:`~repro.keylime.faults
       .VerifierOutage` windows) -- failure.  The heartbeat probe at the
       top of every :meth:`poll_all` tick detects the unreachable host
@@ -357,10 +353,9 @@ class Fleet:
     # -- construction helpers ----------------------------------------------
 
     def _new_host(self, shard_id: str, rng: SeededRng, settings: dict) -> ShardHost:
-        audit = AuditLog()
         verifier = KeylimeVerifier(
             self.registrar, self.scheduler, rng, events=self.events,
-            notifier=self.notifier, audit=audit,
+            notifier=self.notifier, audit=AuditLog(),
             verdict_cache=self.verdict_cache, **settings,
         )
         accounting = TickBudgetAccountant(events=self.events)
@@ -368,13 +363,12 @@ class Fleet:
             accounting.configure(interval=self._poll_timer.interval)
         return ShardHost(
             shard_id=shard_id, host=shard_id, verifier=verifier,
-            audit=audit, accounting=accounting,
+            accounting=accounting,
         )
 
     @staticmethod
     def _enroll(host: ShardHost, agent, policy, measured_boot=None) -> None:
         host.verifier.add_agent(agent, policy, measured_boot=measured_boot)
-        host.agents[agent.agent_id] = agent
 
     # -- introspection -----------------------------------------------------
 
@@ -399,7 +393,7 @@ class Fleet:
     @property
     def audit(self) -> AuditLog:
         """The one verifier's hash-chained audit log (unsharded fleets only)."""
-        return self._sole_host().audit
+        return self._sole_host().verifier.audit
 
     @property
     def agent_ids(self) -> list[str]:
@@ -684,8 +678,9 @@ class Fleet:
         if n_verifiers < 1:
             raise ValueError("verifier fleet needs at least one member")
         sole = self._sole_host()
+        slots = list(sole.verifier._slots.values())
         if self._round or self._poll_timer is not None or any(
-            sole.verifier.results_of(agent_id) for agent_id in sole.agents
+            slot.results for slot in slots
         ):
             raise StateError("a fleet must be sharded before its first round")
         settings = _settings_of(sole.verifier)
@@ -703,10 +698,9 @@ class Fleet:
                 member, rng.fork(f"shard-{member}"), settings
             )
         self.registrar.attach_shard_ring(self.ring)
-        for agent_id in sole.agents:
-            slot = sole.verifier._slots[agent_id]
+        for slot in slots:
             self._enroll(
-                self.shards[self.ring.owner(agent_id)],
+                self.shards[self.ring.owner(slot.agent.agent_id)],
                 slot.agent, slot.policy, slot.measured_boot,
             )
         # An initial checkpoint per shard: a member may die before the
@@ -780,8 +774,7 @@ class Fleet:
             self._shard_rng.fork(f"shard-{shard_id}/adoption-{host.adoptions}"),
             _settings_of(host.verifier),
         )
-        for agent_id in host.agents:
-            slot = host.verifier._slots[agent_id]
+        for slot in host.verifier._slots.values():
             self._enroll(fresh, slot.agent, slot.policy, slot.measured_boot)
         restore_verifier(fresh.verifier, host.checkpoint)
         fresh.host = adopter
@@ -866,19 +859,19 @@ class Fleet:
     def _migrate(self, agent_id: str, source_id: str, target_id: str) -> None:
         """Hand one agent's attestation record between shards.
 
-        Sessions are closed at the source (``remove_agent``) and not
-        recreated at the target (``include_sessions=False``): evidence
+        The open push session is discarded at the source before the
+        record is exported, so the target starts with none: evidence
         negotiated before the move verifies on *neither* verifier
         afterwards, by construction.
         """
         source = self.shards[source_id]
         target = self.shards[target_id]
         slot = source.verifier._slots[agent_id]
+        source.verifier.discard_push_sessions(agent_id)
         record = export_agent_state(source.verifier, agent_id)
         source.verifier.remove_agent(agent_id)
-        del source.agents[agent_id]
         self._enroll(target, slot.agent, slot.policy, slot.measured_boot)
-        import_agent_state(target.verifier, record, include_sessions=False)
+        import_agent_state(target.verifier, record)
         obs.get().registry.counter(
             "fleet_shard_migrations_total",
             "Per-agent state handoffs between shards during rebalancing",

@@ -142,7 +142,7 @@ class AgentSlot:
     verified_entries: int = 0
     replay_aggregate: str = field(default_factory=lambda: zero_digest("sha256"))
     last_reset_count: int | None = None
-    failures: list[AttestationFailure] = field(default_factory=list)
+    # Every round's result, failures included, oldest first.
     results: list[AttestationResult] = field(default_factory=list)
     stop_polling: Callable[[], None] | None = None  # Scheduler.every cancel handle
     # Degraded-mode bookkeeping: when the current suspect window opened

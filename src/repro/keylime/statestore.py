@@ -17,20 +17,26 @@ line already backing :mod:`repro.keylime.audit`:
 * **Atomic replace.**  Writes go to a temporary file in the target
   directory and land via ``os.replace``, so a crash mid-write leaves
   the previous snapshot intact, never a half-written one.
-* **Exact resume.**  The body carries every per-agent attestation
-  record (lifecycle state, replay offset and aggregate, reset count,
-  quarantine budget, failure/result history, policy generation), every
-  remembered push session, the verifier's RNG streams, and the full
-  hash-chained audit log.  :func:`restore_verifier` rehydrates a fresh
-  verifier so each agent resumes at its exact replay offset with no
-  re-enrollment -- the nonce sequence, verdicts and audit chain continue
-  bit-identically to an uninterrupted run.
+* **Exact resume.**  The body (format version 2) carries every
+  per-agent attestation record (lifecycle state, replay offset and
+  aggregate, reset count, quarantine budget, round history, policy
+  generation, open push session), the verifier's RNG streams, and the
+  full hash-chained audit log.  Each fact appears once: failures are
+  read back from the round history, and only open push sessions exist.
+  :func:`restore_verifier` rehydrates a fresh verifier so each agent
+  resumes at its exact replay offset with no re-enrollment -- the nonce
+  sequence, verdicts and audit chain continue bit-identically to an
+  uninterrupted run.
+* **All or nothing.**  A restore decodes every record and checks the
+  audit chain before it assigns anything, so a rejected snapshot leaves
+  the verifier exactly as it was.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import random
 import re
 from typing import Any
 
@@ -49,7 +55,7 @@ from repro.keylime.verifier import KeylimeVerifier
 from repro.obs import runtime as obs
 
 SNAPSHOT_MAGIC = "repro-verifier-snapshot"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 _SHA256_HEX = re.compile("[0-9a-f]{64}")
 
@@ -129,6 +135,14 @@ def _rng_state(rng) -> list:
     return [version, list(internal), gauss_next]
 
 
+def _rng_state_from_record(value: Any) -> tuple:
+    """*value* as a generator state, checked on a scratch generator."""
+    version, internal, gauss_next = value
+    state = (version, tuple(internal), gauss_next)
+    random.Random().setstate(state)
+    return state
+
+
 def _replay_aggregate_from_record(value: Any) -> str:
     """*value* when it is a lowercase hex SHA-256 digest.
 
@@ -149,10 +163,11 @@ def export_agent_state(verifier: KeylimeVerifier, agent_id: str) -> dict[str, An
 
     The per-agent unit of both the whole-verifier snapshot and a shard
     migration: lifecycle state, replay offset and aggregate, quarantine
-    budget, failure/result history, policy generation, and every
-    remembered push session.
+    budget, round history, policy generation, and the open push session
+    (``None`` when no round awaits a submission).
     """
     slot = verifier._slots[agent_id]
+    session = slot.push_session
     return {
         "agent_id": agent_id,
         "state": slot.state.value,
@@ -162,29 +177,60 @@ def export_agent_state(verifier: KeylimeVerifier, agent_id: str) -> dict[str, An
         "suspect_since": slot.suspect_since,
         "suspect_windows": slot.suspect_windows,
         "policy": {"generation": slot.policy.generation},
-        "failures": [
-            _failure_to_record(failure) for failure in slot.failures
-        ],
         "results": [_result_to_record(result) for result in slot.results],
-        "sessions": [
-            session.to_record()
-            for session in verifier.push_sessions_of(agent_id)
-        ],
+        "push_session": session.to_record() if session is not None else None,
     }
 
 
-def import_agent_state(
-    verifier: KeylimeVerifier,
-    record: dict[str, Any],
-    include_sessions: bool = True,
-) -> str:
+def _decode_agent_state(record: dict[str, Any]) -> tuple[dict[str, Any], int]:
+    """The slot fields and policy generation of one agent record.
+
+    Decodes everything and assigns nothing, so a malformed record is an
+    :class:`IntegrityError` before any slot changes.
+    """
+    try:
+        reset_count = record["last_reset_count"]
+        suspect_since = record["suspect_since"]
+        session = record["push_session"]
+        fields = {
+            "state": AgentState(record["state"]),
+            "verified_entries": int(record["verified_entries"]),
+            "replay_aggregate": _replay_aggregate_from_record(
+                record["replay_aggregate"]
+            ),
+            "last_reset_count": (
+                int(reset_count) if reset_count is not None else None
+            ),
+            "suspect_since": (
+                float(suspect_since) if suspect_since is not None else None
+            ),
+            "suspect_windows": int(record["suspect_windows"]),
+            "results": [_result_from_record(result) for result in record["results"]],
+            "push_session": (
+                PushSession.from_record(session) if session is not None else None
+            ),
+        }
+        return fields, int(record["policy"]["generation"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise IntegrityError(f"malformed agent record in snapshot: {exc}") from exc
+
+
+def _apply_agent_state(slot, fields: dict[str, Any], generation: int) -> None:
+    """Assign decoded *fields* to *slot*; the policy generation never regresses."""
+    for name, value in fields.items():
+        setattr(slot, name, value)
+    if slot.policy.generation < generation:
+        slot.policy.generation = generation
+
+
+def import_agent_state(verifier: KeylimeVerifier, record: dict[str, Any]) -> str:
     """Restore one exported agent record into *verifier*; returns the id.
 
     The verifier must already hold a slot (``add_agent``) for the
-    agent.  ``include_sessions=False`` is the migration handoff: a
-    shard move deliberately abandons open push sessions at the source
-    (they are closed there), so a submission against the old session is
-    an :class:`IntegrityError` on *both* verifiers -- the wrong-shard
+    agent.  A malformed record changes nothing.  A shard migration
+    discards the agent's open push session before it exports the
+    record, so a submission against the old session is an
+    :class:`IntegrityError` on *both* verifiers -- the wrong-shard
     replay story in THREATMODEL.md.
     """
     agent_id = record["agent_id"]
@@ -193,36 +239,7 @@ def import_agent_state(
             f"agent {agent_id!r} has no slot on the importing verifier "
             "(add_agent it first)"
         )
-    try:
-        slot = verifier._slots[agent_id]
-        slot.state = AgentState(record["state"])
-        slot.verified_entries = int(record["verified_entries"])
-        slot.replay_aggregate = _replay_aggregate_from_record(
-            record["replay_aggregate"]
-        )
-        reset_count = record["last_reset_count"]
-        slot.last_reset_count = (
-            int(reset_count) if reset_count is not None else None
-        )
-        suspect_since = record["suspect_since"]
-        slot.suspect_since = (
-            float(suspect_since) if suspect_since is not None else None
-        )
-        slot.suspect_windows = int(record["suspect_windows"])
-        slot.failures = [
-            _failure_from_record(failure) for failure in record["failures"]
-        ]
-        slot.results = [
-            _result_from_record(result) for result in record["results"]
-        ]
-        recorded_generation = int(record["policy"]["generation"])
-        if slot.policy.generation < recorded_generation:
-            slot.policy.generation = recorded_generation
-        if include_sessions:
-            for session_record in record["sessions"]:
-                verifier._remember_session(PushSession.from_record(session_record))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise IntegrityError(f"malformed agent record in snapshot: {exc}") from exc
+    _apply_agent_state(verifier._slots[agent_id], *_decode_agent_state(record))
     return agent_id
 
 
@@ -243,7 +260,6 @@ def snapshot_verifier(
     ]
     body: dict[str, Any] = {
         "created_at": now,
-        "push_session_ttl": verifier.push_session_ttl,
         "rng": {
             "verifier": _rng_state(verifier.rng),
             "retry": _rng_state(verifier._retry_rng),
@@ -290,7 +306,10 @@ def write_snapshot(
     return header
 
 
-def _read_header_and_body(path: str | os.PathLike) -> tuple[dict[str, Any], bytes]:
+def _read_header_and_body(
+    path: str | os.PathLike,
+) -> tuple[dict[str, Any], dict[str, Any]]:
+    """The integrity-checked header and decoded body of a snapshot file."""
     with open(path, "rb") as handle:
         raw = handle.read()
     newline = raw.find(b"\n")
@@ -318,7 +337,15 @@ def _read_header_and_body(path: str | os.PathLike) -> tuple[dict[str, Any], byte
         raise IntegrityError(
             f"snapshot {path}: body checksum mismatch (corrupted or tampered)"
         )
-    return header, body_bytes
+    try:
+        body = json.loads(body_bytes)
+    except ValueError as exc:
+        # The checksum passed, so this is a malformed *write*, but it
+        # still must not load.
+        raise IntegrityError(f"snapshot {path}: undecodable body: {exc}") from exc
+    if not isinstance(body, dict):
+        raise IntegrityError(f"snapshot {path}: body is not a JSON object")
+    return header, body
 
 
 def read_snapshot(path: str | os.PathLike) -> dict[str, Any]:
@@ -328,31 +355,21 @@ def read_snapshot(path: str | os.PathLike) -> dict[str, Any]:
     truncation, checksum mismatch, undecodable body -- raises
     :class:`IntegrityError`.
     """
-    _, body_bytes = _read_header_and_body(path)
-    try:
-        body = json.loads(body_bytes)
-    except ValueError as exc:
-        # The checksum passed, so this is a malformed *write*, but it
-        # still must not load.
-        raise IntegrityError(f"snapshot {path}: undecodable body: {exc}") from exc
-    if not isinstance(body, dict):
-        raise IntegrityError(f"snapshot {path}: body is not a JSON object")
-    return body
+    return _read_header_and_body(path)[1]
 
 
 def inspect_snapshot(path: str | os.PathLike) -> dict[str, Any]:
-    """A human-oriented summary of a snapshot, without restoring it."""
-    header, _ = _read_header_and_body(path)
-    body = read_snapshot(path)
+    """A human-oriented summary of a snapshot, without restoring it.
+
+    The file is read and checksummed once.
+    """
+    header, body = _read_header_and_body(path)
     agents = body.get("agents", [])
     states: dict[str, int] = {}
     open_sessions = 0
     for record in agents:
         states[record["state"]] = states.get(record["state"], 0) + 1
-        open_sessions += sum(
-            1 for session in record.get("sessions", [])
-            if session.get("state") == "negotiated"
-        )
+        open_sessions += record.get("push_session") is not None
     audit = body.get("audit")
     return {
         "path": os.fspath(path),
@@ -381,11 +398,16 @@ def restore_verifier(
     verifier does not attest raises :class:`StateError` listing them.
 
     Restored state: per-agent lifecycle, replay offset and aggregate,
-    reset count, quarantine bookkeeping, failure/result history, policy
+    reset count, quarantine bookkeeping, round history, policy
     generation (advanced to at least the recorded value, so cached
-    verdicts from before the snapshot can never resurrect), remembered
-    push sessions, the verifier's RNG streams and the audit chain
-    (verified link-by-link on the way in).
+    verdicts from before the snapshot can never resurrect), open push
+    sessions, the verifier's RNG streams and the audit chain (verified
+    link-by-link on the way in).
+
+    All or nothing: every agent record and RNG state is decoded first,
+    then the audit chain is restored (it rolls itself back when a link
+    fails), and only then is anything assigned -- a snapshot rejected
+    with :class:`IntegrityError` leaves *verifier* untouched.
     """
     try:
         agent_records = list(body["agents"])
@@ -403,20 +425,31 @@ def restore_verifier(
             f"(add_agent them first): {sorted(missing)}"
         )
 
+    decoded = [
+        (verifier._slots[record["agent_id"]], *_decode_agent_state(record))
+        for record in agent_records
+    ]
     try:
-        for record in agent_records:
-            import_agent_state(verifier, record)
-        verifier.rng.setstate(rng_states["verifier"])
-        verifier._retry_rng.setstate(rng_states["retry"])
-        verifier._session_rng.setstate(rng_states["session"])
-    except IntegrityError:
-        raise
+        streams = [
+            (stream, _rng_state_from_record(rng_states[name]))
+            for name, stream in (
+                ("verifier", verifier.rng),
+                ("retry", verifier._retry_rng),
+                ("session", verifier._session_rng),
+            )
+        ]
+        created_at = float(body.get("created_at", 0.0))
     except (KeyError, TypeError, ValueError) as exc:
-        raise IntegrityError(f"malformed agent record in snapshot: {exc}") from exc
+        raise IntegrityError(f"malformed snapshot body: {exc}") from exc
 
     audit_records = body.get("audit")
     if audit_records is not None and verifier.audit is not None:
         verifier.audit.restore_records(audit_records)
+
+    for slot, fields, generation in decoded:
+        _apply_agent_state(slot, fields, generation)
+    for stream, state in streams:
+        stream.setstate(state)
 
     registry = obs.get().registry
     registry.counter(
@@ -425,7 +458,7 @@ def restore_verifier(
     registry.gauge(
         "verifier_snapshot_age_sim_seconds",
         "Simulated age of the most recently restored snapshot",
-    ).set(verifier.scheduler.clock.now - float(body.get("created_at", 0.0)))
+    ).set(verifier.scheduler.clock.now - created_at)
     return [record["agent_id"] for record in agent_records]
 
 

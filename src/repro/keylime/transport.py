@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from enum import Enum
 from typing import Any, Callable, TypeVar
 
 from repro.common.errors import IntegrityError, StateError
@@ -480,53 +479,29 @@ def verdict_from_json(blob: str | bytes) -> PushVerdict:
         raise IntegrityError(f"malformed verdict payload: {exc}") from exc
 
 
-# -- the push session state machine -----------------------------------------
-
-
-class PushSessionState(Enum):
-    """Lifecycle of one push exchange on the verifier.
-
-    A session is born NEGOTIATED and is open while it stays there.
-    """
-
-    NEGOTIATED = "negotiated"
-    SUBMITTED = "submitted"
-    VERIFIED = "verified"
-    FAILED = "failed"
-
-
-_PUSH_TRANSITIONS: dict[PushSessionState, frozenset[PushSessionState]] = {
-    PushSessionState.NEGOTIATED: frozenset({
-        PushSessionState.SUBMITTED, PushSessionState.FAILED,
-    }),
-    PushSessionState.SUBMITTED: frozenset({
-        PushSessionState.VERIFIED, PushSessionState.FAILED,
-    }),
-    PushSessionState.VERIFIED: frozenset(),
-    PushSessionState.FAILED: frozenset(),
-}
+# -- the push session ------------------------------------------------------
 
 
 @dataclass
 class PushSession:
-    """Verifier-side state of one push exchange.
+    """Verifier-side state of one open push exchange.
 
-    Owns the three freshness properties of the protocol:
+    A session lives on its agent's slot from negotiation until a
+    submission consumes it or the verifier closes it unanswered
+    (expired, superseded, discarded); only open sessions exist.  It
+    carries the two freshness properties of the protocol:
 
     * **nonce freshness** -- the nonce is minted at negotiation and
       never reused; the submitted quote must bind it;
     * **session expiry** -- a submission after ``expires_at`` is
-      rejected (an attacker cannot bank a nonce and answer it later);
-    * **replay rejection** -- a session is consumed by its submission;
-      submitting against a SUBMITTED/VERIFIED/FAILED session raises
-      :class:`IntegrityError`.
+      rejected (an attacker cannot bank a nonce and answer it later).
 
-    ``outcome`` refines a terminal FAILED state for accounting
-    (``failed`` / ``expired`` / ``superseded`` / ``discarded``).
+    Replay rejection needs no record of its own: a submission is
+    accepted only when it names its agent's open session, and a
+    consumed or closed session is no longer anyone's open session.
     """
 
     session_id: str
-    agent_id: str
     nonce: str
     offset: int
     pcr_selection: tuple[int, ...]
@@ -534,47 +509,6 @@ class PushSession:
     created_at: float
     expires_at: float
     boot_count: int
-    state: PushSessionState = PushSessionState.NEGOTIATED
-    outcome: str | None = None
-
-    @property
-    def is_open(self) -> bool:
-        """True while the session still awaits the agent's submission."""
-        return self.state is PushSessionState.NEGOTIATED
-
-    def advance(self, to_state: PushSessionState) -> None:
-        """Move along the NEGOTIATED -> SUBMITTED -> terminal path."""
-        if to_state not in _PUSH_TRANSITIONS[self.state]:
-            raise StateError(
-                f"push session {self.session_id}: illegal transition "
-                f"{self.state.value} -> {to_state.value}"
-            )
-        self.state = to_state
-
-    def ensure_submittable(self, now: float) -> None:
-        """Gate a submission; raises :class:`IntegrityError` when stale.
-
-        Both violations are integrity failures, not transient ones: a
-        replayed session is indistinguishable from an attacker re-using
-        captured evidence, and an expired session means the nonce's
-        freshness window has closed.
-        """
-        if self.state is not PushSessionState.NEGOTIATED:
-            raise IntegrityError(
-                f"push session {self.session_id} replayed: already "
-                f"{self.state.value}"
-                + (f" ({self.outcome})" if self.outcome else "")
-            )
-        if now > self.expires_at:
-            raise IntegrityError(
-                f"push session {self.session_id} expired at "
-                f"t={self.expires_at}, submission arrived at t={now}"
-            )
-
-    def close(self, outcome: str) -> None:
-        """Terminate an open session (expiry, supersession, discard)."""
-        self.advance(PushSessionState.FAILED)
-        self.outcome = outcome
 
     def reply(self) -> NegotiationReply:
         """The negotiation reply this session was created with."""
@@ -591,7 +525,6 @@ class PushSession:
         """JSON-safe encoding for the durable state store."""
         return {
             "session_id": self.session_id,
-            "agent_id": self.agent_id,
             "nonce": self.nonce,
             "offset": self.offset,
             "pcr_selection": list(self.pcr_selection),
@@ -599,8 +532,6 @@ class PushSession:
             "created_at": self.created_at,
             "expires_at": self.expires_at,
             "boot_count": self.boot_count,
-            "state": self.state.value,
-            "outcome": self.outcome,
         }
 
     @classmethod
@@ -609,7 +540,6 @@ class PushSession:
         try:
             return cls(
                 session_id=str(record["session_id"]),
-                agent_id=str(record["agent_id"]),
                 nonce=str(record["nonce"]),
                 offset=_checked_count(record["offset"], "session offset"),
                 pcr_selection=tuple(int(i) for i in record["pcr_selection"]),
@@ -617,8 +547,6 @@ class PushSession:
                 created_at=float(record["created_at"]),
                 expires_at=float(record["expires_at"]),
                 boot_count=_checked_count(record["boot_count"], "session boot count"),
-                state=PushSessionState(record["state"]),
-                outcome=record.get("outcome"),
             )
         except IntegrityError:
             raise

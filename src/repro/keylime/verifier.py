@@ -34,11 +34,17 @@ Policy verdicts are memoised through a
 shareable across every agent of a fleet); ``update_policy`` bumps the
 policy's generation stamp so a cached verdict can never outlive the
 policy state that produced it.
+
+Each per-agent fact has one home, the agent's
+:class:`~repro.keylime.pipeline.AgentSlot`: its replay position, its
+round history (:meth:`KeylimeVerifier.failures_of` reads the failures
+from it) and its one open push session.  Only open sessions exist, so a
+push submission is accepted exactly when it names the open session of
+the agent it says it comes from.
 """
 
 from __future__ import annotations
 
-from itertools import islice
 from time import perf_counter
 
 from repro.common.clock import Scheduler
@@ -67,7 +73,6 @@ from repro.keylime.revocation import RevocationEvent, RevocationNotifier
 from repro.keylime.transport import (
     PushAgentClient,
     PushSession,
-    PushSessionState,
     PushVerdict,
     negotiation_from_json,
     negotiation_reply_to_json,
@@ -88,13 +93,9 @@ __all__ = [
     "RetryPolicy",
 ]
 
-#: Default freshness window of a push session: a nonce minted at
-#: negotiation must be answered within this many simulated seconds.
-DEFAULT_PUSH_SESSION_TTL = 30.0
-
-#: How many terminal push sessions the verifier remembers for
-#: replay-of-session rejection before the oldest are forgotten.
-PUSH_SESSION_RETENTION = 4096
+#: Freshness window of a push session: a nonce minted at negotiation
+#: must be answered within this many simulated seconds.
+PUSH_SESSION_TTL = 30.0
 
 
 class KeylimeVerifier:
@@ -112,7 +113,6 @@ class KeylimeVerifier:
         verdict_cache: VerdictCache | None = None,
         retry_policy: RetryPolicy | None = None,
         quarantine_after: int = 3,
-        push_session_ttl: float = DEFAULT_PUSH_SESSION_TTL,
     ) -> None:
         """Build the verifier.
 
@@ -131,11 +131,6 @@ class KeylimeVerifier:
         the wire gets exactly one attempt per round, as before -- but a
         transient error still degrades the round rather than crashing
         the poll tick.
-
-        *push_session_ttl* bounds the freshness window of a push-mode
-        nonce: a session negotiated at ``t`` rejects submissions after
-        ``t + ttl`` (and the reaper turns the silence into a degraded
-        round).
         """
         self.registrar = registrar
         self.scheduler = scheduler
@@ -156,17 +151,11 @@ class KeylimeVerifier:
         self.audit = audit
         self.verdict_cache = VerdictCache() if verdict_cache is None else verdict_cache
         self._slots: dict[str, AgentSlot] = {}
-        # Push-mode state.  Session ids come from their own forked
-        # stream so opening push sessions never perturbs the nonce
-        # sequence (which must match pull mode draw-for-draw for the
-        # verdict-equivalence guarantee).
-        if push_session_ttl <= 0:
-            raise ValueError(f"push_session_ttl must be > 0, got {push_session_ttl}")
-        self.push_session_ttl = push_session_ttl
+        # Push-mode session ids come from their own forked stream so
+        # opening push sessions never perturbs the nonce sequence (which
+        # must match pull mode draw-for-draw for the verdict-equivalence
+        # guarantee).  An agent's open session lives on its slot.
         self._session_rng = rng.fork("push-sessions")
-        # The replay-rejection memory, oldest first.  An agent's open
-        # session is also its slot's ``push_session``.
-        self._push_sessions: dict[str, PushSession] = {}
 
     # -- agent management ---------------------------------------------------
 
@@ -192,12 +181,11 @@ class KeylimeVerifier:
 
         The shard-migration half of :meth:`add_agent`: the agent's
         state has been exported for another verifier, so this one must
-        stop answering for it.  Open push sessions are closed first
-        (``discarded`` outcome, terminal record kept), so a submission
-        against a pre-migration session is rejected as a replay here
-        and as an unknown session on the new verifier -- the evidence
-        can never verify twice.  The registrar record is untouched:
-        migration is not de-enrollment.
+        stop answering for it.  An open push session is discarded with
+        the slot, so a submission against it is rejected here (this
+        verifier no longer attests the agent) -- and on the new
+        verifier, where it is not the agent's open session.  The
+        registrar record is untouched: migration is not de-enrollment.
         """
         self._slot(agent_id)  # raises when unknown
         self.discard_push_sessions(agent_id)
@@ -214,8 +202,16 @@ class KeylimeVerifier:
         return self._slot(agent_id).state
 
     def failures_of(self, agent_id: str) -> list[AttestationFailure]:
-        """All failures recorded for the agent so far."""
-        return list(self._slot(agent_id).failures)
+        """All failures recorded for the agent so far, oldest first.
+
+        Read from the round history: every failed round's result
+        carries its failures.
+        """
+        return [
+            failure
+            for result in self._slot(agent_id).results
+            for failure in result.failures
+        ]
 
     def results_of(self, agent_id: str) -> list[AttestationResult]:
         """All per-poll results for the agent so far."""
@@ -427,25 +423,18 @@ class KeylimeVerifier:
         """The agent's currently open push session, if any."""
         return self._slot(agent_id).push_session
 
-    def push_sessions_of(self, agent_id: str) -> list[PushSession]:
-        """Every remembered push session for the agent, oldest first."""
-        return [
-            session for session in self._push_sessions.values()
-            if session.agent_id == agent_id
-        ]
-
     def discard_push_sessions(self, agent_id: str) -> int:
         """Close the agent's open push session; returns how many (0 or 1).
 
         Called by :meth:`restart_attestation` (a stale nonce must not
-        verify after a reboot reset) and usable directly by operators.
-        The terminal record is kept, so a late submission against the
-        discarded session is rejected as a replay.
+        verify after a reboot reset), by :meth:`remove_agent` and a
+        shard migration, and usable directly by operators.  A late
+        submission against the discarded session is rejected: it no
+        longer names the agent's open session.
         """
         slot = self._slot(agent_id)
         if slot.push_session is None:
             return 0
-        slot.push_session.close("discarded")
         slot.push_session = None
         self._count_session_outcome("discarded")
         self.events.emit(
@@ -468,31 +457,6 @@ class KeylimeVerifier:
             "verifier_push_sessions_open",
             "Push sessions currently awaiting an agent submission",
         ).set(sum(1 for slot in self._slots.values() if slot.push_session is not None))
-
-    def _remember_session(self, session: PushSession) -> None:
-        """The one writer of the session memory (negotiation and import).
-
-        An open *session* also becomes its agent's ``push_session``; a
-        second open session for one agent is an :class:`IntegrityError`.
-        Past :data:`PUSH_SESSION_RETENTION` the oldest terminal sessions
-        are forgotten; open ones never are.
-        """
-        if session.is_open:
-            slot = self._slot(session.agent_id)
-            if slot.push_session is not None:
-                raise IntegrityError(
-                    f"agent {session.agent_id} would hold two open push "
-                    f"sessions ({slot.push_session.session_id}, "
-                    f"{session.session_id})"
-                )
-            slot.push_session = session
-        sessions = self._push_sessions
-        sessions[session.session_id] = session
-        excess = len(sessions) - PUSH_SESSION_RETENTION
-        if excess > 0:
-            terminal = (key for key, kept in sessions.items() if not kept.is_open)
-            for session_id in list(islice(terminal, excess)):
-                del sessions[session_id]
 
     def negotiate_push(self, blob: str | bytes) -> str:
         """Push step 1 endpoint: open a session for an announcing agent.
@@ -545,18 +509,16 @@ class KeylimeVerifier:
                     and request.capabilities.boot_count != slot.last_reset_count
                 ):
                     offset = 0
-                session = PushSession(
+                session = slot.push_session = PushSession(
                     session_id=f"ps-{self._session_rng.hexid(12)}",
-                    agent_id=agent_id,
                     nonce=self.rng.hexid(20),
                     offset=offset,
                     pcr_selection=tuple(slot.pcr_selection()),
                     algorithm="sha256",
                     created_at=now,
-                    expires_at=now + self.push_session_ttl,
+                    expires_at=now + PUSH_SESSION_TTL,
                     boot_count=request.capabilities.boot_count,
                 )
-                self._remember_session(session)
                 span.set_attribute("session", session.session_id)
                 span.set_attribute("offset", offset)
         self._set_open_sessions_gauge(telemetry.registry)
@@ -569,38 +531,42 @@ class KeylimeVerifier:
     def submit_push(self, blob: str | bytes) -> str:
         """Push step 2/3 endpoint: verify a submission, return the verdict.
 
-        Protocol-level rejections -- malformed frame, unknown session,
-        agent/session mismatch, replayed session, expired session --
-        raise :class:`IntegrityError` *without* touching the agent's
-        attestation record: an attacker replaying captured evidence must
-        not be able to fail (or pass) the agent on its behalf.  A
-        well-formed submission against a live session consumes the
-        session and runs the shared round runner under a
-        ``verifier.poll`` span, the pull round's name, so its result
-        flows through exactly the side-effect path a pull round uses.
-        :meth:`_observe_round` records the round, timed over the
-        verifier's side only (decoding and verifying the submission).
+        One rule rejects at the protocol level: the submission must name
+        the open session of the agent it says it comes from, on a
+        verifier that attests that agent.  A consumed, superseded,
+        discarded, reaped, migrated-away or never-issued session, or
+        another agent's, fails it -- as does a malformed frame, or an
+        open session past its ``expires_at`` (left for the reaper).
+        Each rejection raises :class:`IntegrityError` *without*
+        touching the agent's attestation record: an attacker replaying
+        captured evidence must not be able to fail (or pass) the agent
+        on its behalf.  An accepted submission consumes the session and
+        runs the shared round runner under a ``verifier.poll`` span,
+        the pull round's name, so its result flows through exactly the
+        side-effect path a pull round uses.  :meth:`_observe_round`
+        records the round, timed over the verifier's side only
+        (decoding and verifying the submission).
         """
         telemetry = obs.get()
         wall_start = perf_counter()
         submission = submission_from_json(blob)
-        session = self._push_sessions.get(submission.session_id)
-        if session is None:
+        agent_id = submission.agent_id
+        slot = self._slots.get(agent_id)
+        session = slot.push_session if slot is not None else None
+        if session is None or session.session_id != submission.session_id:
             raise IntegrityError(
-                f"unknown push session {submission.session_id!r}"
-            )
-        if session.agent_id != submission.agent_id:
-            raise IntegrityError(
-                f"push session {session.session_id} belongs to "
-                f"{session.agent_id}, not {submission.agent_id}"
+                f"push session {submission.session_id!r} is not the open "
+                f"session of an agent this verifier attests ({agent_id!r})"
             )
         now = self.scheduler.clock.now
-        session.ensure_submittable(now)
-        session.advance(PushSessionState.SUBMITTED)
-        slot = self._slot(session.agent_id)
+        if now > session.expires_at:
+            raise IntegrityError(
+                f"push session {session.session_id} expired at "
+                f"t={session.expires_at}, submission arrived at t={now}"
+            )
         slot.push_session = None
         with telemetry.tracer.span(
-            "verifier.poll", agent=session.agent_id, session=session.session_id,
+            "verifier.poll", agent=agent_id, session=session.session_id,
         ) as span:
             result = self._run_round(
                 slot, telemetry, nonce=session.nonce,
@@ -609,15 +575,12 @@ class KeylimeVerifier:
             )
             span.set_attribute("ok", result.ok)
             span.set_attribute("entries", result.entries_processed)
-        if result.ok:
-            session.advance(PushSessionState.VERIFIED)
-            session.outcome = "verified"
-        else:
-            session.advance(PushSessionState.FAILED)
-            session.outcome = "degraded" if result.transient else "failed"
-        self._count_session_outcome(session.outcome)
+        self._count_session_outcome(
+            "verified" if result.ok
+            else ("degraded" if result.transient else "failed")
+        )
         self._observe_round(
-            session.agent_id, result, telemetry.registry,
+            agent_id, result, telemetry.registry,
             perf_counter() - wall_start, span,
         )
         return verdict_to_json(
@@ -665,11 +628,11 @@ class KeylimeVerifier:
         attestation-log gap.
         """
         session, slot.push_session = slot.push_session, None
-        session.close(outcome)
+        agent_id = slot.agent.agent_id
         self._count_session_outcome(outcome)
         self.events.emit(
             now, "keylime.verifier", f"push.session.{outcome}",
-            agent=session.agent_id, session=session.session_id,
+            agent=agent_id, session=session.session_id,
             negotiated_at=session.created_at,
         )
         if slot.state not in POLLABLE_STATES:
@@ -687,7 +650,7 @@ class KeylimeVerifier:
             ),
         )
         self._record_degraded_round(slot, result)
-        self._observe_round(session.agent_id, result, obs.get().registry)
+        self._observe_round(agent_id, result, obs.get().registry)
 
     def push_client(self, agent_id: str) -> PushAgentClient:
         """The agent's push client (on its slot), built on first use."""
@@ -819,7 +782,6 @@ class KeylimeVerifier:
         """Side effects of a failed round: audit, revocation, halt."""
         failures = list(result.failures)
         now = result.time
-        slot.failures.extend(failures)
         failure_counter = obs.get().registry.counter(
             "verifier_failures_total", "Attestation failures by kind", ("kind",),
         )

@@ -54,11 +54,11 @@ def vfleet_fingerprint(vfleet) -> dict:
         "offsets": offsets,
         "status": vfleet.status(),
         "audit": {
-            shard_id: vfleet.shards[shard_id].audit.export_records()
+            shard_id: vfleet.shards[shard_id].verifier.audit.export_records()
             for shard_id in vfleet.shard_ids
         },
         "audit_head": {
-            shard_id: vfleet.shards[shard_id].audit.head_hash
+            shard_id: vfleet.shards[shard_id].verifier.audit.head_hash
             for shard_id in vfleet.shard_ids
         },
     }

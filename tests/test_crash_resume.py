@@ -208,7 +208,7 @@ class TestMultiVerifierHandoff:
         agent_id = "agent-node-000"
         victim = fleet.shard_of(agent_id)
         host = fleet.shards[victim]
-        agent = host.agents[agent_id]
+        agent = host.verifier._slot(agent_id).agent
         reply = negotiation_reply_from_json(
             host.verifier.negotiate_push(
                 negotiation_to_json(agent_id, agent.capabilities())
@@ -265,7 +265,7 @@ class TestMultiVerifierHandoff:
         agent_id = moving[0]
 
         source = fleet.shards[fleet.shard_of(agent_id)]
-        agent = source.agents[agent_id]
+        agent = source.verifier._slot(agent_id).agent
         reply = negotiation_reply_from_json(
             source.verifier.negotiate_push(
                 negotiation_to_json(agent_id, agent.capabilities())

@@ -93,7 +93,7 @@ class TestKillAtEveryBoundary:
             vfleet_fingerprint(result.vfleet), baseline["fingerprint"]
         )
         for shard_id in result.vfleet.shard_ids:
-            result.vfleet.shards[shard_id].audit.verify_chain()
+            result.vfleet.shards[shard_id].verifier.audit.verify_chain()
 
     @pytest.mark.parametrize("boundary", BOUNDARIES)
     def test_zero_reenrollments_and_no_coverage_gap(self, baseline, boundary):

@@ -186,7 +186,7 @@ class TestSharedVerdictCache:
 
     def test_batch_scheduler_registers_every_agent(self, world):
         fleet, _, _ = world
-        assert list(fleet.shards["verifier-0"].agents) == fleet.agent_ids
+        assert list(fleet.shards["verifier-0"].verifier._slots) == fleet.agent_ids
 
     def test_stop_polling_idempotent(self, world):
         fleet, _, scheduler = world
@@ -217,12 +217,12 @@ class TestSharedVerdictCache:
     def test_register_deduplicates_and_keeps_batch_order(self, world):
         fleet, _, _ = world
         host = fleet.shards["verifier-0"]
-        before = list(host.agents)
+        before = list(host.verifier._slots)
         # Re-onboarding an existing agent must not duplicate its slot
         # or move it within the batch.
         for agent_id in (before[0], before[-1]):
-            Fleet._enroll(host, host.agents[agent_id], fleet.policy)
-        assert list(host.agents) == before
+            Fleet._enroll(host, host.verifier._slot(agent_id).agent, fleet.policy)
+        assert list(host.verifier._slots) == before
         # One tick polls every agent exactly once, in batch order.
         assert list(fleet.poll_all()) == before
 

@@ -14,8 +14,12 @@ node executes the same 2 seeded-random installed binaries.  Every
 recorded field repeated exactly across two independent recordings.
 The two ``snapshot_sha256`` values were re-pinned when agent records
 stopped carrying the process-wide policy uid; the new snapshots equal
-the recorded ones with that one field removed, byte for byte.  Run this
-module as a script to print freshly observed values.
+the recorded ones with that one field removed, byte for byte.  They
+were re-pinned again for snapshot format v2, whose bytes equal the v1
+snapshots with each agent's ``failures`` dropped, its ``sessions``
+replaced by its open ``push_session`` (no ``agent_id``, ``state`` or
+``outcome``), ``push_session_ttl`` dropped and the header at version 2.
+Run this module as a script to print freshly observed values.
 """
 
 from __future__ import annotations

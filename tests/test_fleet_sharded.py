@@ -73,7 +73,7 @@ def test_unsharded_fleet_attaches_no_ring_and_takes_no_checkpoint():
     assert list(fleet.shards) == ["verifier-0"]
     assert fleet.shards["verifier-0"].checkpoint is None
     assert fleet.verifier is fleet.shards["verifier-0"].verifier
-    assert fleet.audit is fleet.shards["verifier-0"].audit
+    assert fleet.audit is fleet.shards["verifier-0"].verifier.audit
     assert not any(record.kind.startswith("shard.") for record in fleet.events)
 
 

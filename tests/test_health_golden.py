@@ -24,8 +24,8 @@ import pytest
 
 from repro.common.clock import days, hours
 from repro.common.events import EventLog
-from repro.distro.workload import ReleaseStreamConfig
-from repro.experiments.fleet_run import DEFAULT_KERNEL, ChaosInjection
+from repro.distro.workload import DEFAULT_KERNEL, ReleaseStreamConfig
+from repro.experiments.fleet_run import ChaosInjection
 from repro.keylime.fleet import build_fleet, release_stream
 from repro.obs import runtime as obs_runtime
 from repro.obs.health import HealthWatch

@@ -4,11 +4,11 @@ The push exchange inverts the paper's pull loop -- the agent initiates
 negotiate -> submit -> verdict against the verifier's endpoints -- but
 must stay *verdict-equivalent* to pull on the same seed, because both
 modes share the verification pipeline and the nonce stream.  These
-tests pin the session state machine, the protocol-level rejection
-semantics (replay, expiry, mismatch: loud, and never charged to the
-agent's attestation record), the reaper's anti-P2 accounting, and the
-equivalence property itself, down to the round telemetry and the
-health alerts.
+tests pin the session lifecycle, the protocol-level rejection rule (a
+submission must name its agent's open session: loud otherwise, and
+never charged to the agent's attestation record), the reaper's anti-P2
+accounting, and the equivalence property itself, down to the round
+telemetry and the health alerts.
 """
 
 import json
@@ -17,17 +17,20 @@ from collections import Counter
 import pytest
 
 from repro.common.errors import IntegrityError, StateError
+from repro.common.rng import SeededRng
 from repro.experiments.testbed import build_testbed
+from repro.kernelsim.kernel import Machine
+from repro.keylime.agent import KeylimeAgent
 from repro.keylime.transport import (
-    PushSessionState,
     negotiation_reply_from_json,
     negotiation_to_json,
     submission_to_json,
     verdict_from_json,
 )
-from repro.keylime.verifier import AgentState, FailureKind
+from repro.keylime.verifier import PUSH_SESSION_TTL, AgentState, FailureKind
 from repro.obs import runtime as obs_runtime
 from repro.obs.tracestore import SpanStore
+from repro.tpm.device import TpmManufacturer
 
 from tests.conftest import small_config
 
@@ -51,6 +54,82 @@ def _submit_blob(testbed, reply):
     return submission_to_json(reply.session_id, testbed.agent_id, evidence)
 
 
+def _with_fields(blob, **fields) -> str:
+    """*blob* with some top-level submission fields rewritten."""
+    return json.dumps(dict(json.loads(blob), **fields))
+
+
+def _other_agent(testbed) -> KeylimeAgent:
+    """A second agent the testbed's verifier attests, on its own TPM."""
+    manufacturer = TpmManufacturer("Nuvoton", SeededRng("pushmode/other").fork("tpm"))
+    testbed.registrar.trusted_roots.append(manufacturer.root_certificate)
+    machine = Machine(
+        "other", manufacturer.manufacture(), clock=testbed.scheduler.clock
+    )
+    machine.boot()
+    agent = KeylimeAgent("agent-other", machine)
+    testbed.registrar.register(agent)
+    testbed.verifier.add_agent(agent, testbed.policy)
+    return agent
+
+
+def _consumed(testbed):
+    blob = _submit_blob(testbed, _negotiate(testbed))
+    assert verdict_from_json(testbed.verifier.submit_push(blob)).ok
+    return blob
+
+
+def _superseded(testbed):
+    blob = _submit_blob(testbed, _negotiate(testbed))
+    _negotiate(testbed)
+    return blob
+
+
+def _discarded_by_restart(testbed):
+    blob = _submit_blob(testbed, _negotiate(testbed))
+    testbed.verifier.restart_attestation(testbed.agent_id)
+    return blob
+
+
+def _expired_and_reaped(testbed):
+    blob = _submit_blob(testbed, _negotiate(testbed))
+    testbed.scheduler.clock.advance_by(PUSH_SESSION_TTL + 1.0)
+    assert len(testbed.verifier.reap_push_sessions()) == 1
+    return blob
+
+
+def _never_issued(testbed):
+    blob = _submit_blob(testbed, _negotiate(testbed))
+    return _with_fields(blob, session_id="ps-never-issued")
+
+
+def _another_agents_session(testbed):
+    blob = _submit_blob(testbed, _negotiate(testbed))
+    other = _other_agent(testbed)
+    reply = negotiation_reply_from_json(testbed.verifier.negotiate_push(
+        negotiation_to_json(other.agent_id, other.capabilities())
+    ))
+    return _with_fields(blob, session_id=reply.session_id)
+
+
+def _unknown_agent(testbed):
+    blob = _submit_blob(testbed, _negotiate(testbed))
+    return _with_fields(blob, agent_id="agent-somebody-else")
+
+
+#: Every non-open session a one-verifier testbed can build; each
+#: builder returns a submission naming it.
+NON_OPEN_SESSIONS = {
+    "consumed": _consumed,
+    "superseded": _superseded,
+    "discarded-by-restart": _discarded_by_restart,
+    "expired-and-reaped": _expired_and_reaped,
+    "never-issued": _never_issued,
+    "another-agents-session": _another_agents_session,
+    "unknown-agent": _unknown_agent,
+}
+
+
 def _round_counts(registry) -> dict[str, int] | None:
     """``verifier_polls_total`` by result (``None`` when never recorded)."""
     family = registry.get("verifier_polls_total")
@@ -64,22 +143,25 @@ class TestPushSessionLifecycle:
         reply = _negotiate(testbed)
         session = testbed.verifier.open_push_session_of(testbed.agent_id)
         assert session is not None
-        assert session.state is PushSessionState.NEGOTIATED
+        [event] = testbed.events.by_kind("push.session.negotiated")
+        assert event.details["session"] == reply.session_id
         assert session.session_id == reply.session_id
         assert session.nonce == reply.nonce
         assert reply.offset == 0
         assert reply.algorithm == "sha256"
 
     def test_clean_exchange_verifies(self, testbed):
-        reply = _negotiate(testbed)
-        verdict = verdict_from_json(
-            testbed.verifier.submit_push(_submit_blob(testbed, reply))
-        )
+        with obs_runtime.session() as telemetry:
+            reply = _negotiate(testbed)
+            verdict = verdict_from_json(
+                testbed.verifier.submit_push(_submit_blob(testbed, reply))
+            )
+            verified = telemetry.registry.get(
+                "verifier_push_sessions_total"
+            ).labels(outcome="verified").value
         assert verdict.ok
         assert verdict.state == "attesting"
-        session = testbed.verifier.push_sessions_of(testbed.agent_id)[-1]
-        assert session.state is PushSessionState.VERIFIED
-        assert session.outcome == "verified"
+        assert verified == 1
         assert testbed.verifier.open_push_session_of(testbed.agent_id) is None
 
     def test_push_round_matches_manual_exchange(self, testbed):
@@ -87,40 +169,45 @@ class TestPushSessionLifecycle:
         assert result is not None and result.ok
         assert len(testbed.verifier.results_of(testbed.agent_id)) == 1
 
-    def test_session_replay_rejected_without_charging_the_agent(self, testbed):
-        """Resubmitting against a consumed session is a protocol
-        IntegrityError and must not add a round to the agent's record:
+    @pytest.mark.parametrize("build", NON_OPEN_SESSIONS.values(), ids=NON_OPEN_SESSIONS)
+    def test_session_replay_rejected_without_charging_the_agent(self, testbed, build):
+        """A submission naming anything but its agent's open session is a
+        protocol IntegrityError and must not touch the agent's record:
         an attacker replaying captured traffic cannot fail the agent."""
-        reply = _negotiate(testbed)
-        blob = _submit_blob(testbed, reply)
-        assert verdict_from_json(testbed.verifier.submit_push(blob)).ok
-        rounds_before = len(testbed.verifier.results_of(testbed.agent_id))
-        with pytest.raises(IntegrityError, match="replay"):
-            testbed.verifier.submit_push(blob)
-        assert len(testbed.verifier.results_of(testbed.agent_id)) == rounds_before
-        assert testbed.verifier.state_of(testbed.agent_id) is AgentState.ATTESTING
+        blob = build(testbed)
+        verifier, agent_id = testbed.verifier, testbed.agent_id
+
+        def record():
+            return (
+                verifier.results_of(agent_id),
+                verifier.state_of(agent_id),
+                verifier.open_push_session_of(agent_id),
+            )
+
+        before = record()
+        with pytest.raises(IntegrityError, match="not the open session"):
+            verifier.submit_push(blob)
+        assert record() == before
 
     def test_unknown_session_rejected(self, testbed):
         reply = _negotiate(testbed)
         blob = _submit_blob(testbed, reply)
         payload = json.loads(blob)
         payload["session_id"] = "ps-never-issued"
-        with pytest.raises(IntegrityError, match="unknown push session"):
+        with pytest.raises(IntegrityError, match="'ps-never-issued' is not the open"):
             testbed.verifier.submit_push(json.dumps(payload))
 
     def test_agent_session_mismatch_rejected(self, testbed):
         reply = _negotiate(testbed)
         payload = json.loads(_submit_blob(testbed, reply))
         payload["agent_id"] = "agent-somebody-else"
-        with pytest.raises(IntegrityError, match="belongs to"):
+        with pytest.raises(IntegrityError, match="attests .'agent-somebody-else'"):
             testbed.verifier.submit_push(json.dumps(payload))
 
     def test_expired_session_rejected(self, testbed):
         reply = _negotiate(testbed)
         blob = _submit_blob(testbed, reply)
-        testbed.scheduler.clock.advance_by(
-            testbed.verifier.push_session_ttl + 1.0
-        )
+        testbed.scheduler.clock.advance_by(PUSH_SESSION_TTL + 1.0)
         with pytest.raises(IntegrityError, match="expired"):
             testbed.verifier.submit_push(blob)
 
@@ -136,8 +223,8 @@ class TestPushSessionLifecycle:
         with pytest.raises(IntegrityError):
             testbed.verifier.submit_push(stale_blob)
         # The unanswered first session is a degraded round, not a gap.
-        first_session = testbed.verifier.push_sessions_of(testbed.agent_id)[0]
-        assert first_session.outcome == "superseded"
+        [superseded] = testbed.events.by_kind("push.session.superseded")
+        assert superseded.details["session"] == first.session_id
         results = testbed.verifier.results_of(testbed.agent_id)
         assert len(results) == 1 and results[0].transient
         assert "superseded unanswered" in results[0].transport_error
@@ -163,15 +250,18 @@ class TestPushSessionLifecycle:
     def test_failed_verdict_closes_the_session_failed(self, testbed):
         testbed.machine.install_file("/usr/bin/evil", b"x", executable=True)
         testbed.machine.exec_file("/usr/bin/evil")
-        reply = _negotiate(testbed)
-        verdict = verdict_from_json(
-            testbed.verifier.submit_push(_submit_blob(testbed, reply))
-        )
+        with obs_runtime.session() as telemetry:
+            reply = _negotiate(testbed)
+            verdict = verdict_from_json(
+                testbed.verifier.submit_push(_submit_blob(testbed, reply))
+            )
+            failed = telemetry.registry.get(
+                "verifier_push_sessions_total"
+            ).labels(outcome="failed").value
         assert not verdict.ok
         assert "policy" in verdict.failures
-        session = testbed.verifier.push_sessions_of(testbed.agent_id)[-1]
-        assert session.state is PushSessionState.FAILED
-        assert session.outcome == "failed"
+        assert failed == 1
+        assert testbed.verifier.open_push_session_of(testbed.agent_id) is None
 
     def test_no_sha256_bank_refused(self, testbed):
         payload = json.loads(
@@ -190,8 +280,8 @@ class TestRestartDiscardsSessions:
         stale_blob = _submit_blob(testbed, reply)
         testbed.verifier.restart_attestation(testbed.agent_id)
         assert testbed.verifier.open_push_session_of(testbed.agent_id) is None
-        session = testbed.verifier.push_sessions_of(testbed.agent_id)[-1]
-        assert session.outcome == "discarded"
+        [discarded] = testbed.events.by_kind("push.session.discarded")
+        assert discarded.details["agent"] == testbed.agent_id
         with pytest.raises(IntegrityError):
             testbed.verifier.submit_push(stale_blob)
 
@@ -206,13 +296,11 @@ class TestRestartDiscardsSessions:
 class TestPushReaper:
     def test_expired_session_degrades_the_round(self, testbed):
         _negotiate(testbed)
-        testbed.scheduler.clock.advance_by(
-            testbed.verifier.push_session_ttl + 1.0
-        )
+        testbed.scheduler.clock.advance_by(PUSH_SESSION_TTL + 1.0)
         reaped = testbed.verifier.reap_push_sessions()
         assert len(reaped) == 1
-        session = testbed.verifier.push_sessions_of(testbed.agent_id)[-1]
-        assert session.outcome == "expired"
+        [expired] = testbed.events.by_kind("push.session.expired")
+        assert [expired.details["session"]] == reaped
         results = testbed.verifier.results_of(testbed.agent_id)
         assert len(results) == 1 and results[0].transient
         assert "expired unanswered" in results[0].transport_error
@@ -225,9 +313,7 @@ class TestPushReaper:
 
         def expire_one_session():
             _negotiate(testbed)
-            testbed.scheduler.clock.advance_by(
-                testbed.verifier.push_session_ttl + 1.0
-            )
+            testbed.scheduler.clock.advance_by(PUSH_SESSION_TTL + 1.0)
             testbed.verifier.reap_push_sessions()
 
         for _ in range(testbed.verifier.quarantine_after - 1):
@@ -267,9 +353,7 @@ class TestPushReaper:
 
     def test_reap_is_idempotent(self, testbed):
         _negotiate(testbed)
-        testbed.scheduler.clock.advance_by(
-            testbed.verifier.push_session_ttl + 1.0
-        )
+        testbed.scheduler.clock.advance_by(PUSH_SESSION_TTL + 1.0)
         assert len(testbed.verifier.reap_push_sessions()) == 1
         assert testbed.verifier.reap_push_sessions() == []
         assert len(testbed.verifier.results_of(testbed.agent_id)) == 1
@@ -278,51 +362,6 @@ class TestPushReaper:
         _negotiate(testbed)
         assert testbed.verifier.reap_push_sessions() == []
         assert testbed.verifier.open_push_session_of(testbed.agent_id) is not None
-
-
-class TestSessionRetention:
-    """The replay-rejection memory is bounded by PUSH_SESSION_RETENTION."""
-
-    def test_oldest_terminal_sessions_are_forgotten_first(self, monkeypatch):
-        from repro.experiments.shardfleet import build_shard_rig
-        from repro.keylime import verifier as verifier_module
-
-        monkeypatch.setattr(verifier_module, "PUSH_SESSION_RETENTION", 3)
-        fleet = build_shard_rig("push-retention", 2, push_mode=True)
-        verifier = fleet.verifier
-        busy, held = fleet.nodes[0].agent, fleet.nodes[1].agent
-
-        def negotiate(agent):
-            return negotiation_reply_from_json(verifier.negotiate_push(
-                negotiation_to_json(agent.agent_id, agent.capabilities())
-            ))
-
-        first = negotiate(busy)
-        blob = submission_to_json(first.session_id, busy.agent_id, busy.attest(
-            first.nonce, offset=first.offset,
-            pcr_selection=list(first.pcr_selection),
-        ))
-        assert verdict_from_json(verifier.submit_push(blob)).ok
-        # The held agent's session is older than every later one and
-        # stays open: trimming must step over it.
-        held_session = negotiate(held).session_id
-        for _ in range(4):
-            assert verifier.push_round(busy.agent_id).ok
-        busy_sessions = [
-            event.details["session"]
-            for event in fleet.events.by_kind("push.session.negotiated")
-            if event.details["agent"] == busy.agent_id
-        ]
-        assert len(busy_sessions) == 5
-        assert list(verifier._push_sessions) == [held_session, *busy_sessions[-2:]]
-        assert verifier.open_push_session_of(held.agent_id).session_id == held_session
-
-        # A forgotten session is unknown, and the agent's record is untouched.
-        rounds = len(verifier.results_of(busy.agent_id))
-        with pytest.raises(IntegrityError, match="unknown push session"):
-            verifier.submit_push(blob)
-        assert len(verifier.results_of(busy.agent_id)) == rounds
-        assert verifier.state_of(busy.agent_id) is AgentState.ATTESTING
 
 
 class TestPushObservability:

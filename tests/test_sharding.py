@@ -218,7 +218,7 @@ class TestFleetNeverUnassigned:
         # The ring's authority and the shards' bookkeeping agree.
         for agent_id in fleet.agent_ids:
             shard = fleet.shard_of(agent_id)
-            assert agent_id in fleet.shards[shard].agents
+            assert agent_id in fleet.shards[shard].verifier._slots
         assert all(move.target == "verifier-3" for move in plan.moves)
         results = _tick(fleet)
         assert sorted(results) == sorted(fleet.agent_ids)

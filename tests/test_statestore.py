@@ -64,6 +64,45 @@ def _fresh_twin(testbed):
     return twin
 
 
+def _twin_state(twin, agent_id):
+    """Everything a restore assigns, for before/after comparison."""
+    return (
+        twin.results_of(agent_id),
+        twin.verified_entries_of(agent_id),
+        twin.state_of(agent_id),
+        twin.open_push_session_of(agent_id),
+        twin.rng.getstate(),
+        twin._retry_rng.getstate(),
+        twin._session_rng.getstate(),
+        twin.audit.export_records(),
+    )
+
+
+def _flip_audit_ok(body):
+    body["audit"][0]["ok"] = not body["audit"][0]["ok"]
+
+
+def _break_session_rng(body):
+    body["rng"]["session"] = [3, [0] * 10, None]
+
+
+def _break_replay_aggregate(body):
+    body["agents"][0]["replay_aggregate"] = "not-a-digest"
+
+
+def _break_push_session(body):
+    del body["agents"][0]["push_session"]["nonce"]
+
+
+#: Edits below the checksum that a restore must reject whole.
+CORRUPTIONS = {
+    "audit": _flip_audit_ok,
+    "rng": _break_session_rng,
+    "aggregate": _break_replay_aggregate,
+    "session": _break_push_session,
+}
+
+
 class TestSnapshotRoundTrip:
     def test_write_and_read_back(self, testbed, tmp_path):
         path = tmp_path / "verifier.snap"
@@ -238,17 +277,17 @@ class TestSnapshotIntegrity:
         with pytest.raises(IntegrityError):
             read_snapshot(path)
 
-    def test_edited_audit_history_fails_the_restore(self, testbed, tmp_path):
-        """Snapshot tampering below the checksum: rewrite the checksum
-        to match an edited body; the audit chain still refuses."""
-        path = self._snap(testbed, tmp_path)
-        body = read_snapshot(path)
-        body["audit"][0]["ok"] = not body["audit"][0]["ok"]
+    @pytest.mark.parametrize("corrupt", CORRUPTIONS.values(), ids=CORRUPTIONS)
+    def test_edited_audit_history_fails_the_restore(self, testbed, tmp_path, corrupt):
+        """Snapshot tampering below the checksum: an edited body fails
+        the restore, and the failed restore applies nothing at all."""
+        body = self._snap_with_open_session(testbed, tmp_path)
+        corrupt(body)
         twin = _fresh_twin(testbed)
+        before = _twin_state(twin, testbed.agent_id)
         with pytest.raises(IntegrityError):
             restore_verifier(twin, body)
-        # The failed restore did not half-apply the audit chain.
-        assert len(twin.audit) == 0
+        assert _twin_state(twin, testbed.agent_id) == before
 
     def test_missing_sections_rejected(self, testbed):
         twin = _fresh_twin(testbed)
@@ -294,24 +333,8 @@ class TestSnapshotIntegrity:
             negotiation_to_json(testbed.agent_id, testbed.agent.capabilities())
         )
         body = read_snapshot(self._snap(testbed, tmp_path))
-        [session] = body["agents"][0]["sessions"]
-        assert session["state"] == "negotiated"
-        return body, session
-
-    def test_created_session_state_rejected(self, testbed, tmp_path):
-        """Sessions are born negotiated; ``created`` names no state."""
-        body, session = self._snap_with_open_session(testbed, tmp_path)
-        session["state"] = "created"
-        with pytest.raises(IntegrityError, match="malformed push session record"):
-            restore_verifier(_fresh_twin(testbed), body)
-
-    def test_two_open_sessions_for_one_agent_rejected(self, testbed, tmp_path):
-        body, session = self._snap_with_open_session(testbed, tmp_path)
-        body["agents"][0]["sessions"].append(
-            dict(session, session_id="ps-second", nonce="0" * 40)
-        )
-        with pytest.raises(IntegrityError, match="two open push sessions"):
-            restore_verifier(_fresh_twin(testbed), body)
+        assert body["agents"][0]["push_session"] is not None
+        return body
 
 
 class TestInspect:
