@@ -3,7 +3,8 @@
 Not a paper artifact -- these keep an eye on the cost of the operations
 the long-run experiments execute tens of thousands of times: TPM
 quoting, quote verification, the full verifier poll, IMA measurement,
-the verifier's replay of a whole shipped log, policy evaluation, the
+the verifier's replay of a whole shipped log (cold, and against a
+warmed shared cache), policy evaluation, the
 RSA signing, key generation and prime search beneath the simulated
 TPM, the VFS walk over ``/usr``, and the executables query over it that
 the benign workload runs every simulated day.
@@ -21,6 +22,7 @@ from repro.crypto.rsa import _generate_prime, generate_keypair
 from repro.experiments.testbed import build_testbed, TestbedConfig
 from repro.kernelsim.ima import ImaLogEntry, template_hash
 from repro.keylime.pipeline import AgentSlot, LogReplayStage, RoundContext
+from repro.keylime.policy import VerdictCache
 from repro.obs.tracing import NULL_TRACER
 from repro.tpm.pcr import IMA_PCR_INDEX, replay_extends
 from repro.tpm.quote import verify_quote
@@ -107,8 +109,8 @@ def test_micro_ima_measurement(benchmark, rig):
     assert result.measured
 
 
-def test_micro_log_replay(benchmark):
-    """Replay a whole 601-entry log, as every ``reattest_fleet`` poll does."""
+def _shipped_log():
+    """A whole 601-entry log as one evidence, and its quoted PCR 10."""
     lines = []
     for index in range(601):
         filedata = "sha256:" + sha256_hex(b"file-%d" % index)
@@ -122,18 +124,35 @@ def test_micro_log_replay(benchmark):
         ima_log_lines=tuple(lines), offset=0,
         quote=SimpleNamespace(pcr_values={IMA_PCR_INDEX: quoted}),
     )
-    stage = LogReplayStage()
+    return evidence, quoted
 
-    def replay():
-        slot = AgentSlot(agent=None, policy=None)
-        stage.run(RoundContext(
-            agent_id="micro", slot=slot, record=None, now=0.0, rng=None,
-            tracer=NULL_TRACER, evidence=evidence,
-        ))
-        return slot
 
-    slot = benchmark(replay)
+def _replay_whole_log(evidence, cache):
+    slot = AgentSlot(agent=None, policy=None)
+    LogReplayStage().run(RoundContext(
+        agent_id="micro", slot=slot, record=None, now=0.0, rng=None,
+        tracer=NULL_TRACER, evidence=evidence, cache=cache,
+    ))
+    return slot
+
+
+def test_micro_log_replay(benchmark):
+    """Replay a whole 601-entry log with no cache: every line is split
+    and its template hash checked."""
+    evidence, quoted = _shipped_log()
+    slot = benchmark(_replay_whole_log, evidence, None)
     assert (slot.replay_aggregate, slot.verified_entries) == (quoted, 601)
+
+
+def test_micro_log_replay_warm(benchmark):
+    """The same replay against a warmed shared cache, as every
+    ``reattest_fleet`` poll after the first: each line is a memo hit."""
+    evidence, quoted = _shipped_log()
+    cache = VerdictCache()
+    _replay_whole_log(evidence, cache)
+    slot = benchmark(_replay_whole_log, evidence, cache)
+    assert (slot.replay_aggregate, slot.verified_entries) == (quoted, 601)
+    assert len(cache.line_memo) == 601
 
 
 def test_micro_policy_evaluation(benchmark, rig):

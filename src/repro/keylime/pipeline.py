@@ -16,7 +16,9 @@ things:
 * **Shared, cacheable evaluation.**  :class:`PolicyEvalStage` routes
   entries through a :class:`repro.keylime.policy.VerdictCache` when one
   is installed; a fleet of same-distro nodes then pays policy-evaluation
-  cost per *unique digest*, not per (agent x entry).
+  cost per *unique digest*, not per (agent x entry).  Through the same
+  cache's line memo, :class:`LogReplayStage` parses and hash-checks
+  each distinct shipped line once per fleet.
 * **Stage-level observability.**  The pipeline times every stage into
   the ``verifier_stage_wall_seconds{stage}`` histogram and counts cache
   outcomes into ``verifier_verdict_cache_total{result}``, alongside the
@@ -390,12 +392,24 @@ class LogReplayStage(Stage):
     template hash checked, and the aggregate is extended on raw digests
     and hex-encoded once, for the quoted-PCR comparison.  The parse is
     :meth:`ImaLogEntry.from_line` inlined, with the same error text.
+
+    With a :class:`VerdictCache` on the context, what the parse and the
+    template check make of a line -- its entry and the 32 bytes it
+    extends into PCR 10 -- is memoised fleet-wide under the exact
+    shipped line (:meth:`VerdictCache.memoise_line`), so a line that
+    same-distro nodes share, or that a restarted agent ships again, is
+    split and hashed once.  Only lines that passed both checks are
+    memoised, and a tampered line is a different key, so it always
+    takes the full check.  The extend chain and the quoted-PCR
+    comparison still run over every shipped entry of every round: the
+    memo holds a pure function of one line, never a verdict.
     """
 
     name = "log_replay"
 
     def run(self, ctx: RoundContext) -> None:
         slot = ctx.slot
+        cache = ctx.cache
         lines = ctx.evidence.ima_log_lines
         entries: list[ImaLogEntry] = []
 
@@ -408,25 +422,34 @@ class LogReplayStage(Stage):
         with ctx.tracer.span("verifier.log_replay", lines=len(lines)):
             append = entries.append
             new_tuple = tuple.__new__  # ImaLogEntry._make minus its length check
+            # Uncached, an empty table: every line takes the full check.
+            memo = cache.line_memo if cache is not None else {}
             aggregate = bytes.fromhex(slot.replay_aggregate)
             for line in lines:
-                parts = line.split(" ", 4)
-                if len(parts) != 5:
-                    tampered(f"malformed IMA log line: {line!r}")
-                try:
-                    parts[0] = int(parts[0])
-                except ValueError as exc:
-                    tampered(str(exc))
-                _, logged, _, filedata, path = parts
-                if logged == VIOLATION_TEMPLATE_HASH and filedata == VIOLATION_FILEDATA_HASH:
-                    # Violations log zeros but extend 0xFF (kernel rule).
-                    value = _VIOLATION_EXTEND
-                elif logged == template_hash(filedata, path):
-                    value = bytes.fromhex(logged)
+                memoised = memo.get(line)
+                if memoised is not None:
+                    entry, value = memoised
                 else:
-                    tampered(f"template hash mismatch at {path}")
+                    parts = line.split(" ", 4)
+                    if len(parts) != 5:
+                        tampered(f"malformed IMA log line: {line!r}")
+                    try:
+                        parts[0] = int(parts[0])
+                    except ValueError as exc:
+                        tampered(str(exc))
+                    _, logged, _, filedata, path = parts
+                    if logged == VIOLATION_TEMPLATE_HASH and filedata == VIOLATION_FILEDATA_HASH:
+                        # Violations log zeros but extend 0xFF (kernel rule).
+                        value = _VIOLATION_EXTEND
+                    elif logged == template_hash(filedata, path):
+                        value = bytes.fromhex(logged)
+                    else:
+                        tampered(f"template hash mismatch at {path}")
+                    entry = new_tuple(ImaLogEntry, parts)
+                    if cache is not None:
+                        cache.memoise_line(line, entry, value)
                 aggregate = extend_bytes("sha256", aggregate, value)
-                append(new_tuple(ImaLogEntry, parts))
+                append(entry)
             aggregate = aggregate.hex()
             quoted = ctx.evidence.quote.pcr_values[IMA_PCR_INDEX]
             if aggregate != quoted:

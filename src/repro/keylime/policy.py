@@ -42,6 +42,18 @@ _LINE_OVERHEAD = 64 + 2 + 1
 #: Characters that disqualify an exclude body from the literal fast path.
 _REGEX_METACHARS = frozenset(".^$*+?{}[]|()\\")
 
+#: Shipped log lines :attr:`VerdictCache.line_memo` holds before FIFO
+#: eviction.  A memoised line holds the line, its parsed fields, the
+#: 32-byte extend value and a table slot: about 830 B for the
+#: 178-character line of a 31-character path, plus 2 B per character
+#: more.  A full memo of such lines is about 27 MB.
+LINE_MEMO_BOUND = 32_768
+
+#: Longest line the memo keeps.  An ima-ng line is 147 characters plus
+#: its path; a longer line is checked in full every round, so unique
+#: lines cost at most about 1.5 KB each and a full memo about 50 MB.
+LINE_MEMO_MAX_CHARS = 512
+
 
 def exclude_fast_path(pattern: str) -> tuple[str, str] | None:
     """Decompose an anchored-literal exclude into its fast-path form.
@@ -321,11 +333,6 @@ class RuntimePolicy:
         """
         return self._exclude_index.matches(path)
 
-    @property
-    def exclude_index(self) -> ExcludeIndex:
-        """The compiled exclude matcher (introspection / lint)."""
-        return self._exclude_index
-
     def line_count(self) -> int:
         """Number of (path, digest) lines -- the unit of Fig 5 / E9."""
         return self._line_count
@@ -428,6 +435,15 @@ class VerdictCache:
     pair :meth:`RuntimePolicy.evaluate_entry` returns; both are
     immutable, so sharing across agents is safe.  Size is bounded by
     FIFO eviction (stale generations age out with it).
+
+    The cache also carries the log-replay stage's line memo,
+    :attr:`line_memo`: exact shipped line -> ``(ImaLogEntry, extend
+    value)``, what the parse and the template-hash check make of a line
+    that passed both.  It depends on no policy, so it is one table for
+    every generation.  It is FIFO-bounded at :data:`LINE_MEMO_BOUND`
+    lines of at most :data:`LINE_MEMO_MAX_CHARS` characters, it leaves
+    :attr:`hits`, :attr:`misses` and ``len()`` -- which count verdicts
+    only -- untouched, and nothing persists it.
     """
 
     def __init__(self, max_entries: int = 262_144) -> None:
@@ -443,6 +459,9 @@ class VerdictCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        #: Shipped line -> ``(entry, extend value)``.  Read-only to
+        #: callers; all writes go through :meth:`memoise_line`.
+        self.line_memo: dict[str, tuple[ImaLogEntry, bytes]] = {}
 
     def __len__(self) -> int:
         return self._size
@@ -501,6 +520,18 @@ class VerdictCache:
             return cached
         return self.insert(policy, entry)
 
+    def memoise_line(self, line: str, entry: ImaLogEntry, value: bytes) -> None:
+        """Memoise a line that passed the replay's parse and template check.
+
+        Lines longer than :data:`LINE_MEMO_MAX_CHARS` are not kept.
+        """
+        if len(line) > LINE_MEMO_MAX_CHARS:
+            return
+        memo = self.line_memo
+        while len(memo) >= LINE_MEMO_BOUND:
+            del memo[next(iter(memo))]  # oldest first
+        memo[line] = (entry, value)
+
     @property
     def hit_ratio(self) -> float:
         """Fraction of lookups answered from the cache."""
@@ -508,8 +539,9 @@ class VerdictCache:
         return self.hits / total if total else 0.0
 
     def clear(self) -> None:
-        """Drop every cached verdict (stats are kept)."""
+        """Drop every cached verdict and memoised line (stats are kept)."""
         self.store.clear()
+        self.line_memo.clear()
         self._size = 0
 
 

@@ -68,11 +68,6 @@ class KeylimeRegistrar:
             members=",".join(ring.members), vnodes=ring.vnodes,
         )
 
-    @property
-    def shard_ring(self):
-        """The attached ring (None while the fleet is single-verifier)."""
-        return self._shard_ring
-
     def shard_of(self, agent_id: str) -> str:
         """The shard attesting *agent_id* (registered agents only).
 
@@ -165,8 +160,3 @@ class KeylimeRegistrar:
             log_length=capabilities.log_length,
         )
         return previous
-
-    def capabilities_of(self, agent_id: str) -> PushCapabilities | None:
-        """The last capabilities *agent_id* announced (None if never)."""
-        self.lookup(agent_id)
-        return self._capabilities.get(agent_id)

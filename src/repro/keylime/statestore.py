@@ -182,6 +182,22 @@ def export_agent_state(verifier: KeylimeVerifier, agent_id: str) -> dict[str, An
     }
 
 
+def _record_agent_id(record: Any) -> str:
+    """The agent id one snapshot record names.
+
+    A record that is not an object, or whose id is missing or not a
+    string, is an :class:`IntegrityError` like every other malformed
+    field.
+    """
+    try:
+        agent_id = record["agent_id"]
+    except (KeyError, TypeError) as exc:
+        raise IntegrityError(f"malformed agent record in snapshot: {exc}") from exc
+    if not isinstance(agent_id, str):
+        raise IntegrityError(f"malformed agent record in snapshot: agent_id {agent_id!r}")
+    return agent_id
+
+
 def _decode_agent_state(record: dict[str, Any]) -> tuple[dict[str, Any], int]:
     """The slot fields and policy generation of one agent record.
 
@@ -233,7 +249,7 @@ def import_agent_state(verifier: KeylimeVerifier, record: dict[str, Any]) -> str
     :class:`IntegrityError` on *both* verifiers -- the wrong-shard
     replay story in THREATMODEL.md.
     """
-    agent_id = record["agent_id"]
+    agent_id = _record_agent_id(record)
     if agent_id not in verifier._slots:
         raise StateError(
             f"agent {agent_id!r} has no slot on the importing verifier "
@@ -415,10 +431,8 @@ def restore_verifier(
     except (KeyError, TypeError) as exc:
         raise IntegrityError(f"snapshot body is missing sections: {exc}") from exc
 
-    missing = [
-        record["agent_id"] for record in agent_records
-        if record["agent_id"] not in verifier._slots
-    ]
+    agent_ids = [_record_agent_id(record) for record in agent_records]
+    missing = [agent_id for agent_id in agent_ids if agent_id not in verifier._slots]
     if missing:
         raise StateError(
             "snapshot names agents the verifier is not attesting "
@@ -426,8 +440,8 @@ def restore_verifier(
         )
 
     decoded = [
-        (verifier._slots[record["agent_id"]], *_decode_agent_state(record))
-        for record in agent_records
+        (verifier._slots[agent_id], *_decode_agent_state(record))
+        for agent_id, record in zip(agent_ids, agent_records)
     ]
     try:
         streams = [
@@ -459,7 +473,7 @@ def restore_verifier(
         "verifier_snapshot_age_sim_seconds",
         "Simulated age of the most recently restored snapshot",
     ).set(verifier.scheduler.clock.now - created_at)
-    return [record["agent_id"] for record in agent_records]
+    return agent_ids
 
 
 def restore_from_file(

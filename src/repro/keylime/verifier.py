@@ -170,8 +170,17 @@ class KeylimeVerifier:
         With a *measured_boot* policy the verifier widens its quotes to
         the boot PCRs and checks them against the golden values on
         every poll.
+
+        An agent the verifier already attests raises :class:`StateError`:
+        a new slot would erase its round history and replay position
+        without an event.  Re-onboarding is :meth:`restart_attestation`.
         """
         self.registrar.lookup(agent.agent_id)  # raises when unknown
+        if agent.agent_id in self._slots:
+            raise StateError(
+                f"verifier already attests agent {agent.agent_id!r} "
+                "(restart_attestation re-onboards it)"
+            )
         self._slots[agent.agent_id] = AgentSlot(
             agent=agent, policy=policy, measured_boot=measured_boot
         )

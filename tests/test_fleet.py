@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.clock import Scheduler, days
+from repro.common.errors import StateError
 from repro.common.rng import SeededRng
 from repro.distro.archive import UbuntuArchive
 from repro.distro.mirror import LocalMirror
@@ -217,12 +218,22 @@ class TestSharedVerdictCache:
     def test_register_deduplicates_and_keeps_batch_order(self, world):
         fleet, _, _ = world
         host = fleet.shards["verifier-0"]
+        fleet.poll_all()
         before = list(host.verifier._slots)
-        # Re-onboarding an existing agent must not duplicate its slot
-        # or move it within the batch.
+        histories = {
+            agent_id: list(host.verifier._slot(agent_id).results)
+            for agent_id in before
+        }
+        # Re-enrolling an attested agent is refused: a fresh slot would
+        # erase its history, and the slot must not move in the batch.
         for agent_id in (before[0], before[-1]):
-            Fleet._enroll(host, host.verifier._slot(agent_id).agent, fleet.policy)
+            with pytest.raises(StateError, match="already attests"):
+                Fleet._enroll(host, host.verifier._slot(agent_id).agent, fleet.policy)
         assert list(host.verifier._slots) == before
+        assert {
+            agent_id: host.verifier._slot(agent_id).results
+            for agent_id in before
+        } == histories
         # One tick polls every agent exactly once, in batch order.
         assert list(fleet.poll_all()) == before
 

@@ -8,7 +8,10 @@ aggregate entry by entry with :func:`extend_digest`.  On any log -- good
 entries, violations, malformed lines, tampered paths and digests,
 uppercase template hashes, non-zero offsets and starting aggregates --
 both must reach the same failures, the same entry accounting and the
-same replay position.
+same replay position.  So must the stage replaying through a shared
+:class:`VerdictCache`, whose line memo skips the split and the template
+hash of a line it has already checked: cold, warm, and warm with a
+memoised line tampered.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from repro.kernelsim.ima import (
     ImaLogEntry,
     template_hash,
 )
+from repro.keylime import pipeline, policy
 from repro.keylime.pipeline import (
     AgentSlot,
     FailureKind,
@@ -35,6 +39,7 @@ from repro.keylime.pipeline import (
     RoundContext,
     Stage,
 )
+from repro.keylime.policy import VerdictCache
 from repro.obs.tracing import NULL_TRACER
 from repro.tpm.pcr import IMA_PCR_INDEX
 
@@ -158,7 +163,22 @@ def _true_quote(start: str, lines) -> str:
     return quoted
 
 
-def _replay(stage: Stage, start: str, offset: int, lines, quoted: str):
+def _tamper_path(line: str) -> str:
+    return line + ".evil"
+
+
+def _tamper_digest(line: str) -> str:
+    """Flip the last hex digit of the file digest, the path kept."""
+    pcr, logged, template, filedata, path = line.split(" ", 4)
+    flipped = filedata[:-1] + ("1" if filedata.endswith("0") else "0")
+    return " ".join((pcr, logged, template, flipped, path))
+
+
+_TAMPERS = st.sampled_from([_tamper_path, _tamper_digest])
+
+
+def _replay(stage: Stage, start: str, offset: int, lines, quoted: str,
+            cache: VerdictCache | None = None):
     slot = AgentSlot(agent=None, policy=None, replay_aggregate=start,
                      verified_entries=offset)
     evidence = SimpleNamespace(
@@ -166,7 +186,8 @@ def _replay(stage: Stage, start: str, offset: int, lines, quoted: str):
         quote=SimpleNamespace(pcr_values={IMA_PCR_INDEX: quoted}),
     )
     ctx = RoundContext(agent_id="a", slot=slot, record=None, now=5.0,
-                       rng=None, tracer=NULL_TRACER, evidence=evidence)
+                       rng=None, tracer=NULL_TRACER, evidence=evidence,
+                       cache=cache)
     try:
         stage.run(ctx)
         aborted = False
@@ -221,3 +242,123 @@ class TestOnePassMatchesTwoPass:
                 (FailureKind.LOG_TAMPERED, detail.format(bad=bad))
             ], kind
             assert (processed, skipped) == (1, 2), kind
+
+
+def _fleet_log(size: int = 601):
+    """A clean *size*-line log with a violation every 50 lines, and its
+    true quote."""
+    lines = tuple(
+        _line("violation" if index % 50 == 7 else "normal",
+              f"/usr/bin/tool-{index}", index.to_bytes(2, "big"))
+        for index in range(size)
+    )
+    return lines, _true_quote(zero_digest("sha256"), lines)
+
+
+class TestSharedLineMemo:
+    @settings(max_examples=300, deadline=None)
+    @given(shipped_logs(), st.data())
+    def test_cold_warm_and_tampered_match_the_oracle(self, shipped, data):
+        start, offset, lines, quoted = shipped
+        cache = VerdictCache()
+        oracle = _replay(TwoPassLogReplayStage(), *shipped)
+        assert _replay(LogReplayStage(), *shipped, cache=cache) == oracle
+        assert _replay(LogReplayStage(), *shipped, cache=cache) == oracle
+        memoised = [index for index, line in enumerate(lines) if line in cache.line_memo]
+        if memoised:
+            index = data.draw(st.sampled_from(memoised))
+            bad = data.draw(_TAMPERS)(lines[index])
+            tampered = (*lines[:index], bad, *lines[index + 1:])
+            assert _replay(
+                LogReplayStage(), start, offset, tampered, quoted, cache=cache
+            ) == _replay(TwoPassLogReplayStage(), start, offset, tampered, quoted)
+
+    def test_tampered_memoised_line_is_caught_where_it_sits(self):
+        """The property above is not vacuous: a warm memo holds the whole
+        clean log, and a tampered copy of a memoised line still aborts at
+        that line."""
+        lines, quoted = _fleet_log(size=5)
+        cache = VerdictCache()
+        _replay(LogReplayStage(), zero_digest("sha256"), 0, lines, quoted, cache=cache)
+        assert list(cache.line_memo) == list(lines)
+        for tamper in (_tamper_path, _tamper_digest):
+            bad = tamper(lines[2])
+            aborted, failures, processed, skipped, *_ = _replay(
+                LogReplayStage(), zero_digest("sha256"), 0,
+                (*lines[:2], bad, *lines[3:]), quoted, cache=cache,
+            )
+            assert aborted
+            assert [f.kind for f in failures] == [FailureKind.LOG_TAMPERED]
+            assert (processed, skipped) == (2, 3)
+            assert bad not in cache.line_memo
+
+    def test_each_line_is_hashed_once_per_fleet(self, monkeypatch):
+        """Counted, not timed: a cold replay computes one template hash
+        per non-violation line, a warm one none -- also from another
+        stage sharing the cache -- and without a cache every replay
+        computes them all."""
+        calls = [0]
+        real = pipeline.template_hash
+
+        def counted(*args):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(pipeline, "template_hash", counted)
+        lines, quoted = _fleet_log()
+        checked = sum(VIOLATION_TEMPLATE_HASH not in line for line in lines)
+        assert (len(lines), checked) == (601, 589)
+        cache = VerdictCache()
+        start = zero_digest("sha256")
+        for stage, cache_of_round, expected in [
+            (LogReplayStage(), cache, checked),  # cold
+            (LogReplayStage(), cache, 0),  # warm, another agent's stage
+            (LogReplayStage(), None, checked),  # uncached: every round
+        ]:
+            calls[0] = 0
+            aborted, failures, *_, aggregate, verified = _replay(
+                stage, start, 0, lines, quoted, cache=cache_of_round
+            )
+            assert (aborted, failures, aggregate, verified) == (False, [], quoted, 601)
+            assert calls[0] == expected
+
+    def test_memo_leaves_the_verdict_counts_alone(self):
+        lines, quoted = _fleet_log()
+        cache = VerdictCache()
+        for _ in range(2):
+            _replay(LogReplayStage(), zero_digest("sha256"), 0, lines, quoted, cache=cache)
+        assert len(cache.line_memo) == 601
+        assert (cache.hits, cache.misses, len(cache), cache.evictions) == (0, 0, 0, 0)
+
+    def test_fifo_eviction_at_the_bound(self, monkeypatch):
+        monkeypatch.setattr(policy, "LINE_MEMO_BOUND", 3)
+        lines, quoted = _fleet_log(size=5)
+        cache = VerdictCache()
+        _replay(LogReplayStage(), zero_digest("sha256"), 0, lines, quoted, cache=cache)
+        assert list(cache.line_memo) == list(lines[2:])
+        # A replay of the evicted head re-checks it and evicts the oldest.
+        _replay(LogReplayStage(), zero_digest("sha256"), 0, lines[:1],
+                _true_quote(zero_digest("sha256"), lines[:1]), cache=cache)
+        assert list(cache.line_memo) == [lines[3], lines[4], lines[0]]
+
+    def test_long_lines_are_not_memoised(self):
+        lines = (
+            _line("normal", "/bin/a", b"\x01"),
+            _line("normal", "/usr/bin/" + "a" * policy.LINE_MEMO_MAX_CHARS, b"\x02"),
+        )
+        quoted = _true_quote(zero_digest("sha256"), lines)
+        cache = VerdictCache()
+        for _ in range(2):
+            aborted, failures, *_ = _replay(
+                LogReplayStage(), zero_digest("sha256"), 0, lines, quoted, cache=cache
+            )
+            assert (aborted, failures) == (False, [])
+        assert list(cache.line_memo) == [lines[0]]
+
+    def test_clear_empties_the_memo(self):
+        lines, quoted = _fleet_log(size=3)
+        cache = VerdictCache()
+        _replay(LogReplayStage(), zero_digest("sha256"), 0, lines, quoted, cache=cache)
+        assert cache.line_memo
+        cache.clear()
+        assert cache.line_memo == {}

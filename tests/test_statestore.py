@@ -23,6 +23,7 @@ from repro.keylime.audit import AuditLog
 from repro.keylime.statestore import (
     SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,
+    import_agent_state,
     inspect_snapshot,
     read_snapshot,
     restore_from_file,
@@ -309,6 +310,31 @@ class TestSnapshotIntegrity:
         twin = _fresh_twin(testbed)
         with pytest.raises(IntegrityError, match="malformed agent record"):
             restore_verifier(twin, body)
+
+    @pytest.mark.parametrize(
+        "record",
+        [{}, {"agent_id": None}, {"agent_id": ["a"]}, [], "agent", None, 7],
+        ids=["no-id", "null-id", "list-id", "list", "string", "null", "number"],
+    )
+    def test_record_naming_no_agent_rejected(self, testbed, tmp_path, record):
+        """A record with no string agent id is malformed like any other:
+        the restore and the one-agent import both raise IntegrityError
+        and change no slot, RNG stream or audit record."""
+        body = self._snap_with_open_session(testbed, tmp_path)
+        twin = _fresh_twin(testbed)
+        slots = dict(twin._slots)
+        before = _twin_state(twin, testbed.agent_id)
+        for attempt in (
+            lambda: restore_verifier(twin, {"agents": [record], "rng": {}}),
+            # A good record ahead of the bad one is not applied either.
+            lambda: restore_verifier(twin, {**body, "agents": [*body["agents"], record]}),
+            lambda: import_agent_state(twin, record),
+        ):
+            with pytest.raises(IntegrityError, match="malformed agent record"):
+                attempt()
+            assert twin._slots == slots
+            assert all(twin._slots[key] is slot for key, slot in slots.items())
+            assert _twin_state(twin, testbed.agent_id) == before
 
     @pytest.mark.parametrize(
         "aggregate", ["not-a-digest", "A" * 64, "0" * 63, "0" * 62 + " 0", None],

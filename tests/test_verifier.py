@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.clock import Scheduler
+from repro.common.errors import StateError
 from repro.common.rng import SeededRng
 from repro.keylime.agent import KeylimeAgent
 from repro.keylime.policy import build_policy_from_machine
@@ -57,6 +58,24 @@ class TestHappyPath:
 
         with pytest.raises(NotFoundError):
             verifier.poll("ghost")
+
+    def test_re_adding_an_attested_agent_is_refused(self, rig):
+        """A second add_agent would erase the history without an event;
+        re-onboarding is restart_attestation."""
+        machine, agent, verifier, policy, _ = rig
+        machine.exec_file("/usr/bin/tool")
+        verifier.poll("a1")
+        slot = verifier._slot("a1")
+        before = (list(slot.results), slot.verified_entries, slot.replay_aggregate)
+        events = len(verifier.events)
+        with pytest.raises(StateError, match="already attests"):
+            verifier.add_agent(agent, policy)
+        assert verifier._slot("a1") is slot
+        assert (slot.results, slot.verified_entries, slot.replay_aggregate) == before
+        assert len(verifier.events) == events
+        verifier.restart_attestation("a1")
+        assert list(verifier.events)[-1].kind == "attestation.restarted"
+        assert (len(slot.results), slot.verified_entries) == (1, 0)
 
 
 class TestPolicyFailures:
